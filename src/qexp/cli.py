@@ -25,7 +25,7 @@ from .corpus import (
     load_corpus_jsonl,
 )
 from .evaluation import ModelRanker, QueryExpander, RunFileRanker, run_experiment
-from .expansion import ExpansionConfig, write_queries_jsonl
+from .expansion import EXPANDERS, ExpansionConfig, write_queries_jsonl
 from .exposure import (
     DCG,
     FORMULAS,
@@ -34,13 +34,14 @@ from .exposure import (
     log_orderings,
     orderings,
 )
-from .predictors import PREDICTORS, PredictorConfig, make_predictors
+from .predictors import PREDICTORS, QUERY_IDFS, PredictorConfig, make_predictors
 from .retrieval import RANKERS, Query, rank, write_run_file
 
 
 def load_queries_tsv(path) -> list[Query]:
-    """TSV with two columns: query id and query text."""
+    """TSV with two columns: query id and query text; ids must be unique."""
     queries = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -49,8 +50,11 @@ def load_queries_tsv(path) -> list[Query]:
             parts = line.split("\t", 1)
             if len(parts) != 2:
                 raise CorpusError(f"{path}: line {lineno}: expected 'qid<TAB>text'")
-            qid, text = parts
-            queries.append(Query.from_text(text, query_id=qid.strip()))
+            qid, text = parts[0].strip(), parts[1]
+            if qid in seen:
+                raise CorpusError(f"{path}: line {lineno}: duplicate query id {qid!r}")
+            seen.add(qid)
+            queries.append(Query.from_text(text, query_id=qid))
     return queries
 
 
@@ -102,15 +106,15 @@ class ExperimentConfig:
             if name not in RANKERS:
                 raise ValueError(f"unknown ranker {name!r} (choose from {sorted(RANKERS)})")
         for name in self.expanders:
-            if name not in ("none", "rm3", "klq"):
+            if name != "none" and name not in EXPANDERS:
                 raise ValueError(f"unknown expander {name!r}")
         for name in self.predictors:
             if name not in PREDICTORS:
                 raise ValueError(f"unknown predictor {name!r} (choose from {PREDICTORS})")
         if self.exposure_formula not in FORMULAS:
             raise ValueError(f"unknown exposure formula {self.exposure_formula!r}")
-        if self.query_idf not in ("bm25", "classic"):
-            raise ValueError("query idf must be 'bm25' or 'classic'")
+        if self.query_idf not in QUERY_IDFS:
+            raise ValueError(f"query idf must be one of {QUERY_IDFS}")
         if not self.rankers and not self.run_files:
             raise ValueError("at least one ranker or run file is required")
         if not self.predictors:
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="apply PRF expansion and dump the queries")
     add_index_source(p)
     p.add_argument("--queries", required=True)
-    p.add_argument("--method", required=True, choices=("rm3", "klq"))
+    p.add_argument("--method", required=True, choices=tuple(EXPANDERS))
     p.add_argument("--model", default="bm25", choices=sorted(RANKERS))
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--fb-docs", type=int, default=3)
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category-names", default=None, help="comma-separated; default all")
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--no-idf-floor", action="store_true")
-    p.add_argument("--query-idf", default="bm25", choices=("bm25", "classic"))
+    p.add_argument("--query-idf", default="bm25", choices=QUERY_IDFS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -359,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--rankers", default="bm25", help="comma-separated retrieval models")
     p.add_argument("--run-file", action="append", help="external TREC run file ranker")
-    p.add_argument("--expanders", default="none", help="comma-separated: none,rm3,klq")
+    p.add_argument("--expanders", default="none",
+                   help="comma-separated: none," + ",".join(EXPANDERS))
     p.add_argument("--predictors", default="gep,scs,avidf,avictf,avpmi,cori")
     p.add_argument("--category-names", default=None)
     p.add_argument("--k", type=int, default=100)
@@ -371,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fb-terms", type=int, default=10)
     p.add_argument("--rm3-lambda", type=float, default=0.5)
     p.add_argument("--no-idf-floor", action="store_true")
-    p.add_argument("--query-idf", default="bm25", choices=("bm25", "classic"))
+    p.add_argument("--query-idf", default="bm25", choices=QUERY_IDFS)
     p.add_argument("--cori-belief", type=float, default=0.4)
     p.add_argument("--exposure-formula", default=DCG, choices=FORMULAS)
     p.add_argument("--reference", default="gep")

@@ -1,15 +1,17 @@
 """Labeled document corpus and the immutable collection index.
 
-The index holds whole-collection term statistics plus, for every
-(category, group) cell, the group-restricted document/token counts and
-per-term document and collection frequencies. Categories partition the
-corpus, so group statistics always sum back to the collection totals.
+The index holds whole-collection postings plus, for every (category,
+group) cell, the group's document and token counts. Per-group term
+statistics are derived on demand by splitting a term's postings by
+group label. Categories partition the corpus, so group statistics
+always sum back to the collection totals.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -46,12 +48,6 @@ class Category:
         if len(set(self.groups)) != len(self.groups):
             raise ValueError(f"category {self.name!r} has duplicate group names")
 
-    def index_of(self, group: str) -> int:
-        try:
-            return self.groups.index(group)
-        except ValueError:
-            raise KeyError(f"unknown group {group!r} in category {self.name!r}") from None
-
 
 @dataclass(frozen=True)
 class TermStats:
@@ -87,24 +83,14 @@ class CollectionIndex:
             for doc_id, tf in plist.items():
                 self._doc_terms[doc_id][term] = tf
         self._total_tokens = sum(self._doc_lengths.values())
-        # per (category, group): document count, token count, term -> (df, cf)
-        self._group_docs: dict[tuple[str, str], int] = {}
-        self._group_tokens: dict[tuple[str, str], int] = {}
-        self._group_terms: dict[tuple[str, str], dict[str, tuple[int, int]]] = {}
-        for cat in categories:
-            for grp in cat.groups:
-                self._group_docs[(cat.name, grp)] = 0
-                self._group_tokens[(cat.name, grp)] = 0
-                self._group_terms[(cat.name, grp)] = {}
+        # per (category, group): document count, token count
+        self._group_docs = {(c.name, g): 0 for c in categories for g in c.groups}
+        self._group_tokens = dict(self._group_docs)
         for doc_id in self._doc_ids:
-            for cat_name, grp in self._doc_labels[doc_id].items():
-                key = (cat_name, grp)
+            for cat in categories:
+                key = (cat.name, self._doc_labels[doc_id][cat.name])
                 self._group_docs[key] += 1
                 self._group_tokens[key] += self._doc_lengths[doc_id]
-                terms = self._group_terms[key]
-                for term, tf in self._doc_terms[doc_id].items():
-                    df, cf = terms.get(term, (0, 0))
-                    terms[term] = (df + 1, cf + tf)
 
     # ------------------------------- collection ----------------------------
     @property
@@ -167,8 +153,8 @@ class CollectionIndex:
 
     # --------------------------------- groups ------------------------------
     def _group_key(self, category: str, group: str) -> tuple[str, str]:
-        cat = self.category(category)
-        cat.index_of(group)
+        if group not in self.category(category).groups:
+            raise KeyError(f"unknown group {group!r} in category {category!r}")
         return (category, group)
 
     def group_doc_count(self, category: str, group: str) -> int:
@@ -177,22 +163,16 @@ class CollectionIndex:
     def group_token_count(self, category: str, group: str) -> int:
         return self._group_tokens[self._group_key(category, group)]
 
-    def group_term_counts(self, term: str, category: str, group: str) -> tuple[int, int]:
-        """(df, cf) of a term within one group; (0, 0) when absent."""
-        return self._group_terms[self._group_key(category, group)].get(term, (0, 0))
+    def group_postings(self, term: str, category: str) -> dict[str, dict[str, int]]:
+        """The term's postings split by group: group -> {doc_id: tf}.
 
-    def group_stats(self, term: str, category: str, group: str) -> TermStats:
-        """Group-restricted term statistics; absence is not an error."""
-        key = self._group_key(category, group)
-        df, cf = self._group_terms[key].get(term, (0, 0))
-        if df == 0:
-            return _EMPTY_STATS
-        plist = {
-            doc_id: tf
-            for doc_id, tf in self._postings[term].items()
-            if self._doc_labels[doc_id][category] == group
-        }
-        return TermStats(df, cf, plist)
+        Every group of the category is present (empty when the term is
+        absent from it), and each group keeps the build order.
+        """
+        split: dict[str, dict[str, int]] = {g: {} for g in self.category(category).groups}
+        for doc_id, tf in self._postings.get(term, {}).items():
+            split[self._doc_labels[doc_id][category]][doc_id] = tf
+        return split
 
     # ------------------------------ persistence ----------------------------
     def save(self, path) -> None:
@@ -220,22 +200,57 @@ class CollectionIndex:
 
     @classmethod
     def load(cls, path) -> "CollectionIndex":
+        """Read an index written by :meth:`save`.
+
+        Any file that does not decode to a consistent index raises
+        :class:`CorpusError` naming the path.
+        """
         data = Path(path).read_bytes()
         if not data.startswith(INDEX_MAGIC):
             raise CorpusError(f"{path}: not an index file (bad magic)")
+        if len(data) == len(INDEX_MAGIC):
+            raise CorpusError(f"{path}: truncated index file (no format version)")
         version = data[len(INDEX_MAGIC)]
         if version != INDEX_FORMAT_VERSION:
             raise CorpusError(
                 f"{path}: unsupported index format version {version}"
             )
-        payload = json.loads(gzip.decompress(data[len(INDEX_MAGIC) + 1 :]))
-        categories = [
-            Category(c["name"], tuple(c["groups"])) for c in payload["categories"]
-        ]
-        doc_ids = [d["id"] for d in payload["docs"]]
-        doc_lengths = {d["id"]: d["length"] for d in payload["docs"]}
-        doc_labels = {d["id"]: dict(d["labels"]) for d in payload["docs"]}
-        return cls(categories, doc_ids, doc_lengths, doc_labels, payload["postings"])
+        try:
+            payload = json.loads(gzip.decompress(data[len(INDEX_MAGIC) + 1 :]))
+        except (EOFError, OSError, zlib.error, ValueError) as exc:
+            raise CorpusError(f"{path}: corrupt index ({exc})") from None
+        try:
+            categories = [
+                Category(c["name"], tuple(c["groups"])) for c in payload["categories"]
+            ]
+            doc_ids = [d["id"] for d in payload["docs"]]
+            doc_lengths = {d["id"]: d["length"] for d in payload["docs"]}
+            doc_labels = {d["id"]: dict(d["labels"]) for d in payload["docs"]}
+            postings = payload["postings"]
+            _check_payload(categories, doc_ids, doc_labels, postings)
+            return cls(categories, doc_ids, doc_lengths, doc_labels, postings)
+        except KeyError as exc:
+            raise CorpusError(f"{path}: corrupt index (missing field {exc})") from None
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise CorpusError(f"{path}: corrupt index ({exc})") from None
+
+
+def _check_payload(categories, doc_ids, doc_labels, postings) -> None:
+    """Reject a decoded index whose labels or postings do not fit its docs."""
+    if not doc_ids:
+        raise ValueError("no documents")
+    if len(doc_labels) != len(doc_ids):
+        raise ValueError("duplicate document ids")
+    for doc_id, labels in doc_labels.items():
+        for cat in categories:
+            if labels.get(cat.name) not in cat.groups:
+                raise ValueError(
+                    f"document {doc_id!r} has no group of category {cat.name!r}"
+                )
+    for term, plist in postings.items():
+        if not plist.keys() <= doc_labels.keys():
+            unknown = next(d for d in plist if d not in doc_labels)
+            raise ValueError(f"term {term!r} has a posting for unknown document {unknown!r}")
 
 
 def build_index(

@@ -294,9 +294,13 @@ def run_experiment(
     )
     for name in category_names:
         index.category(name)
+    seen: set[str] = set()
     for q in queries:
         if q.query_id is None:
             raise ValueError("experiment queries need a query_id")
+        if q.query_id in seen:
+            raise ValueError(f"duplicate query id {q.query_id!r}")
+        seen.add(q.query_id)
     for r in rankers:
         if isinstance(r, RunFileRanker) and any(e is not None for e in expanders):
             raise ValueError(

@@ -33,11 +33,6 @@ def position_exposure(p: int, formula: str = DCG) -> float:
     raise ValueError(f"unknown exposure formula {formula!r}")
 
 
-def total_exposure(n: int, formula: str = DCG) -> float:
-    """Exposure available in a ranking of length n."""
-    return sum(position_exposure(p, formula) for p in range(1, n + 1))
-
-
 def group_exposure(
     ranking: Ranking,
     index: CollectionIndex,
@@ -74,9 +69,6 @@ class ExposureDistribution:
             raise ValueError("exposure shares must be nonnegative")
         if abs(sum(self.values) - 1.0) > 1e-9:
             raise ValueError("exposure shares must sum to 1")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.groups, self.values))
 
 
 def normalize_exposure(

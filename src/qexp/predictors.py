@@ -15,21 +15,30 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .corpus import CollectionIndex
+from .corpus import Category, CollectionIndex
 from .exposure import ExposureDistribution, normalize_exposure
 from .retrieval import Query
 
 #: replaces zero df/cf counts inside baseline logarithms
 SMOOTH = 0.5
 
+#: CORI's T = df_g / (df_g + CORI_DF_BASE + CORI_DF_SCALE * cw_g / mean_cw)
+CORI_DF_BASE = 50.0
+CORI_DF_SCALE = 150.0
+
+#: collection idf variants of GEP's query vector, as f(N, df)
+_QUERY_IDF: dict[str, Callable[[int, int], float]] = {
+    "bm25": lambda n, df: math.log2((n - df + SMOOTH) / (df + SMOOTH)),
+    "classic": lambda n, df: math.log2(n / df),
+}
+QUERY_IDFS = tuple(_QUERY_IDF)
+
 
 @dataclass(frozen=True)
 class PredictorConfig:
     floor_idf: bool = True        # clamp negative idf values at zero
-    query_idf: str = "bm25"       # "bm25" or "classic" collection idf
+    query_idf: str = "bm25"       # one of QUERY_IDFS: collection idf of GEP's query vector
     cori_belief: float = 0.4      # default belief (the b parameter)
-    cori_df_base: float = 50.0
-    cori_df_scale: float = 150.0
 
 
 DEFAULT_CONFIG = PredictorConfig()
@@ -54,7 +63,43 @@ class PredictorOutput:
         }
 
 
-def _finish(name: str, category, raw: Mapping[str, float]) -> PredictorOutput:
+@dataclass(frozen=True)
+class QueryGroupStats:
+    """Every count a predictor reads for one query in one category.
+
+    ``postings[term][group]`` maps the group's documents containing the
+    term to its frequency there, so a term's group df is the length and
+    its group cf the sum of that mapping.
+    """
+
+    category: Category
+    qtf: dict[str, float]        # weight per distinct query term, query order
+    num_docs: int                # documents in the collection
+    df: dict[str, int]           # collection df per distinct query term
+    n_g: dict[str, int]          # documents per group
+    tokens_g: dict[str, int]     # tokens per group
+    postings: dict[str, dict[str, dict[str, int]]]
+
+
+def query_group_stats(index: CollectionIndex, query: Query, category: str) -> QueryGroupStats:
+    """Collect the query's per-group counts; rejects an empty query."""
+    if not query.terms:
+        raise ValueError("cannot predict for an empty query")
+    cat = index.category(category)
+    qtf = query.qtf()
+    postings = {term: index.group_postings(term, category) for term in qtf}
+    return QueryGroupStats(
+        category=cat,
+        qtf=qtf,
+        num_docs=index.num_docs,
+        df={term: sum(map(len, split.values())) for term, split in postings.items()},
+        n_g={g: index.group_doc_count(category, g) for g in cat.groups},
+        tokens_g={g: index.group_token_count(category, g) for g in cat.groups},
+        postings=postings,
+    )
+
+
+def _finish(name: str, category: Category, raw: Mapping[str, float]) -> PredictorOutput:
     """Floor raw scores at zero and normalize them into a distribution."""
     floored = {g: max(0.0, raw[g]) for g in category.groups}
     dist = normalize_exposure(category.name, category.groups, floored)
@@ -67,70 +112,50 @@ def _finish(name: str, category, raw: Mapping[str, float]) -> PredictorOutput:
     )
 
 
-def _require_query(query: Query) -> None:
-    if not query.terms:
-        raise ValueError("cannot predict for an empty query")
-
-
 # --------------------------------- GEP -------------------------------------
 
-def group_idf(
-    index: CollectionIndex,
-    term: str,
-    category: str,
-    group: str,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> float:
-    """log2((|d_g| - df_g + 0.5) / (df_g + 0.5)), floored by default."""
-    n_g = index.group_doc_count(category, group)
-    df_g, _ = index.group_term_counts(term, category, group)
-    value = math.log2((n_g - df_g + SMOOTH) / (df_g + SMOOTH))
-    return max(0.0, value) if config.floor_idf else value
-
-
 def gep_group_term_score(
-    index: CollectionIndex,
+    stats: QueryGroupStats,
     term: str,
-    category: str,
     group: str,
     k: int,
     config: PredictorConfig = DEFAULT_CONFIG,
 ) -> float:
     """Mean of the k largest tf-idf scores of the group's documents.
 
-    Terms appearing in fewer than k group documents are padded with
-    zeros, so a single high-scoring document cannot dominate: one
-    document can occupy only one ranking position.
+    The group idf is log2((|d_g| - df_g + 0.5) / (df_g + 0.5)), floored
+    by default. Terms appearing in fewer than k group documents are
+    padded with zeros, so a single high-scoring document cannot
+    dominate: one document can occupy only one ranking position.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    stats = index.group_stats(term, category, group)
-    if stats.df == 0:
+    plist = stats.postings[term][group]
+    if not plist:
         return 0.0
-    idf = group_idf(index, term, category, group, config)
-    scores = sorted((tf * idf for tf in stats.postings.values()), reverse=True)
+    df_g = len(plist)
+    idf = math.log2((stats.n_g[group] - df_g + SMOOTH) / (df_g + SMOOTH))
+    if config.floor_idf:
+        idf = max(0.0, idf)
+    scores = sorted((tf * idf for tf in plist.values()), reverse=True)
     return sum(scores[:k]) / k
 
 
 def gep_query_vector(
-    index: CollectionIndex,
-    query: Query,
+    stats: QueryGroupStats,
     config: PredictorConfig = DEFAULT_CONFIG,
 ) -> dict[str, float]:
     """qtf * collection idf per distinct query term; unindexed terms get 0."""
+    if config.query_idf not in _QUERY_IDF:
+        raise ValueError(f"unknown query idf variant {config.query_idf!r}")
+    idf_of = _QUERY_IDF[config.query_idf]
     out: dict[str, float] = {}
-    n = index.num_docs
-    for term, qtf in query.qtf().items():
-        df = index.term_stats(term).df
+    for term, qtf in stats.qtf.items():
+        df = stats.df[term]
         if df == 0:
             out[term] = 0.0
             continue
-        if config.query_idf == "bm25":
-            idf = math.log2((n - df + SMOOTH) / (df + SMOOTH))
-        elif config.query_idf == "classic":
-            idf = math.log2(n / df)
-        else:
-            raise ValueError(f"unknown query idf variant {config.query_idf!r}")
+        idf = idf_of(stats.num_docs, df)
         if config.floor_idf:
             idf = max(0.0, idf)
         out[term] = qtf * idf
@@ -145,26 +170,45 @@ def predict_gep(
     config: PredictorConfig = DEFAULT_CONFIG,
 ) -> PredictorOutput:
     """Dot product of each group's top-k tf-idf vector with the query vector."""
-    _require_query(query)
-    cat = index.category(category)
-    qvec = gep_query_vector(index, query, config)
+    stats = query_group_stats(index, query, category)
+    qvec = gep_query_vector(stats, config)
     raw = {}
-    for group in cat.groups:
+    for group in stats.category.groups:
         raw[group] = sum(
-            gep_group_term_score(index, term, category, group, k, config) * qw
+            gep_group_term_score(stats, term, group, k, config) * qw
             for term, qw in qvec.items()
             if qw != 0.0
         )
-    return _finish("gep", cat, raw)
+    return _finish("gep", stats.category, raw)
 
 
 # ------------------------------- baselines ---------------------------------
 
-def _group_sizes(index, category, group) -> tuple[int, int]:
-    return (
-        index.group_doc_count(category, group),
-        index.group_token_count(category, group),
-    )
+def _mean_log_ratio(
+    stats: QueryGroupStats,
+    sizes: Mapping[str, int],
+    count: Callable[[Mapping[str, int]], int],
+) -> dict[str, float]:
+    """Query-weighted mean of log2(sizes[g] / count(group postings)) per group.
+
+    A zero count is smoothed to 0.5; a group of size zero scores 0.
+    """
+    total = sum(stats.qtf.values())
+    raw = {}
+    for group, size in sizes.items():
+        if size == 0 or total == 0.0:
+            raw[group] = 0.0
+            continue
+        acc = 0.0
+        for term, w in stats.qtf.items():
+            c = count(stats.postings[term][group])
+            acc += w * math.log2(size / (c if c > 0 else SMOOTH))
+        raw[group] = acc / total
+    return raw
+
+
+def _cf(plist: Mapping[str, int]) -> int:
+    return sum(plist.values())
 
 
 def predict_avidf(
@@ -174,22 +218,8 @@ def predict_avidf(
     config: PredictorConfig = DEFAULT_CONFIG,
 ) -> PredictorOutput:
     """Mean log2(N_g / df_g) over query terms: average term specificity."""
-    _require_query(query)
-    cat = index.category(category)
-    qtf = query.qtf()
-    total = sum(qtf.values())
-    raw = {}
-    for group in cat.groups:
-        n_g, _ = _group_sizes(index, category, group)
-        if n_g == 0 or total == 0.0:
-            raw[group] = 0.0
-            continue
-        acc = 0.0
-        for term, w in qtf.items():
-            df_g, _ = index.group_term_counts(term, category, group)
-            acc += w * math.log2(n_g / (df_g if df_g > 0 else SMOOTH))
-        raw[group] = acc / total
-    return _finish("avidf", cat, raw)
+    stats = query_group_stats(index, query, category)
+    return _finish("avidf", stats.category, _mean_log_ratio(stats, stats.n_g, len))
 
 
 def predict_avictf(
@@ -199,22 +229,8 @@ def predict_avictf(
     config: PredictorConfig = DEFAULT_CONFIG,
 ) -> PredictorOutput:
     """Mean log2(tokens_g / cf_g) over query terms."""
-    _require_query(query)
-    cat = index.category(category)
-    qtf = query.qtf()
-    total = sum(qtf.values())
-    raw = {}
-    for group in cat.groups:
-        _, tokens_g = _group_sizes(index, category, group)
-        if tokens_g == 0 or total == 0.0:
-            raw[group] = 0.0
-            continue
-        acc = 0.0
-        for term, w in qtf.items():
-            _, cf_g = index.group_term_counts(term, category, group)
-            acc += w * math.log2(tokens_g / (cf_g if cf_g > 0 else SMOOTH))
-        raw[group] = acc / total
-    return _finish("avictf", cat, raw)
+    stats = query_group_stats(index, query, category)
+    return _finish("avictf", stats.category, _mean_log_ratio(stats, stats.tokens_g, _cf))
 
 
 def predict_scs(
@@ -224,26 +240,23 @@ def predict_scs(
     config: PredictorConfig = DEFAULT_CONFIG,
 ) -> PredictorOutput:
     """KL of the query language model from each group's language model."""
-    _require_query(query)
-    cat = index.category(category)
-    qtf = query.qtf()
-    total = sum(qtf.values())
+    stats = query_group_stats(index, query, category)
+    total = sum(stats.qtf.values())
     raw = {}
-    for group in cat.groups:
-        _, tokens_g = _group_sizes(index, category, group)
+    for group, tokens_g in stats.tokens_g.items():
         if tokens_g == 0 or total == 0.0:
             raw[group] = 0.0
             continue
         acc = 0.0
-        for term, w in qtf.items():
+        for term, w in stats.qtf.items():
             p_q = w / total
             if p_q == 0.0:
                 continue
-            _, cf_g = index.group_term_counts(term, category, group)
+            cf_g = _cf(stats.postings[term][group])
             p_c = (cf_g if cf_g > 0 else SMOOTH) / tokens_g
             acc += p_q * math.log2(p_q / p_c)
         raw[group] = acc
-    return _finish("scs", cat, raw)
+    return _finish("scs", stats.category, raw)
 
 
 def predict_avpmi(
@@ -258,46 +271,26 @@ def predict_avpmi(
     group (counts + 0.5), so never-co-occurring terms stay finite.
     Queries with fewer than two distinct terms fall back to AvIDF.
     """
-    _require_query(query)
-    cat = index.category(category)
-    terms = list(dict.fromkeys(query.terms))
-    if len(terms) < 2:
-        fallback = predict_avidf(index, query, category, config)
-        return PredictorOutput(
-            "avpmi", fallback.category, fallback.groups,
-            fallback.raw_scores, fallback.distribution,
-        )
+    stats = query_group_stats(index, query, category)
+    terms = list(stats.qtf)
+    if len(terms) < 2:  # AvIDF
+        return _finish("avpmi", stats.category, _mean_log_ratio(stats, stats.n_g, len))
     pairs = [(terms[i], terms[j]) for i in range(len(terms)) for j in range(i + 1, len(terms))]
     raw = {}
-    for group in cat.groups:
-        n_g, _ = _group_sizes(index, category, group)
+    for group, n_g in stats.n_g.items():
         if n_g == 0:
             raw[group] = 0.0
             continue
         acc = 0.0
         for t1, t2 in pairs:
-            df1, _ = index.group_term_counts(t1, category, group)
-            df2, _ = index.group_term_counts(t2, category, group)
-            joint = _joint_df(index, t1, t2, category, group)
-            p1 = (df1 + SMOOTH) / n_g
-            p2 = (df2 + SMOOTH) / n_g
-            p12 = (joint + SMOOTH) / n_g
+            docs1 = stats.postings[t1][group]
+            docs2 = stats.postings[t2][group]
+            p1 = (len(docs1) + SMOOTH) / n_g
+            p2 = (len(docs2) + SMOOTH) / n_g
+            p12 = (len(docs1.keys() & docs2.keys()) + SMOOTH) / n_g
             acc += math.log2(p12 / (p1 * p2))
         raw[group] = acc / len(pairs)
-    return _finish("avpmi", cat, raw)
-
-
-def _joint_df(index, t1, t2, category, group) -> int:
-    """Number of the group's documents containing both terms."""
-    p1 = index.term_stats(t1).postings
-    p2 = index.term_stats(t2).postings
-    if len(p2) < len(p1):
-        p1, p2 = p2, p1
-    count = 0
-    for doc_id in p1:
-        if doc_id in p2 and index.doc_group(doc_id, category) == group:
-            count += 1
-    return count
+    return _finish("avpmi", stats.category, raw)
 
 
 def predict_cori(
@@ -314,40 +307,29 @@ def predict_cori(
     contain t. Terms in no group are skipped; if every term is skipped
     the output degenerates to uniform.
     """
-    _require_query(query)
-    cat = index.category(category)
-    n_groups = len(cat.groups)
-    tokens = {g: index.group_token_count(category, g) for g in cat.groups}
-    mean_cw = sum(tokens.values()) / n_groups
-    qtf = query.qtf()
-
-    gf: dict[str, int] = {}
-    for term in qtf:
-        gf[term] = sum(
-            1 for g in cat.groups if index.group_term_counts(term, category, g)[0] > 0
-        )
+    stats = query_group_stats(index, query, category)
+    n_groups = len(stats.category.groups)
+    mean_cw = sum(stats.tokens_g.values()) / n_groups
+    gf = {term: sum(1 for docs in split.values() if docs) for term, split in stats.postings.items()}
 
     b = config.cori_belief
     raw = {}
-    for group in cat.groups:
+    for group, tokens_g in stats.tokens_g.items():
         acc = 0.0
         weight = 0.0
-        for term, w in qtf.items():
+        for term, w in stats.qtf.items():
             if gf[term] == 0:
                 continue  # term absent from every group
-            df_g, _ = index.group_term_counts(term, category, group)
+            df_g = len(stats.postings[term][group])
             if mean_cw > 0:
-                t_part = df_g / (
-                    df_g + config.cori_df_base
-                    + config.cori_df_scale * tokens[group] / mean_cw
-                )
+                t_part = df_g / (df_g + CORI_DF_BASE + CORI_DF_SCALE * tokens_g / mean_cw)
             else:
                 t_part = 0.0
             i_part = math.log((n_groups + 0.5) / gf[term]) / math.log(n_groups + 1.0)
             acc += w * (b + (1.0 - b) * t_part * i_part)
             weight += w
         raw[group] = acc / weight if weight > 0 else 0.0
-    return _finish("cori", cat, raw)
+    return _finish("cori", stats.category, raw)
 
 
 def predict_uniform(
@@ -357,11 +339,8 @@ def predict_uniform(
     config: PredictorConfig = DEFAULT_CONFIG,
 ) -> PredictorOutput:
     """Query-independent uniform prediction; a floor for real predictors."""
-    _require_query(query)
-    cat = index.category(category)
-    n = len(cat.groups)
-    dist = ExposureDistribution(cat.name, cat.groups, (1.0 / n,) * n)
-    return PredictorOutput("uniform", cat.name, cat.groups, (1.0,) * n, dist)
+    cat = query_group_stats(index, query, category).category
+    return _finish("uniform", cat, dict.fromkeys(cat.groups, 1.0))
 
 
 # ------------------------------- registry ----------------------------------

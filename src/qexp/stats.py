@@ -80,7 +80,3 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     x = df / (df + t * t)
     return betainc(df / 2.0, 0.5, x)
 
-
-def student_t_cdf(t: float, df: float) -> float:
-    p = student_t_two_sided_p(abs(t), df)
-    return 1.0 - p / 2.0 if t >= 0 else p / 2.0

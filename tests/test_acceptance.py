@@ -173,8 +173,8 @@ def _skew_experiment(expanders):
     cat = cats[0]
     mass = {g: 0 for g in cat.groups}
     for t in topic_terms(config):
-        for g in cat.groups:
-            mass[g] += idx.group_term_counts(t, cat.name, g)[1]
+        for g, plist in idx.group_postings(t, cat.name).items():
+            mass[g] += sum(plist.values())
     assert mass["dominant"] / sum(mass.values()) >= 0.80
     predictors = make_predictors(("gep",) + BASELINES + ("uniform",), k=100)
     report = run_experiment(

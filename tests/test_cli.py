@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qexp.cli import main
-from qexp.corpus import CollectionIndex
+from qexp.corpus import INDEX_MAGIC, CollectionIndex
 from qexp.exposure import position_exposure
 
 
@@ -78,7 +78,32 @@ class TestIndexCommand:
         a, b = CollectionIndex.load(p1), CollectionIndex.load(p2)
         for term in a.vocabulary:
             assert a.term_stats(term) == b.term_stats(term)
-        assert a.group_term_counts("t000", "c", "A") != b.group_term_counts("t000", "c", "A")
+        assert a.group_postings("t000", "c") != b.group_postings("t000", "c")
+
+
+class TestCorruptIndex:
+    def _predict(self, workspace, index_path):
+        return main([
+            "predict", "--index", str(index_path),
+            "--queries", str(workspace / "queries.tsv"),
+            "--out", str(workspace / "pred.jsonl"),
+        ])
+
+    def test_truncated_index_exits_1(self, workspace, capsys):
+        path = workspace / "index.qx"
+        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--categories", str(workspace / "categories.json"), "--out", str(path)]) == 0
+        path.write_bytes(path.read_bytes()[:-20])
+        assert self._predict(workspace, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "index.qx" in err
+
+    def test_magic_only_index_exits_1(self, workspace, capsys):
+        path = workspace / "index.qx"
+        path.write_bytes(INDEX_MAGIC)
+        assert self._predict(workspace, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "index.qx" in err
 
 
 class TestRankAndExpand:
@@ -176,6 +201,16 @@ class TestRunCommand:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_duplicate_query_id_exits_1(self, workspace, capsys):
+        # predictions are cached per query id, so a repeat must not reach the run
+        queries = workspace / "queries.tsv"
+        queries.write_text("q1\tt000\nq1\tt002\n")
+        out_dir = workspace / "out"
+        assert self._run(workspace, out_dir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 2" in err and "'q1'" in err
+        assert not (out_dir / "jsd.csv").exists()
 
     def test_external_run_file_exposure(self, workspace):
         # five-line run file: A docs at positions 1, 3, 5; B at 2, 4

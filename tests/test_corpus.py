@@ -1,3 +1,5 @@
+import gzip
+import json
 import random
 
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from qexp.corpus import (
     Category,
     CollectionIndex,
+    INDEX_FORMAT_VERSION,
+    INDEX_MAGIC,
     CorpusError,
     Document,
     build_index,
@@ -36,24 +40,23 @@ class TestBuildIndex:
         assert idx.total_tokens == 3
 
     def test_group_df_partition(self, tiny_index):
-        east = tiny_index.group_stats("t000", "geo", "east")
-        west = tiny_index.group_stats("t000", "geo", "west")
-        assert east.df + west.df == tiny_index.term_stats("t000").df == 3
+        split = tiny_index.group_postings("t000", "geo")
+        assert len(split["east"]) + len(split["west"]) == tiny_index.term_stats("t000").df == 3
 
     def test_group_stats_fixture_counts(self, tiny_index):
-        east = tiny_index.group_stats("t000", "geo", "east")
-        assert east.df == 2
-        assert east.cf == 3  # counts 2 and 1
+        east = tiny_index.group_postings("t000", "geo")["east"]
+        assert east == {"d1": 2, "d3": 1}  # df 2, cf 3
+        assert list(east) == ["d1", "d3"]  # build order
 
     def test_absent_term_in_group(self, tiny_index):
-        stats = tiny_index.group_stats("t004", "geo", "east")
-        assert stats.df == 0 and stats.cf == 0 and not stats.postings
+        assert tiny_index.group_postings("t004", "geo") == {"east": {}, "west": {"d4": 2}}
+        assert tiny_index.group_postings("zz9", "geo") == {"east": {}, "west": {}}
 
     def test_unknown_group_rejected(self, tiny_index):
         with pytest.raises(KeyError, match="atlantis"):
-            tiny_index.group_stats("t000", "geo", "atlantis")
+            tiny_index.group_doc_count("geo", "atlantis")
         with pytest.raises(KeyError, match="nope"):
-            tiny_index.group_stats("t000", "nope", "east")
+            tiny_index.group_postings("t000", "nope")
 
     def test_empty_corpus(self):
         with pytest.raises(CorpusError, match="empty corpus"):
@@ -97,15 +100,15 @@ class TestInvariants:
         docs, cats = random_labeled_corpus(rng, num_categories=2)
         idx = build_index(docs, cats)
         for term in idx.vocabulary:
-            stats = idx.term_stats(term)
+            postings = idx.term_stats(term).postings
             for cat in cats:
-                dfs = cfs = 0
-                for group in cat.groups:
-                    df, cf = idx.group_term_counts(term, cat.name, group)
-                    dfs += df
-                    cfs += cf
-                assert dfs == stats.df
-                assert cfs == stats.cf
+                split = idx.group_postings(term, cat.name)
+                assert list(split) == list(cat.groups)
+                for group, plist in split.items():
+                    assert all(idx.doc_group(d, cat.name) == group for d in plist)
+                    assert list(plist) == [d for d in postings if d in plist]
+                assert sum(len(p) for p in split.values()) == len(postings)
+                assert {d: tf for p in split.values() for d, tf in p.items()} == postings
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -137,10 +140,7 @@ class TestPersistence:
         assert set(loaded.vocabulary) == set(tiny_index.vocabulary)
         for term in tiny_index.vocabulary:
             assert loaded.term_stats(term) == tiny_index.term_stats(term)
-            for g in ("east", "west"):
-                assert loaded.group_stats(term, "geo", g) == tiny_index.group_stats(
-                    term, "geo", g
-                )
+            assert loaded.group_postings(term, "geo") == tiny_index.group_postings(term, "geo")
 
     def test_version_byte_checked(self, tiny_index, tmp_path):
         path = tmp_path / "index.qx"
@@ -155,6 +155,43 @@ class TestPersistence:
         path = tmp_path / "junk.qx"
         path.write_bytes(b"not an index")
         with pytest.raises(CorpusError, match="magic"):
+            CollectionIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"plain bytes", "corrupt index"),
+            (gzip.compress(b"{oops"), "corrupt index"),
+            (gzip.compress(b"[1, 2]"), "corrupt index"),
+            (gzip.compress(b'{"categories": [], "postings": {}}'), "missing field 'docs'"),
+            (gzip.compress(b'{"categories": [], "docs": [], "postings": {}}'), "no documents"),
+        ],
+    )
+    def test_undecodable_body(self, tmp_path, body, message):
+        path = tmp_path / "index.qx"
+        path.write_bytes(INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION]) + body)
+        with pytest.raises(CorpusError, match=message):
+            CollectionIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "labels, postings, message",
+        [
+            ({"geo": "north"}, {"t000": {"d1": 1}}, "'d1' has no group of category 'geo'"),
+            ({}, {"t000": {"d1": 1}}, "'d1' has no group of category 'geo'"),
+            ({"geo": "east"}, {"t000": {"d9": 1}}, "unknown document 'd9'"),
+        ],
+    )
+    def test_inconsistent_payload(self, tmp_path, labels, postings, message):
+        payload = {
+            "categories": [{"name": "geo", "groups": ["east", "west"]}],
+            "docs": [{"id": "d1", "length": 1, "labels": labels}],
+            "postings": postings,
+        }
+        path = tmp_path / "index.qx"
+        path.write_bytes(
+            INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION]) + gzip.compress(json.dumps(payload).encode())
+        )
+        with pytest.raises(CorpusError, match=message):
             CollectionIndex.load(path)
 
     def test_save_is_deterministic(self, tiny_index, tmp_path):

@@ -216,6 +216,26 @@ class TestRunExperiment:
         )
         assert all(row.jsd == pytest.approx(0.0, abs=1e-12) for row in report.rows)
 
+    def test_duplicate_query_id_rejected_before_ranking(self):
+        idx = _experiment_index()
+        ranked = []
+
+        class SpyRanker(ModelRanker):
+            def rank(self, index, query, k):
+                ranked.append(query.query_id)
+                return super().rank(index, query, k)
+
+        queries = [
+            Query.from_terms(["t000"], query_id="q1"),
+            Query.from_terms(["t002"], query_id="q1"),
+        ]
+        with pytest.raises(ValueError, match="duplicate query id 'q1'"):
+            run_experiment(
+                idx, queries, None, [SpyRanker("bm25")], [None],
+                make_predictors(["gep"], k=10), k=10,
+            )
+        assert ranked == []
+
     def test_failed_query_recorded_and_skipped(self):
         idx = _experiment_index()
         queries = _queries() + [Query.from_terms([], query_id="qbad")]

@@ -17,6 +17,7 @@ from qexp.predictors import (
     predict_cori,
     predict_gep,
     predict_uniform,
+    query_group_stats,
 )
 from qexp.retrieval import Query
 
@@ -32,6 +33,15 @@ def _index_from_tokens(doc_tokens, labels, groups, category="c"):
     return build_index(docs, [Category(category, tuple(groups))])
 
 
+def _term_score(index, term, category, group, k):
+    stats = query_group_stats(index, Query.from_terms([term]), category)
+    return gep_group_term_score(stats, term, group, k)
+
+
+def _query_vector(index, query, category, config=PredictorConfig()):
+    return gep_query_vector(query_group_stats(index, query, category), config)
+
+
 class TestGepTermScore:
     def test_hand_computed_top_k_average(self):
         # group of 10 docs, term in 1 doc with tf=4, k=5
@@ -39,12 +49,12 @@ class TestGepTermScore:
         doc_tokens["d0"] = ["t000"] * 4 + ["t001"]
         labels = {d: "g" for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["g"])
-        s = gep_group_term_score(idx, "t000", "c", "g", k=5)
+        s = _term_score(idx, "t000", "c", "g", k=5)
         assert s == pytest.approx(4 * math.log2(9.5 / 1.5) / 5, abs=1e-9)
         assert s == pytest.approx(2.1304, abs=1e-4)
 
     def test_absent_term_is_zero(self, tiny_index):
-        assert gep_group_term_score(tiny_index, "t004", "geo", "east", k=5) == 0.0
+        assert _term_score(tiny_index, "t004", "geo", "east", 5) == 0.0
 
     def test_k1_is_max(self):
         doc_tokens = {
@@ -59,7 +69,7 @@ class TestGepTermScore:
         labels = {d: "g" for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["g"])
         idf = math.log2((7 - 3 + 0.5) / 3.5)
-        assert gep_group_term_score(idx, "t000", "c", "g", k=1) == pytest.approx(3 * idf)
+        assert _term_score(idx, "t000", "c", "g", k=1) == pytest.approx(3 * idf)
 
     def test_non_increasing_in_k(self):
         doc_tokens = {
@@ -74,31 +84,31 @@ class TestGepTermScore:
         }
         labels = {d: "g" for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["g"])
-        scores = [gep_group_term_score(idx, "t000", "c", "g", k=k) for k in range(1, 8)]
+        scores = [_term_score(idx, "t000", "c", "g", k=k) for k in range(1, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
 
 
 class TestGepQueryVector:
     def test_unseen_term_zero(self, tiny_index):
-        assert gep_query_vector(tiny_index, Query.from_terms(["zz9"]))["zz9"] == 0.0
+        assert _query_vector(tiny_index, Query.from_terms(["zz9"]), "geo")["zz9"] == 0.0
 
     def test_hand_computation_n100_df1(self):
         doc_tokens = {f"d{i:03d}": ["t001"] for i in range(100)}
         doc_tokens["d000"] = ["t000", "t001"]
         labels = {d: "g" for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["g"])
-        vec = gep_query_vector(idx, Query.from_terms(["t000"]))
+        vec = _query_vector(idx, Query.from_terms(["t000"]), "c")
         assert vec["t000"] == pytest.approx(math.log2(99.5 / 1.5), abs=1e-9)
         assert vec["t000"] == pytest.approx(6.0516, abs=1e-4)
 
     def test_duplicate_term_doubles_weight(self, tiny_index):
-        one = gep_query_vector(tiny_index, Query.from_terms(["t003"]))["t003"]
-        two = gep_query_vector(tiny_index, Query.from_terms(["t003", "t003"]))["t003"]
+        one = _query_vector(tiny_index, Query.from_terms(["t003"]), "geo")["t003"]
+        two = _query_vector(tiny_index, Query.from_terms(["t003", "t003"]), "geo")["t003"]
         assert two == pytest.approx(2 * one)
 
     def test_classic_variant(self, tiny_index):
         config = PredictorConfig(query_idf="classic")
-        vec = gep_query_vector(tiny_index, Query.from_terms(["t003"]), config)
+        vec = _query_vector(tiny_index, Query.from_terms(["t003"]), "geo", config)
         assert vec["t003"] == pytest.approx(math.log2(4 / 1))
 
 
@@ -243,14 +253,17 @@ class TestOracleEquivalence:
         vocab = stable_vocab(10)
         num_groups = rng.randint(2, 4)
         groups = [f"g{i}" for i in range(num_groups)]
+        # on some draws one group is left without any documents
+        empty = rng.choice([None, None] + groups)
+        filled = [g for g in groups if g != empty]
         doc_tokens = {}
         labels = {}
         for d in range(rng.randint(4, 20)):
             doc_id = f"d{d:03d}"
             doc_tokens[doc_id] = rng.choices(vocab, k=rng.randint(1, 10))
-            labels[doc_id] = rng.choice(groups)
-        # make sure no group is empty of documents
-        for i, g in enumerate(groups):
+            labels[doc_id] = rng.choice(filled)
+        # every other group holds at least one document
+        for i, g in enumerate(filled):
             doc_id = f"pad{i}"
             doc_tokens[doc_id] = rng.choices(vocab, k=3)
             labels[doc_id] = g
