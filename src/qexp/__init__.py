@@ -45,7 +45,7 @@ from .predictors import (
     predict_scs,
     predict_uniform,
 )
-from .retrieval import BM25Params, Query, Ranking, rank, score_bm25, score_tfidf
+from .retrieval import Query, Ranking, rank
 from .text import tokenize
 
 __version__ = "0.1.0"

@@ -113,6 +113,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown predictor {name!r} (choose from {PREDICTORS})")
         if self.exposure_formula not in FORMULAS:
             raise ValueError(f"unknown exposure formula {self.exposure_formula!r}")
+        if self.reference not in PREDICTORS:
+            raise ValueError(f"unknown reference {self.reference!r} (choose from {PREDICTORS})")
+        if self.comparisons is not None and self.comparisons < 1:
+            raise ValueError("comparisons must be >= 1")
         if self.query_idf not in QUERY_IDFS:
             raise ValueError(f"query idf must be one of {QUERY_IDFS}")
         if not self.rankers and not self.run_files:
@@ -220,7 +224,7 @@ def cmd_run(args) -> int:
             index.category(name)
 
     rankers = [ModelRanker(name) for name in config.rankers]
-    rankers += [RunFileRanker.from_file(path) for path in config.run_files]
+    rankers += [RunFileRanker(path) for path in config.run_files]
     expansion = ExpansionConfig(config.fb_docs, config.fb_terms, config.rm3_lambda)
     expanders = [
         None if name == "none" else QueryExpander(name, expansion)

@@ -148,9 +148,6 @@ class CollectionIndex:
             return _EMPTY_STATS
         return TermStats(len(plist), sum(plist.values()), plist)
 
-    def tf(self, term: str, doc_id: str) -> int:
-        return self._postings.get(term, {}).get(doc_id, 0)
-
     # --------------------------------- groups ------------------------------
     def _group_key(self, category: str, group: str) -> tuple[str, str]:
         if group not in self.category(category).groups:

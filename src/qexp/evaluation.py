@@ -20,7 +20,7 @@ from .corpus import CollectionIndex
 from .exposure import DCG, ExposureDistribution, realized_exposure
 from .expansion import ExpansionConfig, ExpansionResult, EXPANDERS
 from .predictors import PredictorFn, PredictorOutput
-from .retrieval import BM25Params, Query, Ranking, rank
+from .retrieval import Query, Ranking, rank, read_run_file
 from .stats import student_t_two_sided_p
 
 
@@ -99,32 +99,33 @@ def bonferroni(p_values: Sequence[float], m: int) -> list[float]:
 class ModelRanker:
     """Ranks with a retrieval model; usable as first pass and for re-ranking."""
 
-    def __init__(self, model: str = "bm25", params: BM25Params | None = None):
+    def __init__(self, model: str = "bm25"):
         self.name = model
-        self._model = model
-        self._params = params
 
     def rank(self, index: CollectionIndex, query: Query, k: int) -> Ranking:
-        return rank(index, query, self._model, k, self._params)
+        return rank(index, query, self.name, k)
 
 
 class RunFileRanker:
-    """Serves rankings from an externally produced TREC run file."""
+    """Serves rankings from an externally produced TREC run file.
 
-    def __init__(self, rankings: Mapping[str, Ranking], name: str = "runfile"):
-        self.name = name
-        self._rankings = dict(rankings)
+    A query whose entries are not a valid ranking (ranks that disagree
+    with the scores, a repeated document) fails alone when it is ranked.
+    """
 
-    @classmethod
-    def from_file(cls, path, name: str | None = None) -> "RunFileRanker":
-        from .retrieval import read_run_file
-
-        return cls(read_run_file(path), name or f"runfile:{path}")
+    def __init__(self, path, name: str | None = None):
+        self.path = path
+        self.name = name or f"runfile:{path}"
+        self._entries = read_run_file(path)
 
     def rank(self, index: CollectionIndex, query: Query, k: int) -> Ranking:
-        ranking = self._rankings.get(query.query_id)
-        if ranking is None:
+        entries = self._entries.get(query.query_id)
+        if entries is None:
             raise KeyError(f"run file has no ranking for query {query.query_id!r}")
+        try:
+            ranking = Ranking(query.query_id, entries, len(entries))
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: query {query.query_id!r}: {exc}") from None
         return ranking.top(k)
 
 

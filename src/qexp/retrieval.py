@@ -43,10 +43,6 @@ class Query:
             out[t] = out.get(t, 0.0) + w
         return out
 
-    @property
-    def total_weight(self) -> float:
-        return sum(self.weights)
-
 
 @dataclass(frozen=True)
 class Ranking:
@@ -74,71 +70,20 @@ class Ranking:
         return Ranking(self.query_id, self.entries[:k], k)
 
 
-@dataclass(frozen=True)
-class BM25Params:
-    k1: float = 1.2
-    b: float = 0.75
+BM25_K1 = 1.2
+BM25_B = 0.75
+
+RANKERS = ("bm25", "tfidf")
 
 
-def idf_bm25(index: CollectionIndex, term: str) -> float:
-    """Robertson idf log2((N-df+0.5)/(df+0.5)), floored at zero."""
-    df = index.term_stats(term).df
-    if df == 0:
-        return 0.0
-    return max(0.0, math.log2((index.num_docs - df + 0.5) / (df + 0.5)))
+def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100) -> Ranking:
+    """Top-k documents by score; zero-score documents are excluded.
 
-
-def idf_classic(index: CollectionIndex, term: str) -> float:
-    """log2(N/df), floored at zero; zero for unindexed terms."""
-    df = index.term_stats(term).df
-    if df == 0:
-        return 0.0
-    return max(0.0, math.log2(index.num_docs / df))
-
-
-def score_bm25(
-    index: CollectionIndex,
-    doc_id: str,
-    query: Query,
-    params: BM25Params = BM25Params(),
-) -> float:
-    dl = index.doc_length(doc_id)
-    avgdl = index.avg_doc_len
-    norm = params.k1 * (1.0 - params.b + params.b * dl / avgdl)
-    score = 0.0
-    for term, weight in zip(query.terms, query.weights):
-        tf = index.tf(term, doc_id)
-        if tf == 0 or weight == 0.0:
-            continue
-        score += weight * idf_bm25(index, term) * tf * (params.k1 + 1.0) / (tf + norm)
-    return score
-
-
-def score_tfidf(index: CollectionIndex, doc_id: str, query: Query) -> float:
-    index.doc_length(doc_id)  # raises on unknown doc
-    score = 0.0
-    for term, weight in zip(query.terms, query.weights):
-        tf = index.tf(term, doc_id)
-        if tf == 0 or weight == 0.0:
-            continue
-        score += weight * tf * idf_classic(index, term)
-    return score
-
-
-RANKERS = {
-    "bm25": score_bm25,
-    "tfidf": score_tfidf,
-}
-
-
-def rank(
-    index: CollectionIndex,
-    query: Query,
-    model: str = "bm25",
-    k: int = 100,
-    params: BM25Params | None = None,
-) -> Ranking:
-    """Top-k documents by score; zero-score documents are excluded."""
+    Scores accumulate term at a time: each weighted query term occurrence
+    adds its contribution to every document in its postings. BM25 uses the
+    Robertson idf log2((N-df+0.5)/(df+0.5)), TF-IDF uses log2(N/df), both
+    floored at zero.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not query.terms:
@@ -146,18 +91,28 @@ def rank(
     if model not in RANKERS:
         raise ValueError(f"unknown ranking model {model!r}")
 
-    candidates: set[str] = set()
+    bm25 = model == "bm25"
+    n, avgdl = index.num_docs, index.avg_doc_len
+    scores: dict[str, float] = {}
     for term, weight in zip(query.terms, query.weights):
-        if weight > 0.0:
-            candidates.update(index.term_stats(term).postings)
+        if weight == 0.0:
+            continue
+        stats = index.term_stats(term)
+        if stats.df == 0:
+            continue
+        if bm25:
+            idf = max(0.0, math.log2((n - stats.df + 0.5) / (stats.df + 0.5)))
+        else:
+            idf = max(0.0, math.log2(n / stats.df))
+        for doc_id, tf in stats.postings.items():
+            if bm25:
+                norm = BM25_K1 * (1.0 - BM25_B + BM25_B * index.doc_length(doc_id) / avgdl)
+                contribution = weight * idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+            else:
+                contribution = weight * tf * idf
+            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
 
-    if model == "bm25":
-        scorer = lambda d: score_bm25(index, d, query, params or BM25Params())
-    else:
-        scorer = lambda d: score_tfidf(index, d, query)
-
-    scored = [(d, scorer(d)) for d in candidates]
-    scored = [(d, s) for d, s in scored if s > 0.0]
+    scored = [(d, s) for d, s in scores.items() if s > 0.0]
     scored.sort(key=lambda ds: (-ds[1], ds[0]))
     return Ranking(query.query_id, tuple(scored[:k]), k)
 
@@ -173,8 +128,14 @@ def write_run_file(path, rankings: Iterable[Ranking], tag: str = "qexp") -> None
                 fh.write(f"{qid} Q0 {doc_id} {pos} {score:.6f} {tag}\n")
 
 
-def read_run_file(path) -> dict[str, Ranking]:
-    """Parse a TREC run file into one Ranking per query id."""
+def read_run_file(path) -> dict[str, tuple[tuple[str, float], ...]]:
+    """Parse a TREC run file into (doc_id, score) entries per query id.
+
+    Entries are in rank order. Only the line format is checked here; a
+    malformed line fails the whole file. Whether a query's entries form a
+    valid :class:`Ranking` is left to the caller, so one bad query need
+    not fail the others.
+    """
     per_query: dict[str, list[tuple[int, str, float]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -190,9 +151,7 @@ def read_run_file(path) -> dict[str, Ranking]:
                 per_query.setdefault(qid, []).append((int(pos), doc_id, float(score)))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad rank or score") from None
-    out = {}
-    for qid, rows in per_query.items():
-        rows.sort(key=lambda r: (r[0], r[1]))
-        entries = tuple((doc_id, score) for _, doc_id, score in rows)
-        out[qid] = Ranking(qid, entries, k=len(entries))
-    return out
+    return {
+        qid: tuple((doc_id, score) for _, doc_id, score in sorted(rows, key=lambda r: r[:2]))
+        for qid, rows in per_query.items()
+    }

@@ -3,7 +3,8 @@
 Everything here works on raw token lists and plain arithmetic so the
 implementations under test share no code with the oracles. The
 predictor oracle covers a single category described by a doc_id->group
-mapping.
+mapping. The ranking oracle scores every document on its own and keeps
+the implementation's arithmetic order, so its scores compare exactly.
 """
 
 import math
@@ -13,6 +14,8 @@ SMOOTH = 0.5
 CORI_B = 0.4
 CORI_DF_BASE = 50.0
 CORI_DF_SCALE = 150.0
+BM25_K1 = 1.2
+BM25_B = 0.75
 
 
 def _docs_of_group(doc_tokens, labels, group):
@@ -177,6 +180,37 @@ def oracle_distribution(raw, groups):
     if total == 0.0:
         return [1.0 / len(groups)] * len(groups)
     return [v / total for v in floored]
+
+
+# ------------------------------ ranking oracle ------------------------------
+
+def oracle_rank(doc_tokens, terms, weights, model, k):
+    """Score every document, drop zeros, sort by (-score, doc_id), keep k.
+
+    A document's score sums, over the query term occurrences in query
+    order, weight * idf * tf * (k1+1) / (tf + k1*(1-b+b*dl/avgdl)) for
+    BM25 and weight * tf * idf for TF-IDF; both idfs are floored at zero.
+    """
+    n = len(doc_tokens)
+    avgdl = sum(len(toks) for toks in doc_tokens.values()) / n
+    df = {t: sum(1 for toks in doc_tokens.values() if t in toks) for t in set(terms)}
+    scored = []
+    for d, toks in doc_tokens.items():
+        score = 0.0
+        for t, w in zip(terms, weights):
+            tf = toks.count(t)
+            if tf == 0 or w == 0.0:
+                continue
+            if model == "bm25":
+                idf = max(0.0, math.log2((n - df[t] + SMOOTH) / (df[t] + SMOOTH)))
+                norm = BM25_K1 * (1.0 - BM25_B + BM25_B * len(toks) / avgdl)
+                score += w * idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+            else:
+                score += w * tf * max(0.0, math.log2(n / df[t]))
+        if score > 0.0:
+            scored.append((d, score))
+    scored.sort(key=lambda ds: (-ds[1], ds[0]))
+    return scored[:k]
 
 
 # --------------------------- t distribution oracle --------------------------

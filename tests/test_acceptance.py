@@ -24,12 +24,17 @@ from qexp.evaluation import (
 )
 from qexp.exposure import achievable_exposure, log_orderings, position_exposure
 from qexp.predictors import BASELINES, make_predictors
-from qexp.retrieval import Query, rank, score_bm25, score_tfidf
+from qexp.retrieval import Query, rank
 from qexp.stats import student_t_two_sided_p
 from qexp.synthetic import SyntheticConfig, make_planted_skew_corpus, topic_terms
 
 from conftest import stable_vocab
-from oracles import oracle_distribution, oracle_raw_scores, t_two_sided_p_by_quadrature
+from oracles import (
+    oracle_distribution,
+    oracle_rank,
+    oracle_raw_scores,
+    t_two_sided_p_by_quadrature,
+)
 
 
 def criterion(number, description):
@@ -148,17 +153,15 @@ def test_criterion_6_ranking_correctness():
     vocab = stable_vocab(60)
     for corpus_seed in (99, 100, 101):
         rng = random.Random(corpus_seed)
-        docs = []
-        for d in range(1000):
-            tokens = rng.choices(vocab, k=rng.randint(2, 30))
-            docs.append(Document(f"d{d:04d}", " ".join(tokens), {"c": "g"}))
+        doc_tokens = {
+            f"d{d:04d}": rng.choices(vocab, k=rng.randint(2, 30)) for d in range(1000)
+        }
+        docs = [Document(d, " ".join(toks), {"c": "g"}) for d, toks in doc_tokens.items()]
         idx = build_index(docs, [Category("c", ("g",))])
         for trial in range(3):
             query = Query.from_terms(rng.sample(vocab, 3))
-            for model, scorer in (("bm25", score_bm25), ("tfidf", score_tfidf)):
-                scored = [(d, scorer(idx, d, query)) for d in idx.doc_ids]
-                scored = [(d, s) for d, s in scored if s > 0.0]
-                scored.sort(key=lambda ds: (-ds[1], ds[0]))
+            for model in ("bm25", "tfidf"):
+                scored = oracle_rank(doc_tokens, query.terms, query.weights, model, len(docs))
                 for k in (1, 10, 100):
                     got = rank(idx, query, model, k)
                     assert list(got.entries) == scored[:k], (model, k)

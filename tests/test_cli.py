@@ -212,6 +212,64 @@ class TestRunCommand:
         assert err.startswith("error:") and "line 2" in err and "'q1'" in err
         assert not (out_dir / "jsd.csv").exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--reference", "gepp"), "unknown reference 'gepp'"),
+            # with one predictor no t-test runs, so nothing later would catch m
+            (("--predictors", "gep", "--comparisons", "0"), "comparisons must be >= 1"),
+            (("--predictors", "gep", "--comparisons", "-3"), "comparisons must be >= 1"),
+        ],
+    )
+    def test_bad_run_option_exits_1_before_ranking(self, workspace, capsys, extra, message):
+        out_dir = workspace / "out"
+        assert self._run(workspace, out_dir, extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out_dir.exists()
+
+    def _run_file_run(self, workspace, run, out_dir):
+        return main([
+            "run", "--corpus", str(workspace / "corpus.jsonl"),
+            "--categories", str(workspace / "categories.json"),
+            "--queries", str(workspace / "queries.tsv"), "--rankers", "",
+            "--run-file", str(run), "--expanders", "none",
+            "--predictors", "uniform", "--k", "5", "--out-dir", str(out_dir),
+        ])
+
+    def test_bad_run_file_ranking_fails_only_its_query(self, workspace):
+        # q1's ranks disagree with its scores, q2 repeats a doc, q3 is valid
+        run = workspace / "ext.trec"
+        run.write_text(
+            "q1 Q0 d00 1 1.0 ext\n"
+            "q1 Q0 d01 2 2.0 ext\n"
+            "q2 Q0 d05 1 2.0 ext\n"
+            "q2 Q0 d05 2 1.0 ext\n"
+            "q3 Q0 d00 1 2.0 ext\n"
+            "q3 Q0 d05 2 1.0 ext\n"
+        )
+        out_dir = workspace / "out"
+        assert self._run_file_run(workspace, run, out_dir) == 2
+        summary = json.loads((out_dir / "summary.json").read_text())
+        failures = {f["query_id"]: f for f in summary["failures"]}
+        assert set(failures) == {"q1", "q2"}
+        for qid, failure in failures.items():
+            assert failure["stage"] == "ranking"
+            assert failure["error"].startswith(f"{run}: query {qid!r}: ")
+        with open(out_dir / "jsd.csv") as fh:
+            assert {r["query_id"] for r in csv.DictReader(fh)} == {"q3"}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("q1 Q0 d00 1 5.0\n", "expected 6"), ("q1 Q0 d00 one 5.0 ext\n", "bad rank or score")],
+    )
+    def test_malformed_run_file_line_exits_1(self, workspace, capsys, line, message):
+        run = workspace / "ext.trec"
+        run.write_text("q1 Q0 d01 1 6.0 ext\n" + line)
+        assert self._run_file_run(workspace, run, workspace / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run}: line 2: ") and message in err
+
     def test_external_run_file_exposure(self, workspace):
         # five-line run file: A docs at positions 1, 3, 5; B at 2, 4
         run = workspace / "ext.trec"

@@ -161,10 +161,18 @@ class TestPersistence:
         "body, message",
         [
             (b"plain bytes", "corrupt index"),
-            (gzip.compress(b"{oops"), "corrupt index"),
-            (gzip.compress(b"[1, 2]"), "corrupt index"),
-            (gzip.compress(b'{"categories": [], "postings": {}}'), "missing field 'docs'"),
-            (gzip.compress(b'{"categories": [], "docs": [], "postings": {}}'), "no documents"),
+            pytest.param(gzip.compress(b"{oops"), "corrupt index", id="bad-json"),
+            pytest.param(gzip.compress(b"[1, 2]"), "corrupt index", id="not-an-object"),
+            pytest.param(
+                gzip.compress(b'{"categories": [], "postings": {}}'),
+                "missing field 'docs'",
+                id="missing-docs",
+            ),
+            pytest.param(
+                gzip.compress(b'{"categories": [], "docs": [], "postings": {}}'),
+                "no documents",
+                id="no-documents",
+            ),
         ],
     )
     def test_undecodable_body(self, tmp_path, body, message):

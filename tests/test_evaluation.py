@@ -284,7 +284,7 @@ class TestRunExperiment:
         rankings = [ranker.rank(idx, q, 10) for q in _queries()]
         path = tmp_path / "ext.trec"
         write_run_file(path, rankings, tag="ext")
-        external = RunFileRanker.from_file(path, name="ext")
+        external = RunFileRanker(path, name="ext")
         report = run_experiment(
             idx, _queries(), None, [external], [None],
             make_predictors(["gep"], k=10), k=10,
@@ -303,7 +303,7 @@ class TestRunExperiment:
         write_run_file(path, [ModelRanker("bm25").rank(idx, _queries()[0], 10)])
         with pytest.raises(ValueError, match="run-file"):
             run_experiment(
-                idx, _queries(), None, [RunFileRanker.from_file(path)],
+                idx, _queries(), None, [RunFileRanker(path)],
                 [QueryExpander("rm3")], make_predictors(["gep"], k=10), k=10,
             )
 

@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
-from qexp.retrieval import (
-    BM25Params,
-    Query,
-    Ranking,
-    rank,
-    read_run_file,
-    score_bm25,
-    score_tfidf,
-    write_run_file,
-)
+from qexp.retrieval import Query, Ranking, rank, read_run_file, write_run_file
+from qexp.text import tokenize
 
-from conftest import random_labeled_corpus
+from conftest import random_labeled_corpus, stable_vocab
+from oracles import oracle_rank
 
 
 @pytest.fixture
@@ -29,12 +22,14 @@ def three_doc_index():
     return build_index(docs, [Category("c", ("g0", "g1"))])
 
 
-def brute_force_rank(index, query, model, k):
-    scorer = score_bm25 if model == "bm25" else score_tfidf
-    scored = [(d, scorer(index, d, query)) for d in index.doc_ids]
-    scored = [(d, s) for d, s in scored if s > 0.0]
-    scored.sort(key=lambda ds: (-ds[1], ds[0]))
-    return scored[:k]
+def scores(index, query, model):
+    """doc_id -> score for every document with a nonzero score."""
+    return dict(rank(index, query, model, k=index.num_docs).entries)
+
+
+def brute_force_rank(docs, query, model, k):
+    doc_tokens = {d.doc_id: tokenize(d.text) for d in docs}
+    return oracle_rank(doc_tokens, query.terms, query.weights, model, k)
 
 
 class TestScoreBM25:
@@ -43,47 +38,33 @@ class TestScoreBM25:
         idf = math.log2((3 - 1 + 0.5) / (1 + 0.5))
         denom = 1 + 1.2 * (1 - 0.75 + 0.75 * 3 / 2)
         expected = idf * 1 * (1.2 + 1) / denom
-        got = score_bm25(three_doc_index, "da", Query.from_terms(["t000"]))
+        got = scores(three_doc_index, Query.from_terms(["t000"]), "bm25")["da"]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_absent_term_contributes_zero(self, three_doc_index):
-        assert score_bm25(three_doc_index, "dc", Query.from_terms(["t000"])) == 0.0
+        assert "dc" not in scores(three_doc_index, Query.from_terms(["t000"]), "bm25")
 
     def test_duplicate_term_doubles_score(self, three_doc_index):
-        single = score_bm25(three_doc_index, "da", Query.from_terms(["t000"]))
-        double = score_bm25(three_doc_index, "da", Query.from_terms(["t000", "t000"]))
+        single = scores(three_doc_index, Query.from_terms(["t000"]), "bm25")["da"]
+        double = scores(three_doc_index, Query.from_terms(["t000", "t000"]), "bm25")["da"]
         assert double == pytest.approx(2 * single, rel=1e-12)
 
     def test_weighted_query(self, three_doc_index):
-        single = score_bm25(three_doc_index, "da", Query.from_terms(["t000"]))
-        weighted = score_bm25(
-            three_doc_index, "da", Query(("t000",), (0.25,))
-        )
+        single = scores(three_doc_index, Query.from_terms(["t000"]), "bm25")["da"]
+        weighted = scores(three_doc_index, Query(("t000",), (0.25,)), "bm25")["da"]
         assert weighted == pytest.approx(0.25 * single, rel=1e-12)
-
-    def test_unknown_doc(self, three_doc_index):
-        with pytest.raises(KeyError):
-            score_bm25(three_doc_index, "nope", Query.from_terms(["t000"]))
-
-    def test_custom_params(self, three_doc_index):
-        q = Query.from_terms(["t000"])
-        default = score_bm25(three_doc_index, "da", q)
-        flat = score_bm25(three_doc_index, "da", q, BM25Params(k1=1.2, b=0.0))
-        assert flat != default
 
 
 class TestScoreTFIDF:
     def test_hand_computation(self, tiny_index):
         # t004: df=1, tf=2 in d4, N=4 -> 2 * log2(4) = 4.0
-        assert score_tfidf(tiny_index, "d4", Query.from_terms(["t004"])) == pytest.approx(4.0)
+        got = scores(tiny_index, Query.from_terms(["t004"]), "tfidf")["d4"]
+        assert got == pytest.approx(4.0)
 
     def test_term_in_every_doc_floored(self):
         docs = [Document(f"d{i}", "t000 t001", {"c": "g"}) for i in range(3)]
         idx = build_index(docs, [Category("c", ("g",))])
-        assert score_tfidf(idx, "d0", Query.from_terms(["t000"])) == 0.0
-
-    def test_empty_query(self, tiny_index):
-        assert score_tfidf(tiny_index, "d1", Query.from_terms([])) == 0.0
+        assert scores(idx, Query.from_terms(["t000"]), "tfidf") == {}
 
 
 class TestRank:
@@ -123,7 +104,38 @@ class TestRank:
         vocab = sorted(idx.vocabulary)
         query = Query.from_terms(rng.sample(vocab, min(3, len(vocab))))
         got = rank(idx, query, model, k)
-        assert list(got.entries) == brute_force_rank(idx, query, model, k)
+        assert list(got.entries) == brute_force_rank(docs, query, model, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        # term indices past the corpus vocabulary (12) are never indexed
+        st.lists(
+            st.tuples(
+                st.integers(0, 15),
+                st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0.0, 4.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from(["bm25", "tfidf"]),
+        st.sampled_from([1, 5, 100]),
+    )
+    def test_weighted_queries_match_oracle(self, seed, occurrences, model, k):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(rng, num_docs=30, vocab_size=12, max_len=8)
+        idx = build_index(docs, cats)
+        vocab = stable_vocab(16)
+        # duplicated terms, zero and fractional weights, unindexed terms
+        query = Query(
+            tuple(vocab[i] for i, _ in occurrences), tuple(w for _, w in occurrences)
+        )
+        entries = rank(idx, query, model, k).entries
+        assert list(entries) == brute_force_rank(docs, query, model, k)
+        assert list(entries) == sorted(entries, key=lambda ds: (-ds[1], ds[0]))
+        assert len({d for d, _ in entries}) == len(entries)
+        assert all(s > 0.0 for _, s in entries)
+        assert len(entries) <= k
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -141,8 +153,9 @@ class TestRank:
         ]
         idx2 = build_index(grown, cats)
         q = Query.from_terms([term])
-        assert score_bm25(idx2, target.doc_id, q) >= score_bm25(idx, target.doc_id, q) - 1e-12
-        assert score_tfidf(idx2, target.doc_id, q) >= score_tfidf(idx, target.doc_id, q) - 1e-12
+        for model in ("bm25", "tfidf"):
+            before = scores(idx, q, model).get(target.doc_id, 0.0)
+            assert scores(idx2, q, model).get(target.doc_id, 0.0) >= before - 1e-12
 
 
 class TestRankingType:
@@ -171,7 +184,7 @@ class TestRunFiles:
         write_run_file(path, [r1, r2], tag="test")
         loaded = read_run_file(path)
         assert set(loaded) == {"q1", "q2"}
-        assert loaded["q1"].doc_ids == r1.doc_ids
+        assert tuple(d for d, _ in loaded["q1"]) == r1.doc_ids
         line = path.read_text().splitlines()[0].split()
         assert len(line) == 6 and line[1] == "Q0"
 
