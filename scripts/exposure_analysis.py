@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Achievable-exposure curves for a ranking of a given size.
 
-Writes the histogram of exposure amounts a group can reach for each
-document count m (exact subset enumeration where affordable, sampling
-otherwise) plus the orderings-count curve, and prints a compact summary
-of the achievable ranges.
+Runs `qexp analyze-exposure` once: it writes the histogram of exposure
+amounts a group can reach for each document count m (exact subset
+enumeration when every m is affordable, sampling otherwise) plus the
+orderings-count curve. Then prints each m's achievable range and subset
+total, read back from the histogram it wrote.
 """
 
 import argparse
+import csv
 import math
 from pathlib import Path
 
 from qexp.cli import main as cli_main
-from qexp.exposure import achievable_exposure
 
 
 def main() -> int:
@@ -25,26 +26,29 @@ def main() -> int:
     args = parser.parse_args()
 
     m_values = [int(v) for v in args.m.split(",")]
-    print(f"k={args.k}")
-    for m in m_values:
-        mode = "exact" if math.comb(args.k, m) <= 2_000_000 else "sampled"
-        hist = achievable_exposure(
-            args.k, m, mode, samples=args.samples, seed=args.seed
-        )
-        print(
-            f"  m={m:3d} [{mode:7s}] exposure range "
-            f"[{hist.min_value:.4f}, {hist.max_value:.4f}] "
-            f"mean {hist.mean:.4f} over {hist.subsets} position subsets"
-        )
-
+    mode = "sampled" if any(math.comb(args.k, m) > 2_000_000 for m in m_values) else "exact"
     out_dir = Path(args.out_dir)
-    # the CLI writes histogram.csv + orderings.csv with the same settings
-    return cli_main([
-        "analyze-exposure", "--k", str(args.k), "--m", args.m,
-        "--mode", "sampled" if any(math.comb(args.k, m) > 2_000_000 for m in m_values) else "exact",
+    code = cli_main([
+        "analyze-exposure", "--k", str(args.k), "--m", args.m, "--mode", mode,
         "--samples", str(args.samples), "--seed", str(args.seed),
         "--out-dir", str(out_dir),
     ])
+    if code != 0:
+        return code
+
+    bins: dict[int, list[dict]] = {}
+    with open(out_dir / "histogram.csv", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            bins.setdefault(int(row["m"]), []).append(row)
+    print(f"k={args.k} [{mode}]")
+    for m, rows in bins.items():
+        total = sum(float(row["count"]) for row in rows)
+        print(
+            f"  m={m:3d} exposure range "
+            f"[{float(rows[0]['bin_low']):.4f}, {float(rows[-1]['bin_high']):.4f}] "
+            f"over {total:.6g} position subsets"
+        )
+    return 0
 
 
 if __name__ == "__main__":

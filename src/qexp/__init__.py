@@ -37,13 +37,7 @@ from .predictors import (
     PredictorConfig,
     PredictorOutput,
     make_predictors,
-    predict_avidf,
-    predict_avictf,
-    predict_avpmi,
-    predict_cori,
-    predict_gep,
-    predict_scs,
-    predict_uniform,
+    predict,
 )
 from .retrieval import Query, Ranking, rank
 from .text import tokenize

@@ -24,7 +24,7 @@ from .corpus import (
     load_categories_json,
     load_corpus_jsonl,
 )
-from .evaluation import ModelRanker, QueryExpander, RunFileRanker, run_experiment
+from .evaluation import ModelRanker, QueryExpander, RunFileRanker, error_message, run_experiment
 from .expansion import EXPANDERS, ExpansionConfig, write_queries_jsonl
 from .exposure import (
     DCG,
@@ -108,17 +108,12 @@ class ExperimentConfig:
         for name in self.expanders:
             if name != "none" and name not in EXPANDERS:
                 raise ValueError(f"unknown expander {name!r}")
-        for name in self.predictors:
-            if name not in PREDICTORS:
-                raise ValueError(f"unknown predictor {name!r} (choose from {PREDICTORS})")
         if self.exposure_formula not in FORMULAS:
             raise ValueError(f"unknown exposure formula {self.exposure_formula!r}")
         if self.reference not in PREDICTORS:
             raise ValueError(f"unknown reference {self.reference!r} (choose from {PREDICTORS})")
         if self.comparisons is not None and self.comparisons < 1:
             raise ValueError("comparisons must be >= 1")
-        if self.query_idf not in QUERY_IDFS:
-            raise ValueError(f"query idf must be one of {QUERY_IDFS}")
         if not self.rankers and not self.run_files:
             raise ValueError("at least one ranker or run file is required")
         if not self.predictors:
@@ -175,11 +170,10 @@ def cmd_predict(args) -> int:
     queries = load_queries_tsv(args.queries)
     config = PredictorConfig(floor_idf=not args.no_idf_floor, query_idf=args.query_idf)
     predictors = make_predictors(_split_names(args.predictors), args.k, config)
-    categories = (
-        _split_names(args.category_names)
-        if args.category_names
-        else [c.name for c in index.categories]
-    )
+    if args.category_names:
+        categories = [index.category(name).name for name in _split_names(args.category_names)]
+    else:
+        categories = [c.name for c in index.categories]
     with open(args.out, "w", encoding="utf-8") as fh:
         for query in queries:
             for category in categories:
@@ -216,6 +210,12 @@ def cmd_run(args) -> int:
         out_dir=args.out_dir,
     )
     config.validate()
+    predictor_config = PredictorConfig(
+        floor_idf=config.floor_idf,
+        query_idf=config.query_idf,
+        cori_belief=config.cori_belief,
+    )
+    predictors = make_predictors(config.predictors, config.k, predictor_config)
 
     index = _load_index(args)
     queries = load_queries_tsv(config.queries)
@@ -230,12 +230,6 @@ def cmd_run(args) -> int:
         None if name == "none" else QueryExpander(name, expansion)
         for name in config.expanders
     ]
-    predictor_config = PredictorConfig(
-        floor_idf=config.floor_idf,
-        query_idf=config.query_idf,
-        cori_belief=config.cori_belief,
-    )
-    predictors = make_predictors(config.predictors, config.k, predictor_config)
 
     report = run_experiment(
         index,
@@ -409,7 +403,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CorpusError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {error_message(exc)}", file=sys.stderr)
         return 1
 
 

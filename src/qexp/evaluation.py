@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .corpus import CollectionIndex
@@ -173,6 +173,13 @@ class Comparison:
     note: str = ""
 
 
+def error_message(exc: BaseException) -> str:
+    """The exception's message; ``str`` of a KeyError would quote it."""
+    if isinstance(exc, KeyError) and len(exc.args) == 1:
+        return str(exc.args[0])
+    return str(exc)
+
+
 @dataclass(frozen=True)
 class Failure:
     ranker: str
@@ -229,11 +236,9 @@ class PredictionReport:
                             "mean_jsd": s.mean_jsd[cat],
                             "significance": {
                                 c.baseline: {
-                                    "t": c.t,
-                                    "p": c.p,
-                                    "adjusted_p": c.adjusted_p,
-                                    "significant": c.significant,
-                                    "note": c.note,
+                                    key: value
+                                    for key, value in asdict(c).items()
+                                    if key != "baseline"
                                 }
                                 for c in s.significance.get(cat, [])
                             },
@@ -248,16 +253,7 @@ class PredictionReport:
             "comparisons": self.comparisons,
             "reference": self.reference,
             "pipelines": pipelines,
-            "failures": [
-                {
-                    "ranker": f.ranker,
-                    "expander": f.expander,
-                    "query_id": f.query_id,
-                    "stage": f.stage,
-                    "error": f.error,
-                }
-                for f in self.failures
-            ],
+            "failures": [asdict(f) for f in self.failures],
         }
 
     def write_summary_json(self, path) -> None:
@@ -331,7 +327,7 @@ def run_experiment(
                         final = ranker.rank(index, result.query, k)
                 except Exception as exc:  # per-query failure, not fatal
                     failures.append(
-                        Failure(ranker.name, exp_name, qid, "ranking", str(exc))
+                        Failure(ranker.name, exp_name, qid, "ranking", error_message(exc))
                     )
                     continue
                 for category in category_names:
@@ -341,7 +337,7 @@ def run_experiment(
                         )
                     except Exception as exc:
                         failures.append(
-                            Failure(ranker.name, exp_name, qid, "exposure", str(exc))
+                            Failure(ranker.name, exp_name, qid, "exposure", error_message(exc))
                         )
                         continue
                     cv_rows.append(
@@ -364,7 +360,7 @@ def run_experiment(
                             distance = jsd(prediction.distribution, realized)
                         except Exception as exc:
                             failures.append(
-                                Failure(ranker.name, exp_name, qid, f"predict:{pname}", str(exc))
+                                Failure(ranker.name, exp_name, qid, f"predict:{pname}", error_message(exc))
                             )
                             continue
                         rows.append(

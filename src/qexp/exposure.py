@@ -43,13 +43,7 @@ def group_exposure(
     cat = index.category(category)
     totals = {g: 0.0 for g in cat.groups}
     for pos, (doc_id, _) in enumerate(ranking.entries, start=1):
-        try:
-            group = index.doc_group(doc_id, category)
-        except KeyError:
-            raise KeyError(
-                f"ranked document {doc_id!r} has no label for category {category!r}"
-            ) from None
-        totals[group] += position_exposure(pos, formula)
+        totals[index.doc_group(doc_id, category)] += position_exposure(pos, formula)
     return totals
 
 

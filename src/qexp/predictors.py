@@ -4,16 +4,18 @@ The group exposure predictor (GEP) represents each group by the per-term
 mean of its k largest tf-idf scores and dots that vector with a
 collection-level query vector. The baselines adapt classic query
 performance predictors (AvIDF, AvICTF, SCS, AvPMI) and the CORI
-resource-selection belief to per-group scoring. Every predictor emits
-raw group scores floored at zero and normalized to a distribution, so
-outputs are directly comparable to realized exposure.
+resource-selection belief to per-group scoring. Every predictor is a
+formula giving raw group scores; `predict` floors them at zero and
+normalizes them to a distribution, so outputs are directly comparable
+to realized exposure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
 from .corpus import Category, CollectionIndex
 from .exposure import ExposureDistribution, normalize_exposure
@@ -128,8 +130,6 @@ def gep_group_term_score(
     padded with zeros, so a single high-scoring document cannot
     dominate: one document can occupy only one ranking position.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     plist = stats.postings[term][group]
     if not plist:
         return 0.0
@@ -146,8 +146,6 @@ def gep_query_vector(
     config: PredictorConfig = DEFAULT_CONFIG,
 ) -> dict[str, float]:
     """qtf * collection idf per distinct query term; unindexed terms get 0."""
-    if config.query_idf not in _QUERY_IDF:
-        raise ValueError(f"unknown query idf variant {config.query_idf!r}")
     idf_of = _QUERY_IDF[config.query_idf]
     out: dict[str, float] = {}
     for term, qtf in stats.qtf.items():
@@ -162,15 +160,8 @@ def gep_query_vector(
     return out
 
 
-def predict_gep(
-    index: CollectionIndex,
-    query: Query,
-    category: str,
-    k: int = 100,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> PredictorOutput:
+def _gep(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
     """Dot product of each group's top-k tf-idf vector with the query vector."""
-    stats = query_group_stats(index, query, category)
     qvec = gep_query_vector(stats, config)
     raw = {}
     for group in stats.category.groups:
@@ -179,7 +170,7 @@ def predict_gep(
             for term, qw in qvec.items()
             if qw != 0.0
         )
-    return _finish("gep", stats.category, raw)
+    return raw
 
 
 # ------------------------------- baselines ---------------------------------
@@ -211,36 +202,18 @@ def _cf(plist: Mapping[str, int]) -> int:
     return sum(plist.values())
 
 
-def predict_avidf(
-    index: CollectionIndex,
-    query: Query,
-    category: str,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> PredictorOutput:
+def _avidf(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
     """Mean log2(N_g / df_g) over query terms: average term specificity."""
-    stats = query_group_stats(index, query, category)
-    return _finish("avidf", stats.category, _mean_log_ratio(stats, stats.n_g, len))
+    return _mean_log_ratio(stats, stats.n_g, len)
 
 
-def predict_avictf(
-    index: CollectionIndex,
-    query: Query,
-    category: str,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> PredictorOutput:
+def _avictf(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
     """Mean log2(tokens_g / cf_g) over query terms."""
-    stats = query_group_stats(index, query, category)
-    return _finish("avictf", stats.category, _mean_log_ratio(stats, stats.tokens_g, _cf))
+    return _mean_log_ratio(stats, stats.tokens_g, _cf)
 
 
-def predict_scs(
-    index: CollectionIndex,
-    query: Query,
-    category: str,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> PredictorOutput:
+def _scs(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
     """KL of the query language model from each group's language model."""
-    stats = query_group_stats(index, query, category)
     total = sum(stats.qtf.values())
     raw = {}
     for group, tokens_g in stats.tokens_g.items():
@@ -256,25 +229,19 @@ def predict_scs(
             p_c = (cf_g if cf_g > 0 else SMOOTH) / tokens_g
             acc += p_q * math.log2(p_q / p_c)
         raw[group] = acc
-    return _finish("scs", stats.category, raw)
+    return raw
 
 
-def predict_avpmi(
-    index: CollectionIndex,
-    query: Query,
-    category: str,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> PredictorOutput:
+def _avpmi(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
     """Mean pointwise mutual information over unordered query-term pairs.
 
     Probabilities are smoothed document-occurrence fractions within the
     group (counts + 0.5), so never-co-occurring terms stay finite.
     Queries with fewer than two distinct terms fall back to AvIDF.
     """
-    stats = query_group_stats(index, query, category)
     terms = list(stats.qtf)
     if len(terms) < 2:  # AvIDF
-        return _finish("avpmi", stats.category, _mean_log_ratio(stats, stats.n_g, len))
+        return _mean_log_ratio(stats, stats.n_g, len)
     pairs = [(terms[i], terms[j]) for i in range(len(terms)) for j in range(i + 1, len(terms))]
     raw = {}
     for group, n_g in stats.n_g.items():
@@ -290,15 +257,10 @@ def predict_avpmi(
             p12 = (len(docs1.keys() & docs2.keys()) + SMOOTH) / n_g
             acc += math.log2(p12 / (p1 * p2))
         raw[group] = acc / len(pairs)
-    return _finish("avpmi", stats.category, raw)
+    return raw
 
 
-def predict_cori(
-    index: CollectionIndex,
-    query: Query,
-    category: str,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> PredictorOutput:
+def _cori(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
     """Mean CORI belief per group, treating each group as a collection.
 
     belief(t|g) = b + (1-b) * T * I with
@@ -307,7 +269,6 @@ def predict_cori(
     contain t. Terms in no group are skipped; if every term is skipped
     the output degenerates to uniform.
     """
-    stats = query_group_stats(index, query, category)
     n_groups = len(stats.category.groups)
     mean_cw = sum(stats.tokens_g.values()) / n_groups
     gf = {term: sum(1 for docs in split.values() if docs) for term, split in stats.postings.items()}
@@ -329,53 +290,69 @@ def predict_cori(
             acc += w * (b + (1.0 - b) * t_part * i_part)
             weight += w
         raw[group] = acc / weight if weight > 0 else 0.0
-    return _finish("cori", stats.category, raw)
+    return raw
 
 
-def predict_uniform(
-    index: CollectionIndex,
-    query: Query,
-    category: str,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> PredictorOutput:
+def _uniform(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
     """Query-independent uniform prediction; a floor for real predictors."""
-    cat = query_group_stats(index, query, category).category
-    return _finish("uniform", cat, dict.fromkeys(cat.groups, 1.0))
+    return dict.fromkeys(stats.category.groups, 1.0)
 
 
 # ------------------------------- registry ----------------------------------
 
+#: every predictor's raw group scores, by name; the only list of predictor names
+_FORMULAS: dict[str, Callable[[QueryGroupStats, int, PredictorConfig], dict[str, float]]] = {
+    "gep": _gep,
+    "scs": _scs,
+    "avidf": _avidf,
+    "avictf": _avictf,
+    "avpmi": _avpmi,
+    "cori": _cori,
+    "uniform": _uniform,
+}
+PREDICTORS = tuple(_FORMULAS)
+BASELINES = PREDICTORS[1:-1]  # the adapted QPP baselines: all but GEP and uniform
+
 PredictorFn = Callable[[CollectionIndex, Query, str], PredictorOutput]
 
-BASELINES = ("scs", "avidf", "avictf", "avpmi", "cori")
-PREDICTORS = ("gep",) + BASELINES + ("uniform",)
+
+def _check(name: str, k: int, config: PredictorConfig) -> None:
+    if name not in _FORMULAS:
+        raise ValueError(f"unknown predictor {name!r} (choose from {PREDICTORS})")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if config.query_idf not in QUERY_IDFS:
+        raise ValueError(f"unknown query idf variant {config.query_idf!r}")
 
 
-def make_predictor(
+def predict(
     name: str,
+    index: CollectionIndex,
+    query: Query,
+    category: str,
     k: int = 100,
     config: PredictorConfig = DEFAULT_CONFIG,
-) -> PredictorFn:
-    """Bind a registered predictor name to a (index, query, category) callable."""
-    if name == "gep":
-        return lambda index, query, category: predict_gep(index, query, category, k, config)
-    simple = {
-        "avidf": predict_avidf,
-        "avictf": predict_avictf,
-        "scs": predict_scs,
-        "avpmi": predict_avpmi,
-        "cori": predict_cori,
-        "uniform": predict_uniform,
-    }
-    if name not in simple:
-        raise ValueError(f"unknown predictor {name!r}")
-    fn = simple[name]
-    return lambda index, query, category: fn(index, query, category, config)
+) -> PredictorOutput:
+    """The named predictor's exposure distribution over the category's groups.
+
+    ``k`` is GEP's ranking depth; the baselines ignore it, but it must be >= 1.
+    """
+    _check(name, k, config)
+    stats = query_group_stats(index, query, category)
+    return _finish(name, stats.category, _FORMULAS[name](stats, k, config))
 
 
 def make_predictors(
-    names: Sequence[str] | Iterable[str],
+    names: Iterable[str],
     k: int = 100,
     config: PredictorConfig = DEFAULT_CONFIG,
 ) -> dict[str, PredictorFn]:
-    return {name: make_predictor(name, k, config) for name in names}
+    """Bind predictor names to (index, query, category) callables that call `predict`.
+
+    Every name, ``k`` and ``config`` is checked here, before any call.
+    """
+    bound = {}
+    for name in names:
+        _check(name, k, config)
+        bound[name] = partial(predict, name, k=k, config=config)
+    return bound

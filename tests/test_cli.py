@@ -1,9 +1,15 @@
 import csv
 import json
 import math
+import re
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
+import qexp.cli
+import qexp.exposure
 from qexp.cli import main
 from qexp.corpus import INDEX_MAGIC, CollectionIndex
 from qexp.exposure import position_exposure
@@ -151,6 +157,25 @@ class TestPredictCommand:
             assert r["groups"] == ["A", "B"]
             assert sum(r["distribution"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--predictors", "avidf", "--k", "0"), "k must be >= 1"),
+            (("--predictors", "gep", "--k", "0"), "k must be >= 1"),
+            (("--category-names", "nope"), "unknown category 'nope'"),
+        ],
+    )
+    def test_bad_argument_exits_1_before_writing(self, workspace, capsys, extra, message):
+        out = workspace / "pred.jsonl"
+        code = main([
+            "predict", "--corpus", str(workspace / "corpus.jsonl"),
+            "--categories", str(workspace / "categories.json"),
+            "--queries", str(workspace / "queries.tsv"), "--out", str(out), *extra,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestRunCommand:
     def _run(self, workspace, out_dir, extra=()):
@@ -228,6 +253,12 @@ class TestRunCommand:
         assert err.startswith("error:") and message in err
         assert not out_dir.exists()
 
+    def test_unknown_category_error_is_unquoted(self, workspace, capsys):
+        out_dir = workspace / "out"
+        assert self._run(workspace, out_dir, ("--category-names", "nope")) == 1
+        assert capsys.readouterr().err == "error: unknown category 'nope'\n"
+        assert not out_dir.exists()
+
     def _run_file_run(self, workspace, run, out_dir):
         return main([
             "run", "--corpus", str(workspace / "corpus.jsonl"),
@@ -258,6 +289,22 @@ class TestRunCommand:
             assert failure["error"].startswith(f"{run}: query {qid!r}: ")
         with open(out_dir / "jsd.csv") as fh:
             assert {r["query_id"] for r in csv.DictReader(fh)} == {"q3"}
+
+    def test_run_file_failure_errors_are_plain_messages(self, workspace):
+        # q1 ranks a document the index does not hold, q2 is missing, q3 is valid
+        run = workspace / "ext.trec"
+        run.write_text(
+            "q1 Q0 d00 1 2.0 ext\n"
+            "q1 Q0 nodoc 2 1.0 ext\n"
+            "q3 Q0 d00 1 2.0 ext\n"
+        )
+        out_dir = workspace / "out"
+        assert self._run_file_run(workspace, run, out_dir) == 2
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [(f["query_id"], f["stage"], f["error"]) for f in summary["failures"]] == [
+            ("q1", "exposure", "unknown document 'nodoc'"),
+            ("q2", "ranking", "run file has no ranking for query 'q2'"),
+        ]
 
     @pytest.mark.parametrize(
         "line, message",
@@ -327,6 +374,47 @@ class TestAnalyzeExposure:
         assert len(rows) == 1
         assert float(rows[0]["bin_low"]) == 0.0
         assert float(rows[0]["count"]) == 1.0
+
+    @pytest.mark.parametrize(
+        "argv, mode",
+        [
+            (["--k", "12", "--m", "1,2", "--samples", "200"], "exact"),
+            # C(30, 10) is past the script's exact limit, so every m is sampled
+            (["--k", "30", "--m", "1,10", "--samples", "200"], "sampled"),
+        ],
+    )
+    def test_script_prints_the_histogram_it_wrote(self, workspace, capsys, monkeypatch, argv, mode):
+        calls = []
+        real = qexp.exposure.achievable_exposure
+
+        def counted(k, m, mode="exact", **kwargs):
+            calls.append((m, mode))
+            return real(k, m, mode, **kwargs)
+
+        monkeypatch.setattr(qexp.exposure, "achievable_exposure", counted)
+        monkeypatch.setattr(qexp.cli, "achievable_exposure", counted)
+        out_dir = workspace / "exp"
+        script = Path(__file__).resolve().parents[1] / "scripts" / "exposure_analysis.py"
+        monkeypatch.setattr(sys, "argv", [str(script), *argv, "--out-dir", str(out_dir)])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        m_values = [int(v) for v in argv[3].split(",")]
+        assert calls == [(m, mode) for m in m_values]  # one histogram per m
+
+        with open(out_dir / "histogram.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        out = capsys.readouterr().out
+        assert f"k={argv[1]} [{mode}]\n" in out
+        printed = re.findall(
+            r"m=\s*(\d+) exposure range \[(\S+), (\S+)\] over (\S+) position subsets", out
+        )
+        assert [int(m) for m, *_ in printed] == m_values
+        for m, low, high, total in printed:
+            bins = [r for r in rows if r["m"] == m]
+            assert low == f"{float(bins[0]['bin_low']):.4f}"
+            assert high == f"{float(bins[-1]['bin_high']):.4f}"
+            assert total == f"{sum(float(r['count']) for r in bins):.6g}"
 
     def test_budget_error_suggests_sampling(self, workspace, capsys):
         code = main([

@@ -253,9 +253,9 @@ class TestRunExperiment:
 
         def spy(index, query, category):
             seen.append(tuple(query.terms))
-            from qexp.predictors import predict_uniform
+            from qexp.predictors import predict
 
-            return predict_uniform(index, query, category)
+            return predict("uniform", index, query, category)
 
         expander = QueryExpander("rm3")
         run_experiment(

@@ -8,20 +8,17 @@ from qexp.corpus import Category, Document, build_index
 from qexp.exposure import normalize_exposure
 from qexp.predictors import (
     BASELINES,
+    PREDICTORS,
     PredictorConfig,
     gep_group_term_score,
     gep_query_vector,
     make_predictors,
-    predict_avidf,
-    predict_avpmi,
-    predict_cori,
-    predict_gep,
-    predict_uniform,
+    predict,
     query_group_stats,
 )
 from qexp.retrieval import Query
 
-from conftest import stable_vocab
+from conftest import random_labeled_corpus, stable_vocab
 from oracles import oracle_distribution, oracle_raw_scores
 
 
@@ -130,18 +127,18 @@ class TestPredictGep:
         }
         labels = {d: ("A" if d.startswith("a") else "B") for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["A", "B"])
-        out = predict_gep(idx, Query.from_terms(["t000"]), "c", k=10)
+        out = predict("gep", idx, Query.from_terms(["t000"]), "c", k=10)
         assert out.distribution.values == pytest.approx((1.0, 0.0))
         assert not out.distribution.degenerate
 
     def test_unseen_terms_degenerate_uniform(self, tiny_index):
-        out = predict_gep(tiny_index, Query.from_terms(["zz9"]), "geo", k=10)
+        out = predict("gep", tiny_index, Query.from_terms(["zz9"]), "geo", k=10)
         assert out.distribution.values == (0.5, 0.5)
         assert out.distribution.degenerate
 
     def test_empty_query_rejected(self, tiny_index):
         with pytest.raises(ValueError):
-            predict_gep(tiny_index, Query.from_terms([]), "geo")
+            predict("gep", tiny_index, Query.from_terms([]), "geo")
 
 
 class TestBaselineValues:
@@ -152,14 +149,14 @@ class TestBaselineValues:
         doc_tokens["d1"] = ["t000"]
         labels = {d: "g" for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["g"])
-        out = predict_avidf(idx, Query.from_terms(["t000"]), "c")
+        out = predict("avidf", idx, Query.from_terms(["t000"]), "c")
         assert out.raw_scores[0] == pytest.approx(2.0)
 
     def test_avidf_term_everywhere_floors_to_zero(self):
         doc_tokens = {f"d{i}": ["t000"] for i in range(4)}
         labels = {d: "g" for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["g"])
-        out = predict_avidf(idx, Query.from_terms(["t000"]), "c")
+        out = predict("avidf", idx, Query.from_terms(["t000"]), "c")
         assert out.raw_scores[0] == pytest.approx(0.0)  # log2(1) pre-floor
 
     def test_cori_hand_value(self):
@@ -170,14 +167,14 @@ class TestBaselineValues:
         doc_tokens = {**a_tokens, **b_tokens}
         labels = {d: ("A" if d.startswith("a") else "B") for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["A", "B"])
-        out = predict_cori(idx, Query.from_terms(["t000"]), "c")
+        out = predict("cori", idx, Query.from_terms(["t000"]), "c")
         t_part = 5 / (5 + 50 + 150)
         i_part = math.log(2.5) / math.log(3.0)
         assert out.raw_scores[0] == pytest.approx(0.4 + 0.6 * t_part * i_part, abs=1e-9)
         assert out.raw_scores[0] == pytest.approx(0.41221, abs=1e-4)
 
     def test_cori_all_terms_unseen_degenerate(self, tiny_index):
-        out = predict_cori(tiny_index, Query.from_terms(["zz9"]), "geo")
+        out = predict("cori", tiny_index, Query.from_terms(["zz9"]), "geo")
         assert out.distribution.degenerate
         assert out.distribution.values == (0.5, 0.5)
 
@@ -195,14 +192,14 @@ class TestBaselineValues:
         }
         labels = {d: ("A" if d.startswith("a") else "B") for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["A", "B"])
-        out = predict_avpmi(idx, Query.from_terms(["t000", "t001"]), "c")
+        out = predict("avpmi", idx, Query.from_terms(["t000", "t001"]), "c")
         scores = dict(zip(out.groups, out.raw_scores))
         assert scores["A"] > scores["B"]
 
     def test_avpmi_single_term_falls_back_to_avidf(self, tiny_index):
         q = Query.from_terms(["t000"])
-        pmi = predict_avpmi(tiny_index, q, "geo")
-        idf = predict_avidf(tiny_index, q, "geo")
+        pmi = predict("avpmi", tiny_index, q, "geo")
+        idf = predict("avidf", tiny_index, q, "geo")
         assert pmi.predictor == "avpmi"
         assert pmi.raw_scores == idf.raw_scores
 
@@ -222,9 +219,54 @@ class TestBaselineValues:
             assert out.distribution.values == pytest.approx((0.5, 0.5)), name
 
     def test_uniform_predictor(self, tiny_index):
-        out = predict_uniform(tiny_index, Query.from_terms(["t000"]), "geo")
+        out = predict("uniform", tiny_index, Query.from_terms(["t000"]), "geo")
         assert out.distribution.values == (0.5, 0.5)
         assert not out.distribution.degenerate
+
+
+class TestPredictProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(PREDICTORS),
+        st.integers(1, 2),
+        st.sampled_from([1, 3, 100]),
+    )
+    def test_every_predictor_gives_a_distribution(self, seed, name, num_categories, k):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(
+            rng,
+            num_docs=rng.randint(1, 20),
+            num_groups=rng.randint(1, 4),
+            num_categories=num_categories,
+        )
+        idx = build_index(docs, cats)
+        # the corpus vocabulary has 8 terms, so some query terms are unindexed
+        query = Query.from_terms(rng.choices(stable_vocab(10), k=rng.randint(1, 4)))
+        bound = make_predictors(PREDICTORS, k)[name]
+        for cat in cats:
+            out = predict(name, idx, query, cat.name, k)
+            values = out.distribution.values
+            assert out.groups == cat.groups
+            assert len(values) == len(out.raw_scores) == len(cat.groups)
+            assert all(v >= 0.0 for v in values)
+            assert abs(sum(values) - 1.0) <= 1e-9
+            assert out.distribution.degenerate == all(max(0.0, r) == 0.0 for r in out.raw_scores)
+            assert bound(idx, query, cat.name) == out
+
+    @pytest.mark.parametrize(
+        "name, k, config, message",
+        [
+            ("gepp", 10, PredictorConfig(), "unknown predictor 'gepp'"),
+            ("avidf", 0, PredictorConfig(), "k must be >= 1"),
+            ("gep", 10, PredictorConfig(query_idf="okapi"), "unknown query idf variant 'okapi'"),
+        ],
+    )
+    def test_bad_arguments_rejected_when_bound_and_called(self, tiny_index, name, k, config, message):
+        with pytest.raises(ValueError, match=message):
+            make_predictors([name], k, config)
+        with pytest.raises(ValueError, match=message):
+            predict(name, tiny_index, Query.from_terms(["t000"]), "geo", k, config)
 
 
 class TestNormalizationProperties:
