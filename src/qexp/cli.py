@@ -1,11 +1,11 @@
 """Command-line toolkit: index, rank, expand, predict, run, analyze-exposure.
 
 All behavior is controlled by flags (no environment variables), every
-run writes its resolved configuration next to its outputs, and outputs
-are byte-identical for identical inputs and seed.
+run writes its parsed options next to its outputs, and outputs are
+byte-identical for identical inputs and flags.
 
-Exit codes: 0 success, 1 validation error, 2 partial failure (some
-queries failed but the run completed).
+Exit codes: 0 success, 1 usage or validation error, 2 partial failure
+(some queries failed but the run completed).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .corpus import (
@@ -62,78 +61,42 @@ def _split_names(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved configuration of a `run` invocation, frozen to disk."""
-
-    index: str | None
-    corpus: str | None
-    categories_file: str | None
-    queries: str
-    rankers: list[str]
-    run_files: list[str]
-    expanders: list[str]
-    predictors: list[str]
-    category_names: list[str] | None
-    k: int = 100
-    seed: int = 0
-    alpha: float = 0.01
-    comparisons: int | None = None
-    fb_docs: int = 3
-    fb_terms: int = 10
-    rm3_lambda: float = 0.5
-    floor_idf: bool = True
-    query_idf: str = "bm25"
-    cori_belief: float = 0.4
-    exposure_formula: str = DCG
-    reference: str = "gep"
-    out_dir: str = "out"
-
-    def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.index is None and (self.corpus is None or self.categories_file is None):
-            raise ValueError("provide either --index or both --corpus and --categories")
-        for path in filter(None, [self.index, self.corpus, self.categories_file, self.queries]):
-            if not Path(path).exists():
-                raise ValueError(f"file not found: {path}")
-        for path in self.run_files:
-            if not Path(path).exists():
-                raise ValueError(f"run file not found: {path}")
-        for name in self.rankers:
-            if name not in RANKERS:
-                raise ValueError(f"unknown ranker {name!r} (choose from {sorted(RANKERS)})")
-        for name in self.expanders:
-            if name != "none" and name not in EXPANDERS:
-                raise ValueError(f"unknown expander {name!r}")
-        if self.exposure_formula not in FORMULAS:
-            raise ValueError(f"unknown exposure formula {self.exposure_formula!r}")
-        if self.reference not in PREDICTORS:
-            raise ValueError(f"unknown reference {self.reference!r} (choose from {PREDICTORS})")
-        if self.comparisons is not None and self.comparisons < 1:
-            raise ValueError("comparisons must be >= 1")
-        if not self.rankers and not self.run_files:
-            raise ValueError("at least one ranker or run file is required")
-        if not self.predictors:
-            raise ValueError("at least one predictor is required")
+def _validate_run(args) -> None:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if args.index is None and (args.corpus is None or args.categories_file is None):
+        raise ValueError("provide either --index or both --corpus and --categories")
+    for path in filter(None, [args.index, args.corpus, args.categories_file, args.queries]):
+        if not Path(path).exists():
+            raise ValueError(f"file not found: {path}")
+    for path in args.run_files:
+        if not Path(path).exists():
+            raise ValueError(f"run file not found: {path}")
+    for name in args.rankers:
+        if name not in RANKERS:
+            raise ValueError(f"unknown ranker {name!r} (choose from {sorted(RANKERS)})")
+    if args.reference not in PREDICTORS:
+        raise ValueError(f"unknown reference {args.reference!r} (choose from {PREDICTORS})")
+    if args.comparisons is not None and args.comparisons < 1:
+        raise ValueError("comparisons must be >= 1")
+    if not args.rankers and not args.run_files:
+        raise ValueError("at least one ranker or run file is required")
+    if not args.predictors:
+        raise ValueError("at least one predictor is required")
 
 
 def _load_index(args) -> CollectionIndex:
     if getattr(args, "index", None):
         return CollectionIndex.load(args.index)
     docs = load_corpus_jsonl(args.corpus)
-    categories = load_categories_json(args.categories)
+    categories = load_categories_json(args.categories_file)
     return build_index(docs, categories)
 
 
 # ------------------------------- subcommands -------------------------------
 
 def cmd_index(args) -> int:
-    docs = load_corpus_jsonl(args.corpus)
-    categories = load_categories_json(args.categories)
-    index = build_index(docs, categories)
+    index = _load_index(args)
     index.save(args.out)
     print(
         f"docs={index.num_docs} terms={len(index.vocabulary)} "
@@ -168,87 +131,65 @@ def cmd_expand(args) -> int:
 def cmd_predict(args) -> int:
     index = _load_index(args)
     queries = load_queries_tsv(args.queries)
-    config = PredictorConfig(floor_idf=not args.no_idf_floor, query_idf=args.query_idf)
-    predictors = make_predictors(_split_names(args.predictors), args.k, config)
+    config = PredictorConfig(floor_idf=args.floor_idf, query_idf=args.query_idf)
+    predictors = make_predictors(args.predictors, args.k, config)
     if args.category_names:
-        categories = [index.category(name).name for name in _split_names(args.category_names)]
+        categories = [index.category(name).name for name in args.category_names]
     else:
         categories = [c.name for c in index.categories]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for query in queries:
-            for category in categories:
-                for predictor in predictors.values():
+    lines = []
+    for query in queries:
+        for category in categories:
+            for predictor in predictors.values():
+                try:
                     out = predictor(index, query, category)
-                    fh.write(json.dumps(out.to_dict(query.query_id), sort_keys=True) + "\n")
-    print(f"wrote {len(queries) * len(categories) * len(predictors)} predictions to {args.out}")
+                except ValueError as exc:
+                    raise ValueError(f"query {query.query_id!r}: {error_message(exc)}") from exc
+                lines.append(json.dumps(out.to_dict(query.query_id), sort_keys=True) + "\n")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    print(f"wrote {len(lines)} predictions to {args.out}")
     return 0
 
 
 def cmd_run(args) -> int:
-    config = ExperimentConfig(
-        index=args.index,
-        corpus=args.corpus,
-        categories_file=args.categories,
-        queries=args.queries,
-        rankers=_split_names(args.rankers) if args.rankers else [],
-        run_files=list(args.run_file or []),
-        expanders=_split_names(args.expanders),
-        predictors=_split_names(args.predictors),
-        category_names=_split_names(args.category_names) if args.category_names else None,
-        k=args.k,
-        seed=args.seed,
-        alpha=args.alpha,
-        comparisons=args.comparisons,
-        fb_docs=args.fb_docs,
-        fb_terms=args.fb_terms,
-        rm3_lambda=args.rm3_lambda,
-        floor_idf=not args.no_idf_floor,
+    _validate_run(args)
+    predictor_config = PredictorConfig(
+        floor_idf=args.floor_idf,
         query_idf=args.query_idf,
         cori_belief=args.cori_belief,
-        exposure_formula=args.exposure_formula,
-        reference=args.reference,
-        out_dir=args.out_dir,
     )
-    config.validate()
-    predictor_config = PredictorConfig(
-        floor_idf=config.floor_idf,
-        query_idf=config.query_idf,
-        cori_belief=config.cori_belief,
-    )
-    predictors = make_predictors(config.predictors, config.k, predictor_config)
-
-    index = _load_index(args)
-    queries = load_queries_tsv(config.queries)
-    if config.category_names:
-        for name in config.category_names:
-            index.category(name)
-
-    rankers = [ModelRanker(name) for name in config.rankers]
-    rankers += [RunFileRanker(path) for path in config.run_files]
-    expansion = ExpansionConfig(config.fb_docs, config.fb_terms, config.rm3_lambda)
+    predictors = make_predictors(args.predictors, args.k, predictor_config)
+    expansion = ExpansionConfig(args.fb_docs, args.fb_terms, args.rm3_lambda)
     expanders = [
         None if name == "none" else QueryExpander(name, expansion)
-        for name in config.expanders
+        for name in args.expanders
     ]
+
+    index = _load_index(args)
+    queries = load_queries_tsv(args.queries)
+    rankers = [ModelRanker(name) for name in args.rankers]
+    rankers += [RunFileRanker(path) for path in args.run_files]
 
     report = run_experiment(
         index,
         queries,
-        config.category_names,
+        args.category_names,
         rankers,
         expanders,
         predictors,
-        config.k,
-        alpha=config.alpha,
-        comparisons=config.comparisons,
-        exposure_formula=config.exposure_formula,
-        reference=config.reference,
+        args.k,
+        alpha=args.alpha,
+        comparisons=args.comparisons,
+        exposure_formula=args.exposure_formula,
+        reference=args.reference,
     )
 
-    out_dir = Path(config.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    config = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
     with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
+        json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
     report.write_jsd_csv(out_dir / "jsd.csv")
     report.write_cv_csv(out_dir / "cv.csv")
@@ -273,25 +214,28 @@ def cmd_analyze_exposure(args) -> int:
     for m in m_values:
         if not 0 <= m <= args.k:
             raise ValueError(f"m={m} outside 0..k={args.k}")
+    histograms = [
+        achievable_exposure(
+            args.k,
+            m,
+            args.mode,
+            bins=args.bins,
+            budget=args.budget,
+            samples=args.samples,
+            seed=args.seed,
+            formula=args.exposure_formula,
+        )
+        for m in m_values
+    ]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with open(out_dir / "histogram.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["k", "m", "bin_low", "bin_high", "count"])
-        for m in m_values:
-            hist = achievable_exposure(
-                args.k,
-                m,
-                args.mode,
-                bins=args.bins,
-                budget=args.budget,
-                samples=args.samples,
-                seed=args.seed,
-                formula=args.exposure_formula,
-            )
+        for hist in histograms:
             for low, high, count in hist.bins:
-                writer.writerow([args.k, m, repr(low), repr(high), repr(count)])
+                writer.writerow([args.k, hist.m, repr(low), repr(high), repr(count)])
 
     with open(out_dir / "orderings.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -316,11 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_index_source(p):
         p.add_argument("--index", help="path to a saved index")
         p.add_argument("--corpus", help="JSONL corpus (doc_id, text, labels)")
-        p.add_argument("--categories", help="JSON category definitions")
+        p.add_argument("--categories", dest="categories_file", help="JSON category definitions")
 
     p = sub.add_parser("index", help="build and persist a collection index")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--categories", required=True)
+    p.add_argument("--categories", dest="categories_file", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
 
@@ -348,10 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="emit per-group exposure predictions")
     add_index_source(p)
     p.add_argument("--queries", required=True)
-    p.add_argument("--predictors", default="gep")
-    p.add_argument("--category-names", default=None, help="comma-separated; default all")
+    p.add_argument("--predictors", type=_split_names, default="gep")
+    p.add_argument("--category-names", type=_split_names, default=None,
+                   help="comma-separated; default all")
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--no-idf-floor", action="store_true")
+    p.add_argument("--no-idf-floor", dest="floor_idf", action="store_false")
     p.add_argument("--query-idf", default="bm25", choices=QUERY_IDFS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
@@ -359,21 +304,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full experiment: rank, predict, evaluate")
     add_index_source(p)
     p.add_argument("--queries", required=True)
-    p.add_argument("--rankers", default="bm25", help="comma-separated retrieval models")
-    p.add_argument("--run-file", action="append", help="external TREC run file ranker")
-    p.add_argument("--expanders", default="none",
+    p.add_argument("--rankers", type=_split_names, default="bm25",
+                   help="comma-separated retrieval models")
+    p.add_argument("--run-file", dest="run_files", action="append", default=[],
+                   help="external TREC run file ranker")
+    p.add_argument("--expanders", type=_split_names, default="none",
                    help="comma-separated: none," + ",".join(EXPANDERS))
-    p.add_argument("--predictors", default="gep,scs,avidf,avictf,avpmi,cori")
-    p.add_argument("--category-names", default=None)
+    p.add_argument("--predictors", type=_split_names, default="gep,scs,avidf,avictf,avpmi,cori")
+    # an empty list also means every category, and config.json records it as null
+    p.add_argument("--category-names", type=lambda v: _split_names(v) or None, default=None)
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--comparisons", type=int, default=None,
                    help="Bonferroni m; default = number of baselines compared")
     p.add_argument("--fb-docs", type=int, default=3)
     p.add_argument("--fb-terms", type=int, default=10)
     p.add_argument("--rm3-lambda", type=float, default=0.5)
-    p.add_argument("--no-idf-floor", action="store_true")
+    p.add_argument("--no-idf-floor", dest="floor_idf", action="store_false")
     p.add_argument("--query-idf", default="bm25", choices=QUERY_IDFS)
     p.add_argument("--cori-belief", type=float, default=0.4)
     p.add_argument("--exposure-formula", default=DCG, choices=FORMULAS)
@@ -398,8 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (CorpusError, ValueError, OSError, KeyError) as exc:

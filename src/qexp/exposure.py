@@ -151,6 +151,10 @@ def achievable_exposure(
         raise ValueError("m must satisfy 0 <= m <= k")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
 
     weights = [position_exposure(p, formula) for p in range(1, k + 1)]
     n_subsets = math.comb(k, m)

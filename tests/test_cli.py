@@ -44,6 +44,30 @@ def workspace(tmp_path):
     return tmp_path
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze-exposure", "--mode", "bogus"],
+            ["predict", "--queries", "q.tsv", "--out", "p.jsonl", "--k", "abc"],
+            ["run", "--index", "index.qx"],  # --queries is required
+            ["rank", "--queries", "q.tsv", "--out", "r.trec", "--no-such-flag"],
+            ["no-such-command"],
+            # nothing in a run is random, so it takes no seed
+            ["run", "--index", "index.qx", "--queries", "q.tsv", "--seed", "7"],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        # argparse's own code 2 is the documented partial-failure code
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qexp") and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: qexp")
+
+
 class TestIndexCommand:
     def test_build_and_summary(self, workspace, capsys):
         out = workspace / "index.qx"
@@ -176,6 +200,19 @@ class TestPredictCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_failing_query_is_named_and_nothing_written(self, workspace, capsys):
+        queries = workspace / "queries.tsv"
+        queries.write_text("q1\tt000 t001\nq2\tthe of and\n")
+        out = workspace / "pred.jsonl"
+        code = main([
+            "predict", "--corpus", str(workspace / "corpus.jsonl"),
+            "--categories", str(workspace / "categories.json"),
+            "--queries", str(queries), "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: query 'q2': cannot predict for an empty query\n"
+        assert not out.exists()
+
 
 class TestRunCommand:
     def _run(self, workspace, out_dir, extra=()):
@@ -200,12 +237,12 @@ class TestRunCommand:
 
     def test_determinism_byte_identical(self, workspace):
         out_dir = workspace / "out"
-        assert self._run(workspace, out_dir, ("--seed", "7")) == 0
+        assert self._run(workspace, out_dir) == 0
         first = {
             name: (out_dir / name).read_bytes()
             for name in ("jsd.csv", "cv.csv", "summary.json", "config.json")
         }
-        assert self._run(workspace, out_dir, ("--seed", "7")) == 0
+        assert self._run(workspace, out_dir) == 0
         for name, blob in first.items():
             assert (out_dir / name).read_bytes() == blob, name
 
@@ -415,6 +452,21 @@ class TestAnalyzeExposure:
             assert low == f"{float(bins[0]['bin_low']):.4f}"
             assert high == f"{float(bins[-1]['bin_high']):.4f}"
             assert total == f"{sum(float(r['count']) for r in bins):.6g}"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mode", "sampled", "--bins", "0"], "bins must be >= 1"),
+            (["--mode", "sampled", "--samples", "0"], "samples must be >= 1"),
+            (["--mode", "sampled", "--samples", "-5"], "samples must be >= 1"),
+            (["--mode", "exact", "--bins", "0", "--k", "40", "--m", "4"], "bins must be >= 1"),
+        ],
+    )
+    def test_bad_bins_or_samples_exit_1_without_output(self, workspace, capsys, argv, message):
+        out_dir = workspace / "exp"
+        assert main(["analyze-exposure", *argv, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
 
     def test_budget_error_suggests_sampling(self, workspace, capsys):
         code = main([

@@ -16,10 +16,11 @@ from qexp.evaluation import (
     run_experiment,
 )
 from qexp.exposure import ExposureDistribution, realized_exposure
-from qexp.predictors import make_predictors
+from qexp.predictors import PREDICTORS, make_predictors
 from qexp.retrieval import Query, write_run_file
 from qexp.stats import betainc, student_t_two_sided_p
 
+from conftest import random_labeled_corpus, stable_vocab
 from oracles import t_two_sided_p_by_quadrature
 
 
@@ -33,6 +34,12 @@ def random_distribution(rng, n):
     values.append(1.0 - last)
     total = sum(values)
     return [v / total for v in values]
+
+
+def distributions(n):
+    """Distributions over n outcomes, some of them zero, so supports may be disjoint."""
+    weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=n, max_size=n)
+    return weights.filter(lambda w: sum(w) > 0).map(lambda w: [v / sum(w) for v in w])
 
 
 class TestJSD:
@@ -58,15 +65,16 @@ class TestJSD:
         e = ExposureDistribution("c", ("a", "b"), (1.0, 0.0))
         assert jsd(p, e) == jsd((0.5, 0.5), (1.0, 0.0))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 100_000), st.integers(2, 8))
-    def test_symmetry_and_bounds(self, seed, n):
-        rng = random.Random(seed)
-        p = random_distribution(rng, n)
-        e = random_distribution(rng, n)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(distributions(n), distributions(n))))
+    def test_symmetry_and_bounds(self, pair):
+        p, e = pair
         d1, d2 = jsd(p, e), jsd(e, p)
+        # the sum runs in argument order, so the two may differ in the last bits
         assert d1 == pytest.approx(d2, abs=1e-9)
-        assert -1e-12 <= d1 <= 1.0 + 1e-9
+        # normalized inputs sum to 1 only within rounding, and so may reach 1 + 1 ulp
+        assert 0.0 <= d1 <= 1.0 + 1e-12
+        assert jsd(p, p) == 0.0 and jsd(e, e) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000), st.integers(2, 6))
@@ -316,3 +324,43 @@ class TestRunExperiment:
         )
         keys = [(r.ranker, r.expander, r.query_id, r.category, r.predictor) for r in report.rows]
         assert keys == sorted(keys)
+
+
+class TestRunExperimentProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_shuffled_documents_and_queries_give_the_same_results(self, seed):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(rng, num_docs=16, num_categories=2)
+        vocab = stable_vocab(10)  # two terms the corpus never uses
+        queries = [
+            Query.from_text(" ".join(rng.choices(vocab, k=rng.randint(1, 4))), query_id=f"q{i}")
+            for i in range(5)
+        ]
+
+        def results(docs, queries):
+            report = run_experiment(
+                build_index(docs, cats),
+                queries,
+                None,
+                [ModelRanker("bm25"), ModelRanker("tfidf")],
+                [None, QueryExpander("rm3"), QueryExpander("klq")],
+                make_predictors(PREDICTORS, 3),
+                3,
+            )
+            jsds = {(r.ranker, r.expander, r.query_id, r.category, r.predictor): r.jsd
+                    for r in report.rows}
+            cvs = {(r.ranker, r.expander, r.query_id, r.category): r.cv_percent
+                   for r in report.cv_rows}
+            return jsds, cvs
+
+        shuffled_docs, shuffled_queries = docs[:], queries[:]
+        rng.shuffle(shuffled_docs)
+        rng.shuffle(shuffled_queries)
+        # RM3 sums its relevance model in term insertion order, which follows
+        # the build order, so values agree to rounding rather than bit for bit
+        for before, after in zip(results(docs, queries),
+                                 results(shuffled_docs, shuffled_queries)):
+            assert after.keys() == before.keys()
+            for key, value in before.items():
+                assert after[key] == pytest.approx(value, abs=1e-9), key

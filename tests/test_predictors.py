@@ -272,7 +272,8 @@ class TestPredictProperties:
 class TestNormalizationProperties:
     @settings(max_examples=50, deadline=None)
     @given(
-        st.lists(st.floats(0.0, 100.0), min_size=2, max_size=6),
+        # no subnormals: scaling one could underflow to zero, which is not a multiple
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 100.0)), min_size=2, max_size=6),
         st.floats(0.01, 1000.0),
     )
     def test_scale_invariance(self, values, c):
