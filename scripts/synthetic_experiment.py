@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """Full pipeline on a planted-skew synthetic corpus.
 
-Generates a corpus where one group owns nearly all query-term mass,
-ranks every query with BM25 (optionally with PRF), and reports the mean
-Jensen-Shannon distance of every predictor against realized exposure.
-Also writes the corpus/queries and the standard report files, so the
-same experiment can be replayed through the CLI.
+Writes a corpus where one group owns nearly all query-term mass, with
+its categories and queries, then runs `qexp index` and `qexp run` on
+those files: BM25 (optionally with PRF), every predictor, the first
+category. Prints the mean JSD table and the significance markers, read
+back from the `summary.json` the run wrote.
 """
 
 import argparse
 import json
 from pathlib import Path
 
-from qexp.corpus import build_index, save_categories_json, save_corpus_jsonl
-from qexp.evaluation import ModelRanker, QueryExpander, run_experiment
-from qexp.predictors import BASELINES, make_predictors
+from qexp.cli import main as cli_main
+from qexp.corpus import save_categories_json, save_corpus_jsonl
+from qexp.predictors import BASELINES
 from qexp.synthetic import SyntheticConfig, make_planted_skew_corpus
 
 
@@ -34,10 +34,7 @@ def main() -> int:
         num_queries=args.num_queries,
     )
     docs, categories, queries = make_planted_skew_corpus(config)
-    index = build_index(docs, categories)
     category = categories[0].name
-    print(f"corpus: {index.num_docs} docs, {len(index.vocabulary)} terms")
-
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_corpus_jsonl(out_dir / "corpus.jsonl", docs)
@@ -46,36 +43,35 @@ def main() -> int:
         for q in queries:
             fh.write(f"{q.query_id}\t{' '.join(q.terms)}\n")
 
-    predictors = make_predictors(("gep",) + BASELINES + ("uniform",), k=args.k)
-    expanders = [
-        None if name == "none" else QueryExpander(name)
-        for name in args.expanders.split(",")
-    ]
-    report = run_experiment(
-        index, queries, [category], [ModelRanker("bm25")], expanders,
-        predictors, k=args.k,
-    )
+    predictors = ("gep",) + BASELINES + ("uniform",)
+    if cli_main([
+        "index", "--corpus", str(out_dir / "corpus.jsonl"),
+        "--categories", str(out_dir / "categories.json"), "--out", str(out_dir / "index.qx"),
+    ]) != 0:
+        return 1
+    code = cli_main([
+        "run", "--index", str(out_dir / "index.qx"), "--queries", str(out_dir / "queries.tsv"),
+        "--rankers", "bm25", "--expanders", args.expanders,
+        "--predictors", ",".join(predictors), "--category-names", category,
+        "--k", str(args.k), "--out-dir", str(out_dir),
+    ])
+    if code == 1:  # nothing was written
+        return code
 
-    report.write_jsd_csv(out_dir / "jsd.csv")
-    report.write_cv_csv(out_dir / "cv.csv")
-    report.write_summary_json(out_dir / "summary.json")
-    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump({"synthetic": vars(args)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    with open(out_dir / "summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
     print(f"\nmean JSD per predictor ({category}, k={args.k}):")
-    header = ["pipeline"] + list(predictors)
-    print("  " + "  ".join(f"{h:>8}" for h in header))
-    for s in report.summaries:
-        pipeline = s.ranker if s.expander == "none" else f"{s.ranker}+{s.expander}"
-        cells = [f"{s.mean_jsd[category].get(p, float('nan')):8.4f}" for p in predictors]
+    print("  " + "  ".join(f"{h:>8}" for h in ("pipeline",) + predictors))
+    for p in summary["pipelines"]:
+        pipeline = p["ranker"] if p["expander"] == "none" else f"{p['ranker']}+{p['expander']}"
+        means = p["categories"][category]["mean_jsd"]
+        cells = [f"{means.get(name, float('nan')):8.4f}" for name in predictors]
         print(f"  {pipeline:>8}  " + "  ".join(cells))
-    sig = report.summaries[0].significance.get(category, [])
-    marked = [c.baseline for c in sig if c.significant]
-    print(f"\nGEP significantly better than (alpha={report.alpha}, "
-          f"Bonferroni m={report.comparisons}): {marked or 'none'}")
-    print(f"\nreports in {out_dir}")
-    return 0
+    significance = summary["pipelines"][0]["categories"][category]["significance"]
+    marked = [name for name in predictors[1:] if significance[name]["significant"]]
+    print(f"\nGEP significantly better than (alpha={summary['alpha']}, "
+          f"Bonferroni m={summary['comparisons']}): {marked or 'none'}")
+    return code
 
 
 if __name__ == "__main__":

@@ -81,6 +81,17 @@ def _validate_run(args) -> None:
         raise ValueError("comparisons must be >= 1")
     if not args.rankers and not args.run_files:
         raise ValueError("at least one ranker or run file is required")
+    if not args.expanders:
+        raise ValueError("at least one expander is required ('none' for no expansion)")
+    for option, names in (
+        ("--rankers", args.rankers),
+        ("--expanders", args.expanders),
+        ("--run-file", args.run_files),
+        ("--category-names", args.category_names or []),
+    ):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"{option} repeats {', '.join(repeated)}")
     if not args.predictors:
         raise ValueError("at least one predictor is required")
 

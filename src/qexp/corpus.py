@@ -328,11 +328,14 @@ def load_corpus_jsonl(path) -> list[Document]:
                 raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})")
             if not isinstance(obj, dict):
                 raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
+            labels = obj.get("labels", {})
+            if not isinstance(labels, dict):
+                raise CorpusError(f"{path}: line {lineno}: labels must be a JSON object")
             try:
                 doc = Document(
                     doc_id=str(obj["doc_id"]),
                     text=str(obj["text"]),
-                    labels={str(k): str(v) for k, v in obj.get("labels", {}).items()},
+                    labels={str(k): str(v) for k, v in labels.items()},
                 )
             except KeyError as exc:
                 raise CorpusError(f"{path}: line {lineno}: missing field {exc}")
@@ -343,15 +346,23 @@ def load_corpus_jsonl(path) -> list[Document]:
 def load_categories_json(path) -> list[Category]:
     """A category object {name, groups[]} or a list of them."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {exc.lineno}: malformed JSON ({exc.msg})") from None
+    if not isinstance(data, list):
         data = [data]
     cats = []
     for obj in data:
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}: expected a category object, got {obj!r}")
         try:
-            cats.append(Category(str(obj["name"]), tuple(str(g) for g in obj["groups"])))
+            name, groups = str(obj["name"]), obj["groups"]
         except KeyError as exc:
             raise CorpusError(f"{path}: category definition missing field {exc}")
+        if not isinstance(groups, list):
+            raise CorpusError(f"{path}: category {name!r}: groups must be a JSON list")
+        cats.append(Category(name, tuple(str(g) for g in groups)))
     return cats
 
 

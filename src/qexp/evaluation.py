@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Mapping, Sequence
 
 from .corpus import CollectionIndex
 from .exposure import DCG, ExposureDistribution, realized_exposure
@@ -52,11 +52,11 @@ def jsd(p, e) -> float:
     return math.sqrt(max(acc, 0.0))
 
 
-def coefficient_of_variation(values: Sequence[float], sample: bool = False) -> float:
-    """Standard deviation over mean, as a percentage.
+def coefficient_of_variation(values: Sequence[float]) -> float:
+    """Population standard deviation over mean, as a percentage.
 
-    Population standard deviation by default: a group-exposure vector is
-    a complete distribution, not a sample from one.
+    A group-exposure vector is a complete distribution, not a sample
+    from one.
     """
     n = len(values)
     if n == 0:
@@ -64,10 +64,7 @@ def coefficient_of_variation(values: Sequence[float], sample: bool = False) -> f
     mean = sum(values) / n
     if mean <= 0.0:
         raise ValueError("coefficient of variation requires a positive mean")
-    denom = n - 1 if sample else n
-    if denom == 0:
-        raise ValueError("sample standard deviation needs at least two values")
-    var = sum((v - mean) ** 2 for v in values) / denom
+    var = sum((v - mean) ** 2 for v in values) / n
     return math.sqrt(var) / mean * 100.0
 
 
@@ -163,16 +160,6 @@ class CvRow:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class Comparison:
-    baseline: str
-    t: float | None
-    p: float | None
-    adjusted_p: float | None
-    significant: bool
-    note: str = ""
-
-
 def error_message(exc: BaseException) -> str:
     """The exception's message; ``str`` of a KeyError would quote it."""
     if isinstance(exc, KeyError) and len(exc.args) == 1:
@@ -190,25 +177,13 @@ class Failure:
 
 
 @dataclass
-class PipelineSummary:
-    ranker: str
-    expander: str
-    # category -> predictor -> mean JSD
-    mean_jsd: dict[str, dict[str, float]] = field(default_factory=dict)
-    # category -> list of comparisons of the reference predictor vs baselines
-    significance: dict[str, list[Comparison]] = field(default_factory=dict)
-
-
-@dataclass
 class PredictionReport:
     rows: list[Row]
     cv_rows: list[CvRow]
-    summaries: list[PipelineSummary]
     failures: list[Failure]
-    k: int
-    alpha: float
-    comparisons: int
-    reference: str
+    # summary.json without its failures: k, alpha, comparisons, reference and
+    # pipelines -> categories -> {mean_jsd, significance}
+    summary: dict
 
     def write_jsd_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -224,41 +199,10 @@ class PredictionReport:
             for r in self.cv_rows:
                 writer.writerow([r.ranker, r.expander, r.query_id, r.category, repr(r.cv_percent), int(r.degenerate)])
 
-    def to_summary_dict(self) -> dict:
-        pipelines = []
-        for s in self.summaries:
-            pipelines.append(
-                {
-                    "ranker": s.ranker,
-                    "expander": s.expander,
-                    "categories": {
-                        cat: {
-                            "mean_jsd": s.mean_jsd[cat],
-                            "significance": {
-                                c.baseline: {
-                                    key: value
-                                    for key, value in asdict(c).items()
-                                    if key != "baseline"
-                                }
-                                for c in s.significance.get(cat, [])
-                            },
-                        }
-                        for cat in s.mean_jsd
-                    },
-                }
-            )
-        return {
-            "k": self.k,
-            "alpha": self.alpha,
-            "comparisons": self.comparisons,
-            "reference": self.reference,
-            "pipelines": pipelines,
-            "failures": [asdict(f) for f in self.failures],
-        }
-
     def write_summary_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_summary_dict(), fh, indent=2, sort_keys=True)
+            summary = {**self.summary, "failures": [asdict(f) for f in self.failures]}
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -298,132 +242,125 @@ def run_experiment(
         if q.query_id in seen:
             raise ValueError(f"duplicate query id {q.query_id!r}")
         seen.add(q.query_id)
-    for r in rankers:
-        if isinstance(r, RunFileRanker) and any(e is not None for e in expanders):
-            raise ValueError(
-                "run-file rankers cannot re-rank expanded queries; "
-                "use expander 'none' with run files"
-            )
+    pipelines = [
+        (ranker, expander, expander.name if expander is not None else "none")
+        for ranker in rankers
+        for expander in expanders
+    ]
+    if any(isinstance(r, RunFileRanker) and e is not None for r, e, _ in pipelines):
+        raise ValueError(
+            "run-file rankers cannot re-rank expanded queries; "
+            "use expander 'none' with run files"
+        )
 
     rows: list[Row] = []
     cv_rows: list[CvRow] = []
     failures: list[Failure] = []
-    # (ranker, expander, category, predictor) -> {query_id: jsd}
-    per_query: dict[tuple[str, str, str, str], dict[str, float]] = {}
+    # (ranker, expander, category) -> predictor -> {query_id: jsd}, in query order
+    per_query: dict[tuple[str, str, str], dict[str, dict[str, float]]] = {}
 
     predictions_cache: dict[tuple[str, str, str], PredictorOutput] = {}
 
-    for ranker in rankers:
-        for expander in expanders:
-            exp_name = expander.name if expander is not None else "none"
-            for query in queries:
-                qid = query.query_id
+    for ranker, expander, exp_name in pipelines:
+        for query in queries:
+            qid = query.query_id
+            try:
+                if expander is None:
+                    final = ranker.rank(index, query, k)
+                else:
+                    first = ranker.rank(index, query, k)
+                    result = expander.expand(index, query, first)
+                    final = ranker.rank(index, result.query, k)
+            except Exception as exc:  # per-query failure, not fatal
+                failures.append(
+                    Failure(ranker.name, exp_name, qid, "ranking", error_message(exc))
+                )
+                continue
+            for category in category_names:
                 try:
-                    if expander is None:
-                        final = ranker.rank(index, query, k)
-                    else:
-                        first = ranker.rank(index, query, k)
-                        result = expander.expand(index, query, first)
-                        final = ranker.rank(index, result.query, k)
-                except Exception as exc:  # per-query failure, not fatal
+                    realized = realized_exposure(final, index, category, exposure_formula)
+                except Exception as exc:
                     failures.append(
-                        Failure(ranker.name, exp_name, qid, "ranking", error_message(exc))
+                        Failure(ranker.name, exp_name, qid, "exposure", error_message(exc))
                     )
                     continue
-                for category in category_names:
+                cv_rows.append(
+                    CvRow(
+                        ranker.name,
+                        exp_name,
+                        qid,
+                        category,
+                        coefficient_of_variation(realized.values),
+                        realized.degenerate,
+                    )
+                )
+                for pname, predictor in predictors.items():
+                    cache_key = (qid, category, pname)
                     try:
-                        realized = realized_exposure(
-                            final, index, category, exposure_formula
-                        )
+                        prediction = predictions_cache.get(cache_key)
+                        if prediction is None:
+                            prediction = predictor(index, query, category)
+                            predictions_cache[cache_key] = prediction
+                        distance = jsd(prediction.distribution, realized)
                     except Exception as exc:
                         failures.append(
-                            Failure(ranker.name, exp_name, qid, "exposure", error_message(exc))
+                            Failure(ranker.name, exp_name, qid, f"predict:{pname}", error_message(exc))
                         )
                         continue
-                    cv_rows.append(
-                        CvRow(
-                            ranker.name,
-                            exp_name,
-                            qid,
-                            category,
-                            coefficient_of_variation(realized.values),
-                            realized.degenerate,
-                        )
-                    )
-                    for pname, predictor in predictors.items():
-                        cache_key = (qid, category, pname)
-                        try:
-                            prediction = predictions_cache.get(cache_key)
-                            if prediction is None:
-                                prediction = predictor(index, query, category)
-                                predictions_cache[cache_key] = prediction
-                            distance = jsd(prediction.distribution, realized)
-                        except Exception as exc:
-                            failures.append(
-                                Failure(ranker.name, exp_name, qid, f"predict:{pname}", error_message(exc))
-                            )
-                            continue
-                        rows.append(
-                            Row(ranker.name, exp_name, qid, category, pname, distance)
-                        )
-                        per_query.setdefault(
-                            (ranker.name, exp_name, category, pname), {}
-                        )[qid] = distance
+                    rows.append(Row(ranker.name, exp_name, qid, category, pname, distance))
+                    per_query.setdefault((ranker.name, exp_name, category), {}).setdefault(
+                        pname, {}
+                    )[qid] = distance
 
     rows.sort(key=lambda r: (r.ranker, r.expander, r.query_id, r.category, r.predictor))
     cv_rows.sort(key=lambda r: (r.ranker, r.expander, r.query_id, r.category))
 
     others = [p for p in predictors if p != reference]
     m = comparisons if comparisons is not None else max(1, len(others))
-    summaries = []
-    for ranker in rankers:
-        for expander in expanders:
-            exp_name = expander.name if expander is not None else "none"
-            summary = PipelineSummary(ranker.name, exp_name)
-            for category in category_names:
-                means: dict[str, float] = {}
-                for pname in predictors:
-                    values = per_query.get((ranker.name, exp_name, category, pname), {})
-                    if values:
-                        means[pname] = sum(values.values()) / len(values)
-                summary.mean_jsd[category] = means
-                if reference in predictors:
-                    summary.significance[category] = _compare_to_reference(
-                        per_query, ranker.name, exp_name, category,
-                        reference, others, m, alpha,
+    baselines = others if reference in predictors else []
+    summary = {
+        "k": k,
+        "alpha": alpha,
+        "comparisons": m,
+        "reference": reference,
+        "pipelines": [
+            {
+                "ranker": ranker.name,
+                "expander": exp_name,
+                "categories": {
+                    category: _score(
+                        per_query.get((ranker.name, exp_name, category), {}),
+                        reference, baselines, m, alpha,
                     )
-            summaries.append(summary)
-
-    return PredictionReport(
-        rows=rows,
-        cv_rows=cv_rows,
-        summaries=summaries,
-        failures=failures,
-        k=k,
-        alpha=alpha,
-        comparisons=m,
-        reference=reference,
-    )
+                    for category in category_names
+                },
+            }
+            for ranker, _, exp_name in pipelines
+        ],
+    }
+    return PredictionReport(rows, cv_rows, failures, summary)
 
 
-def _compare_to_reference(per_query, ranker, expander, category, reference, others, m, alpha):
-    ref = per_query.get((ranker, expander, category, reference), {})
-    comparisons = []
-    for baseline in others:
-        base = per_query.get((ranker, expander, category, baseline), {})
+def _score(jsds: Mapping[str, Mapping[str, float]], reference, baselines, m, alpha) -> dict:
+    """Mean JSD per predictor, and the reference's paired t-test against each baseline."""
+    ref = jsds.get(reference, {})
+    significance = {}
+    for baseline in baselines:
+        base = jsds.get(baseline, {})
         shared = sorted(set(ref) & set(base))
+        test = {"t": None, "p": None, "adjusted_p": None, "significant": False, "note": ""}
         if len(shared) < 2:
-            comparisons.append(
-                Comparison(baseline, None, None, None, False, "too few paired queries")
-            )
-            continue
-        a = [ref[q] for q in shared]
-        b = [base[q] for q in shared]
-        try:
-            t, p = paired_t_test(a, b)
-        except ValueError as exc:
-            comparisons.append(Comparison(baseline, None, None, None, False, str(exc)))
-            continue
-        adj = bonferroni([p], m)[0]
-        comparisons.append(Comparison(baseline, t, p, adj, adj < alpha))
-    return comparisons
+            test["note"] = "too few paired queries"
+        else:
+            try:
+                t, p = paired_t_test([ref[q] for q in shared], [base[q] for q in shared])
+            except ValueError as exc:
+                test["note"] = str(exc)
+            else:
+                adjusted = bonferroni([p], m)[0]
+                test.update(t=t, p=p, adjusted_p=adjusted, significant=adjusted < alpha)
+        significance[baseline] = test
+    return {
+        "mean_jsd": {name: sum(values.values()) / len(values) for name, values in jsds.items()},
+        "significance": significance,
+    }

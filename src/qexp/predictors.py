@@ -323,6 +323,8 @@ def _check(name: str, k: int, config: PredictorConfig) -> None:
         raise ValueError("k must be >= 1")
     if config.query_idf not in QUERY_IDFS:
         raise ValueError(f"unknown query idf variant {config.query_idf!r}")
+    if not 0.0 <= config.cori_belief <= 1.0:
+        raise ValueError("cori belief must lie in [0, 1]")
 
 
 def predict(

@@ -185,7 +185,7 @@ def _skew_experiment(expanders):
     )
     assert not report.failures
     return {
-        (s.expander): s.mean_jsd[cat.name] for s in report.summaries
+        p["expander"]: p["categories"][cat.name]["mean_jsd"] for p in report.summary["pipelines"]
     }
 
 

@@ -91,6 +91,36 @@ class TestIndexCommand:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "corpus_line, categories, message",
+        [
+            (None, '["a"]', "categories.json: expected a category object, got 'a'"),
+            (None, '{"name": "c", "groups": 5}', "categories.json: category 'c': groups must be a JSON list"),
+            (None, '{"name": "c", "groups": "ab"}', "categories.json: category 'c': groups must be a JSON list"),
+            (None, '{"name": "c",', "categories.json: line 1: malformed JSON (Expecting"),
+            ('{"doc_id": "d10", "text": "t000", "labels": ["a"]}', None,
+             "corpus.jsonl: line 11: labels must be a JSON object"),
+            ('{"doc_id": "d10", "text": "t000", "labels": null}', None,
+             "corpus.jsonl: line 11: labels must be a JSON object"),
+        ],
+    )
+    def test_malformed_input_exits_1_naming_the_file(
+        self, workspace, capsys, corpus_line, categories, message
+    ):
+        corpus, categories_file = workspace / "corpus.jsonl", workspace / "categories.json"
+        if corpus_line is not None:
+            corpus.write_text(corpus.read_text() + corpus_line + "\n")
+        if categories is not None:
+            categories_file.write_text(categories)
+        code = main([
+            "index", "--corpus", str(corpus), "--categories", str(categories_file),
+            "--out", str(workspace / "x.qx"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workspace}") and message in err
+        assert not (workspace / "x.qx").exists()
+
     def test_relabeling_changes_only_group_stats(self, workspace):
         relabeled = workspace / "relabel.jsonl"
         out_lines = []
@@ -290,6 +320,34 @@ class TestRunCommand:
         assert err.startswith("error:") and message in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--expanders", ""), "at least one expander is required"),
+            (("--rankers", "bm25,tfidf,bm25"), "--rankers repeats bm25"),
+            (("--expanders", "none,rm3,rm3"), "--expanders repeats rm3"),
+            (("--rankers", "", "--run-file", "{run}", "--run-file", "{run}"), "--run-file repeats"),
+            (("--category-names", "c,c"), "--category-names repeats c"),
+            (("--cori-belief", "1.5"), "cori belief must lie in [0, 1]"),
+        ],
+    )
+    def test_empty_or_repeated_grid_exits_1_before_loading(
+        self, workspace, capsys, monkeypatch, extra, message
+    ):
+        run = workspace / "run.trec"
+        run.write_text("q1 Q0 d00 1 1.0 ext\n")
+
+        def no_load(args):
+            raise AssertionError("the index was loaded")
+
+        monkeypatch.setattr(qexp.cli, "_load_index", no_load)
+        out_dir = workspace / "out"
+        extra = [arg.format(run=run) for arg in extra]
+        assert self._run(workspace, out_dir, extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out_dir.exists()
+
     def test_unknown_category_error_is_unquoted(self, workspace, capsys):
         out_dir = workspace / "out"
         assert self._run(workspace, out_dir, ("--category-names", "nope")) == 1
@@ -384,6 +442,37 @@ class TestRunCommand:
         with open(out_dir / "cv.csv") as fh:
             row = next(csv.DictReader(fh))
         assert float(row["cv_percent"]) == pytest.approx(sigma / mu * 100, abs=1e-9)
+
+
+class TestSyntheticScript:
+    def test_script_prints_the_summary_it_wrote(self, tmp_path, capsys, monkeypatch):
+        commands = []
+
+        def recorded(argv):
+            commands.append(argv[0])
+            return main(argv)
+
+        monkeypatch.setattr(qexp.cli, "main", recorded)
+        out_dir = tmp_path / "syn"
+        script = Path(__file__).resolve().parents[1] / "scripts" / "synthetic_experiment.py"
+        monkeypatch.setattr(sys, "argv", [
+            str(script), "--docs-per-group", "20", "--num-queries", "6", "--k", "20",
+            "--out-dir", str(out_dir),
+        ])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        assert commands == ["index", "run"]
+
+        summary = json.loads((out_dir / "summary.json").read_text())
+        out = capsys.readouterr().out
+        printed = re.findall(r"^ +(bm25(?:\+\w+)?)  ((?: +\S+)+)$", out, re.MULTILINE)
+        predictors = re.search(r"^ +pipeline((?: +\w+)+)$", out, re.MULTILINE).group(1).split()
+        assert len(predictors) == 7
+        assert [name for name, _ in printed] == ["bm25", "bm25+rm3", "bm25+klq"]
+        for (name, cells), pipeline in zip(printed, summary["pipelines"]):
+            means = pipeline["categories"]["provenance"]["mean_jsd"]
+            assert cells.split() == [f"{means[p]:.4f}" for p in predictors], name
 
 
 class TestAnalyzeExposure:

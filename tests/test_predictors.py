@@ -260,6 +260,8 @@ class TestPredictProperties:
             ("gepp", 10, PredictorConfig(), "unknown predictor 'gepp'"),
             ("avidf", 0, PredictorConfig(), "k must be >= 1"),
             ("gep", 10, PredictorConfig(query_idf="okapi"), "unknown query idf variant 'okapi'"),
+            ("cori", 10, PredictorConfig(cori_belief=1.5), r"cori belief must lie in \[0, 1\]"),
+            ("gep", 10, PredictorConfig(cori_belief=-0.1), r"cori belief must lie in \[0, 1\]"),
         ],
     )
     def test_bad_arguments_rejected_when_bound_and_called(self, tiny_index, name, k, config, message):
