@@ -61,6 +61,12 @@ def _split_names(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
+def _reject_repeats(option: str, names: list[str]) -> None:
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{option} repeats {', '.join(repeated)}")
+
+
 def _validate_run(args) -> None:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -83,15 +89,10 @@ def _validate_run(args) -> None:
         raise ValueError("at least one ranker or run file is required")
     if not args.expanders:
         raise ValueError("at least one expander is required ('none' for no expansion)")
-    for option, names in (
-        ("--rankers", args.rankers),
-        ("--expanders", args.expanders),
-        ("--run-file", args.run_files),
-        ("--category-names", args.category_names or []),
-    ):
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise ValueError(f"{option} repeats {', '.join(repeated)}")
+    _reject_repeats("--rankers", args.rankers)
+    _reject_repeats("--expanders", args.expanders)
+    _reject_repeats("--run-file", args.run_files)
+    _reject_repeats("--category-names", args.category_names or [])
     if not args.predictors:
         raise ValueError("at least one predictor is required")
 
@@ -140,6 +141,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _reject_repeats("--category-names", args.category_names or [])
     index = _load_index(args)
     queries = load_queries_tsv(args.queries)
     config = PredictorConfig(floor_idf=args.floor_idf, query_idf=args.query_idf)

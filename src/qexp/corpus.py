@@ -68,8 +68,10 @@ _EMPTY_STATS = TermStats(0, 0, {})
 class CollectionIndex:
     """Read-only term statistics over a labeled corpus.
 
-    Built once by :func:`build_index`; treated as immutable afterwards,
-    so it is safe to share across concurrent readers.
+    Built once by :func:`build_index`; treated as immutable afterwards.
+    A term's :class:`TermStats` is built on its first lookup and kept, so
+    it is safe to share across concurrent readers: at worst two of them
+    build the same term's stats twice, with equal results.
     """
 
     def __init__(self, categories, doc_ids, doc_lengths, doc_labels, postings):
@@ -78,6 +80,7 @@ class CollectionIndex:
         self._doc_lengths: dict[str, int] = dict(doc_lengths)
         self._doc_labels: dict[str, dict[str, str]] = doc_labels
         self._postings: dict[str, dict[str, int]] = postings
+        self._term_stats: dict[str, TermStats] = {}
         self._doc_terms: dict[str, dict[str, int]] = {d: {} for d in self._doc_ids}
         for term, plist in postings.items():
             for doc_id, tf in plist.items():
@@ -136,17 +139,21 @@ class CollectionIndex:
             raise KeyError(f"unknown document {doc_id!r}") from None
 
     def doc_group(self, doc_id: str, category: str) -> str:
-        self.category(category)
-        labels = self._doc_labels.get(doc_id)
-        if labels is None:
-            raise KeyError(f"unknown document {doc_id!r}")
-        return labels[category]
+        try:
+            return self._doc_labels[doc_id][category]
+        except KeyError:
+            # every document has a label of every category: name what is unknown
+            self.category(category)
+            raise KeyError(f"unknown document {doc_id!r}") from None
 
     def term_stats(self, term: str) -> TermStats:
-        plist = self._postings.get(term)
-        if plist is None:
-            return _EMPTY_STATS
-        return TermStats(len(plist), sum(plist.values()), plist)
+        stats = self._term_stats.get(term)
+        if stats is None:
+            plist = self._postings.get(term)
+            if plist is None:
+                return _EMPTY_STATS
+            stats = self._term_stats[term] = TermStats(len(plist), sum(plist.values()), plist)
+        return stats
 
     # --------------------------------- groups ------------------------------
     def _group_key(self, category: str, group: str) -> tuple[str, str]:
@@ -362,7 +369,10 @@ def load_categories_json(path) -> list[Category]:
             raise CorpusError(f"{path}: category definition missing field {exc}")
         if not isinstance(groups, list):
             raise CorpusError(f"{path}: category {name!r}: groups must be a JSON list")
-        cats.append(Category(name, tuple(str(g) for g in groups)))
+        try:
+            cats.append(Category(name, tuple(str(g) for g in groups)))
+        except ValueError as exc:  # no groups, or a repeated group name
+            raise CorpusError(f"{path}: {exc}") from None
     return cats
 
 

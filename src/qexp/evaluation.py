@@ -3,7 +3,8 @@
 Prediction quality is the Jensen-Shannon distance (base-2 logs, so the
 range is [0, 1]) between the predicted and the realized exposure
 distribution. The experiment driver ranks every query with every
-configured pipeline, feeds predictors the original (unexpanded) query,
+configured pipeline (a ranker's first pass once, shared by all its
+expanders), feeds predictors the original (unexpanded) query,
 and aggregates means, per-query dispersion (coefficient of variation)
 and paired t-tests with Bonferroni correction.
 """
@@ -260,15 +261,21 @@ def run_experiment(
     per_query: dict[tuple[str, str, str], dict[str, dict[str, float]]] = {}
 
     predictions_cache: dict[tuple[str, str, str], PredictorOutput] = {}
+    # (ranker, query_id) -> first-pass ranking, shared by every expander of
+    # the ranker; keyed by the object, as two rankers may share a name. A
+    # first pass that raised is not kept, so each pipeline records it.
+    first_passes: dict[tuple[object, str], Ranking] = {}
 
     for ranker, expander, exp_name in pipelines:
         for query in queries:
             qid = query.query_id
             try:
+                first = first_passes.get((ranker, qid))
+                if first is None:
+                    first = first_passes[(ranker, qid)] = ranker.rank(index, query, k)
                 if expander is None:
-                    final = ranker.rank(index, query, k)
+                    final = first
                 else:
-                    first = ranker.rank(index, query, k)
                     result = expander.expand(index, query, first)
                     final = ranker.rank(index, result.query, k)
             except Exception as exc:  # per-query failure, not fatal

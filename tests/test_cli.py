@@ -98,6 +98,9 @@ class TestIndexCommand:
             (None, '{"name": "c", "groups": 5}', "categories.json: category 'c': groups must be a JSON list"),
             (None, '{"name": "c", "groups": "ab"}', "categories.json: category 'c': groups must be a JSON list"),
             (None, '{"name": "c",', "categories.json: line 1: malformed JSON (Expecting"),
+            (None, '{"name": "c", "groups": []}', "categories.json: category 'c' has no groups"),
+            (None, '{"name": "c", "groups": ["A", "A"]}',
+             "categories.json: category 'c' has duplicate group names"),
             ('{"doc_id": "d10", "text": "t000", "labels": ["a"]}', None,
              "corpus.jsonl: line 11: labels must be a JSON object"),
             ('{"doc_id": "d10", "text": "t000", "labels": null}', None,
@@ -228,6 +231,22 @@ class TestPredictCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_repeated_category_name_exits_1_before_loading(self, workspace, capsys, monkeypatch):
+        def no_load(args):
+            raise AssertionError("the index was loaded")
+
+        monkeypatch.setattr(qexp.cli, "_load_index", no_load)
+        out = workspace / "pred.jsonl"
+        code = main([
+            "predict", "--corpus", str(workspace / "corpus.jsonl"),
+            "--categories", str(workspace / "categories.json"),
+            "--queries", str(workspace / "queries.tsv"), "--out", str(out),
+            "--category-names", "c,c",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --category-names repeats c\n"
         assert not out.exists()
 
     def test_failing_query_is_named_and_nothing_written(self, workspace, capsys):

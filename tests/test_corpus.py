@@ -12,6 +12,7 @@ from qexp.corpus import (
     INDEX_MAGIC,
     CorpusError,
     Document,
+    TermStats,
     build_index,
     load_categories_json,
     load_corpus_jsonl,
@@ -38,6 +39,29 @@ class TestBuildIndex:
         assert idx.term_stats("t000").cf == 2
         assert idx.term_stats("t000").df == 1
         assert idx.total_tokens == 3
+
+    def test_term_stats_built_once_per_term(self, tiny_index):
+        stats = tiny_index.term_stats("t000")
+        assert tiny_index.term_stats("t000") is stats
+        assert stats == TermStats(3, 4, {"d1": 2, "d2": 1, "d3": 1})
+
+    def test_unindexed_term_is_not_added(self, tiny_index):
+        vocabulary = set(tiny_index.vocabulary)
+        for _ in range(2):
+            stats = tiny_index.term_stats("zz9")
+            assert (stats.df, stats.cf, dict(stats.postings)) == (0, 0, {})
+        assert set(tiny_index.vocabulary) == vocabulary
+
+    @pytest.mark.parametrize(
+        "df, cf, postings, message",
+        [
+            (2, 3, {"d1": 3}, "df must equal"),
+            (1, 2, {"d1": 3}, "cf must equal"),
+        ],
+    )
+    def test_inconsistent_term_stats_rejected(self, df, cf, postings, message):
+        with pytest.raises(ValueError, match=message):
+            TermStats(df, cf, postings)
 
     def test_group_df_partition(self, tiny_index):
         split = tiny_index.group_postings("t000", "geo")

@@ -1,10 +1,13 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
 from qexp.evaluation import (
+    Failure,
     ModelRanker,
     QueryExpander,
     RunFileRanker,
@@ -249,6 +252,56 @@ class TestRunExperiment:
         assert report.failures[0].query_id == "qbad"
         assert len(report.rows) == 3  # the good queries still produced rows
 
+    @pytest.mark.parametrize("models", [("bm25", "tfidf"), ("bm25", "bm25")])
+    def test_first_pass_ranked_once_per_ranker_and_query(self, models):
+        idx = _experiment_index()
+        calls = []
+
+        class SpyRanker(ModelRanker):
+            def rank(self, index, query, k):
+                calls.append((self, query.query_id))
+                return super().rank(index, query, k)
+
+        # two rankers may share a name; each still ranks its own first pass
+        rankers = [SpyRanker(model) for model in models]
+        queries = _queries()
+        run_experiment(
+            idx, queries, None, rankers, [None, QueryExpander("rm3"), QueryExpander("klq")],
+            make_predictors(["gep"], k=10), k=10,
+        )
+        n = len(queries)
+        # one first pass per (ranker, query), plus one re-rank per expander
+        assert len(calls) == 2 * n + 4 * n
+        assert Counter(calls) == {(r, q.query_id): 3 for r in rankers for q in queries}
+
+    def test_failed_first_pass_fails_every_pipeline_in_order(self, tmp_path):
+        idx = _experiment_index()
+        queries = _queries() + [Query.from_terms([], query_id="qbad")]
+        report = run_experiment(
+            idx, queries, None, [ModelRanker("bm25"), ModelRanker("tfidf")],
+            [None, QueryExpander("rm3"), QueryExpander("klq")],
+            make_predictors(["gep"], k=10), k=10,
+        )
+        assert report.failures == [
+            Failure(ranker, expander, "qbad", "ranking", "cannot rank an empty query")
+            for ranker in ("bm25", "tfidf")
+            for expander in ("none", "rm3", "klq")
+        ]
+        assert len(report.rows) == 2 * 3 * len(_queries())
+
+        # a run file without the query fails it in each of its pipelines too
+        path = tmp_path / "ext.trec"
+        write_run_file(path, [ModelRanker("bm25").rank(idx, q, 10) for q in _queries()[:2]])
+        report = run_experiment(
+            idx, _queries(), None, [RunFileRanker(path, "a"), RunFileRanker(path, "b")],
+            [None], make_predictors(["gep"], k=10), k=10,
+        )
+        message = "run file has no ranking for query 'q3'"
+        assert report.failures == [
+            Failure("a", "none", "q3", "ranking", message),
+            Failure("b", "none", "q3", "ranking", message),
+        ]
+
     def test_predictors_see_original_query(self):
         idx = _experiment_index()
         seen = []
@@ -358,3 +411,31 @@ class TestRunExperimentProperties:
             assert after.keys() == before.keys()
             for key, value in before.items():
                 assert after[key] == pytest.approx(value, abs=1e-9), key
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_one_grid_run_equals_one_run_per_expander(self, seed):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(rng, num_docs=16, num_categories=2)
+        index = build_index(docs, cats)
+        vocab = stable_vocab(10)  # two terms the corpus never uses
+        queries = [
+            Query.from_text(" ".join(rng.choices(vocab, k=rng.randint(1, 4))), query_id=f"q{i}")
+            for i in range(5)
+        ] + [Query.from_terms([], query_id="qempty")]
+        expanders = {"none": None, "rm3": QueryExpander("rm3"), "klq": QueryExpander("klq")}
+
+        def run(expanders):
+            return run_experiment(
+                index, queries, None, [ModelRanker("bm25"), ModelRanker("tfidf")],
+                expanders, make_predictors(PREDICTORS, 3), 3,
+            )
+
+        grid = run(list(expanders.values()))
+        for name, expander in expanders.items():
+            alone = run([expander])
+            assert [r for r in grid.rows if r.expander == name] == alone.rows
+            assert [r for r in grid.cv_rows if r.expander == name] == alone.cv_rows
+            assert [f for f in grid.failures if f.expander == name] == alone.failures
+            pipelines = [p for p in grid.summary["pipelines"] if p["expander"] == name]
+            assert json.dumps(pipelines) == json.dumps(alone.summary["pipelines"])

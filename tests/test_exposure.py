@@ -92,6 +92,23 @@ class TestGroupExposure:
         with pytest.raises(KeyError, match="ghost"):
             group_exposure(_ranking(["ghost"]), idx, "c")
 
+    @pytest.mark.parametrize(
+        "doc_ids, category, message",
+        [
+            (["d0", "ghost"], "c", "unknown document 'ghost'"),
+            (["d0"], "nope", "unknown category 'nope'"),
+            # the category is named first when both are unknown
+            (["ghost"], "nope", "unknown category 'nope'"),
+        ],
+    )
+    def test_unknown_document_or_category_messages(self, doc_ids, category, message):
+        idx = _two_group_index()
+        with pytest.raises(KeyError) as group_error:
+            group_exposure(_ranking(doc_ids), idx, category)
+        with pytest.raises(KeyError) as doc_error:
+            idx.doc_group(doc_ids[-1], category)
+        assert group_error.value.args == doc_error.value.args == (message,)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_permutation_invariance(self, seed):
