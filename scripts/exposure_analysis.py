@@ -14,6 +14,7 @@ import math
 from pathlib import Path
 
 from qexp.cli import main as cli_main
+from qexp.exposure import DEFAULT_SUBSET_BUDGET
 
 
 def main() -> int:
@@ -26,7 +27,8 @@ def main() -> int:
     args = parser.parse_args()
 
     m_values = [int(v) for v in args.m.split(",")]
-    mode = "sampled" if any(math.comb(args.k, m) > 2_000_000 for m in m_values) else "exact"
+    over_budget = any(math.comb(args.k, m) > DEFAULT_SUBSET_BUDGET for m in m_values)
+    mode = "sampled" if over_budget else "exact"
     out_dir = Path(args.out_dir)
     code = cli_main([
         "analyze-exposure", "--k", str(args.k), "--m", args.m, "--mode", mode,

@@ -23,22 +23,21 @@ from .corpus import (
     load_categories_json,
     load_corpus_jsonl,
 )
-from .evaluation import ModelRanker, QueryExpander, RunFileRanker, error_message, run_experiment
-from .expansion import EXPANDERS, ExpansionConfig, write_queries_jsonl
-from .exposure import (
-    DCG,
-    FORMULAS,
-    DEFAULT_SUBSET_BUDGET,
-    achievable_exposure,
-    log_orderings,
-    orderings,
+from .evaluation import (
+    ModelRanker, QueryExpander, RunFileRanker, error_message, reject_repeats, run_experiment,
 )
+from .expansion import EXPANDERS, ExpansionConfig, write_queries_jsonl
+from .exposure import DEFAULT_SUBSET_BUDGET, achievable_exposure, log_orderings, orderings
 from .predictors import PREDICTORS, QUERY_IDFS, PredictorConfig, make_predictors
 from .retrieval import RANKERS, Query, rank, write_run_file
 
 
 def load_queries_tsv(path) -> list[Query]:
-    """TSV with two columns: query id and query text; ids must be unique."""
+    """TSV with two columns: query id and query text.
+
+    Ids must be unique, and non-empty and free of whitespace: an id is one
+    field of a whitespace-separated TREC run file line.
+    """
     queries = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -50,6 +49,10 @@ def load_queries_tsv(path) -> list[Query]:
             if len(parts) != 2:
                 raise CorpusError(f"{path}: line {lineno}: expected 'qid<TAB>text'")
             qid, text = parts[0].strip(), parts[1]
+            if qid.split() != [qid]:
+                raise CorpusError(
+                    f"{path}: line {lineno}: query id {qid!r} is empty or contains whitespace"
+                )
             if qid in seen:
                 raise CorpusError(f"{path}: line {lineno}: duplicate query id {qid!r}")
             seen.add(qid)
@@ -61,17 +64,9 @@ def _split_names(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-def _reject_repeats(option: str, names: list[str]) -> None:
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"{option} repeats {', '.join(repeated)}")
-
-
 def _validate_run(args) -> None:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if args.index is None and (args.corpus is None or args.categories_file is None):
-        raise ValueError("provide either --index or both --corpus and --categories")
     for path in filter(None, [args.index, args.corpus, args.categories_file, args.queries]):
         if not Path(path).exists():
             raise ValueError(f"file not found: {path}")
@@ -89,10 +84,10 @@ def _validate_run(args) -> None:
         raise ValueError("at least one ranker or run file is required")
     if not args.expanders:
         raise ValueError("at least one expander is required ('none' for no expansion)")
-    _reject_repeats("--rankers", args.rankers)
-    _reject_repeats("--expanders", args.expanders)
-    _reject_repeats("--run-file", args.run_files)
-    _reject_repeats("--category-names", args.category_names or [])
+    reject_repeats("--rankers", args.rankers)
+    reject_repeats("--expanders", args.expanders)
+    reject_repeats("--run-file", args.run_files)
+    reject_repeats("--category-names", args.category_names or [])
     if not args.predictors:
         raise ValueError("at least one predictor is required")
 
@@ -100,6 +95,8 @@ def _validate_run(args) -> None:
 def _load_index(args) -> CollectionIndex:
     if getattr(args, "index", None):
         return CollectionIndex.load(args.index)
+    if args.corpus is None or args.categories_file is None:
+        raise ValueError("provide either --index or both --corpus and --categories")
     docs = load_corpus_jsonl(args.corpus)
     categories = load_categories_json(args.categories_file)
     return build_index(docs, categories)
@@ -141,7 +138,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _reject_repeats("--category-names", args.category_names or [])
+    reject_repeats("--category-names", args.category_names or [])
     index = _load_index(args)
     queries = load_queries_tsv(args.queries)
     config = PredictorConfig(floor_idf=args.floor_idf, query_idf=args.query_idf)
@@ -194,7 +191,6 @@ def cmd_run(args) -> int:
         args.k,
         alpha=args.alpha,
         comparisons=args.comparisons,
-        exposure_formula=args.exposure_formula,
         reference=args.reference,
     )
 
@@ -215,15 +211,10 @@ def cmd_run(args) -> int:
     return 2 if report.failures else 0
 
 
-def _parse_m_values(args) -> list[int]:
-    if args.m is not None:
-        return [int(v) for v in _split_names(args.m)]
-    lo, _, hi = args.m_range.partition(":")
-    return list(range(int(lo), int(hi) + 1))
-
-
 def cmd_analyze_exposure(args) -> int:
-    m_values = _parse_m_values(args)
+    m_values = [int(v) for v in _split_names(args.m)]
+    if not m_values:
+        raise ValueError("at least one m is required")
     for m in m_values:
         if not 0 <= m <= args.k:
             raise ValueError(f"m={m} outside 0..k={args.k}")
@@ -236,7 +227,6 @@ def cmd_analyze_exposure(args) -> int:
             budget=args.budget,
             samples=args.samples,
             seed=args.seed,
-            formula=args.exposure_formula,
         )
         for m in m_values
     ]
@@ -336,21 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-idf-floor", dest="floor_idf", action="store_false")
     p.add_argument("--query-idf", default="bm25", choices=QUERY_IDFS)
     p.add_argument("--cori-belief", type=float, default=0.4)
-    p.add_argument("--exposure-formula", default=DCG, choices=FORMULAS)
     p.add_argument("--reference", default="gep")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("analyze-exposure", help="achievable exposure and orderings data")
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--m", default=None, help="comma-separated group document counts")
-    p.add_argument("--m-range", default="0:5", help="inclusive range lo:hi")
+    p.add_argument("--m", default="0,1,2,3,4,5", help="comma-separated group document counts")
     p.add_argument("--mode", default="exact", choices=("exact", "sampled"))
     p.add_argument("--bins", type=int, default=200)
     p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exposure-formula", default=DCG, choices=FORMULAS)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_analyze_exposure)
 

@@ -283,6 +283,9 @@ def build_index(
     postings: dict[str, dict[str, int]] = {}
 
     for doc in docs:
+        # an id is one field of a whitespace-separated TREC run file line
+        if doc.doc_id.split() != [doc.doc_id]:
+            raise CorpusError(f"doc_id {doc.doc_id!r} is empty or contains whitespace")
         if doc.doc_id in doc_lengths:
             raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
         labels: dict[str, str] = {}

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .corpus import CollectionIndex
-from .exposure import DCG, ExposureDistribution, realized_exposure
+from .exposure import ExposureDistribution, realized_exposure
 from .expansion import ExpansionConfig, ExpansionResult, EXPANDERS
 from .predictors import PredictorFn, PredictorOutput
 from .retrieval import Query, Ranking, rank, read_run_file
@@ -30,9 +30,10 @@ def _values(dist) -> Sequence[float]:
 
 
 def _check_distribution(values: Sequence[float]) -> None:
-    if any(v < 0 for v in values):
+    # written so that NaN fails both checks
+    if not all(v >= 0.0 for v in values):
         raise ValueError("distribution values must be nonnegative")
-    if abs(sum(values) - 1.0) > 1e-9:
+    if not abs(sum(values) - 1.0) <= 1e-9:
         raise ValueError("distribution values must sum to 1")
 
 
@@ -168,6 +169,13 @@ def error_message(exc: BaseException) -> str:
     return str(exc)
 
 
+def reject_repeats(what: str, names: Sequence[str]) -> None:
+    """Raise ValueError naming every name that occurs more than once."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{what} repeats {', '.join(repeated)}")
+
+
 @dataclass(frozen=True)
 class Failure:
     ranker: str
@@ -218,7 +226,6 @@ def run_experiment(
     *,
     alpha: float = 0.01,
     comparisons: int | None = None,
-    exposure_formula: str = DCG,
     reference: str = "gep",
 ) -> PredictionReport:
     """Rank, measure realized exposure, score every predictor with JSD.
@@ -243,10 +250,14 @@ def run_experiment(
         if q.query_id in seen:
             raise ValueError(f"duplicate query id {q.query_id!r}")
         seen.add(q.query_id)
+    # rows, per_query and the summary are keyed by these names
+    expander_names = ["none" if e is None else e.name for e in expanders]
+    reject_repeats("the ranker list", [r.name for r in rankers])
+    reject_repeats("the expander list", expander_names)
     pipelines = [
-        (ranker, expander, expander.name if expander is not None else "none")
+        (ranker, expander, exp_name)
         for ranker in rankers
-        for expander in expanders
+        for expander, exp_name in zip(expanders, expander_names)
     ]
     if any(isinstance(r, RunFileRanker) and e is not None for r, e, _ in pipelines):
         raise ValueError(
@@ -262,8 +273,8 @@ def run_experiment(
 
     predictions_cache: dict[tuple[str, str, str], PredictorOutput] = {}
     # (ranker, query_id) -> first-pass ranking, shared by every expander of
-    # the ranker; keyed by the object, as two rankers may share a name. A
-    # first pass that raised is not kept, so each pipeline records it.
+    # the ranker. A first pass that raised is not kept, so each pipeline
+    # records it.
     first_passes: dict[tuple[object, str], Ranking] = {}
 
     for ranker, expander, exp_name in pipelines:
@@ -285,7 +296,7 @@ def run_experiment(
                 continue
             for category in category_names:
                 try:
-                    realized = realized_exposure(final, index, category, exposure_formula)
+                    realized = realized_exposure(final, index, category)
                 except Exception as exc:
                     failures.append(
                         Failure(ranker.name, exp_name, qid, "exposure", error_message(exc))

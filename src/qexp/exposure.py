@@ -2,8 +2,7 @@
 
 A document at rank position p receives exposure 1/log2(p+1), the DCG
 discount; a group's exposure is the sum over the positions its documents
-occupy. An alternative drop-off 1/(log2(p)+1) is available behind the
-``formula`` switch for sensitivity checks.
+occupy.
 """
 
 from __future__ import annotations
@@ -17,33 +16,24 @@ from typing import Mapping, Sequence
 from .corpus import CollectionIndex
 from .retrieval import Ranking
 
-DCG = "dcg"
-SHIFTED_LOG = "shifted-log"
-FORMULAS = (DCG, SHIFTED_LOG)
 
-
-def position_exposure(p: int, formula: str = DCG) -> float:
+def position_exposure(p: int) -> float:
     """Exposure weight of rank position p >= 1; strictly decreasing in p."""
     if p < 1:
         raise ValueError("rank positions start at 1")
-    if formula == DCG:
-        return 1.0 / math.log2(p + 1)
-    if formula == SHIFTED_LOG:
-        return 1.0 / (math.log2(p) + 1.0)
-    raise ValueError(f"unknown exposure formula {formula!r}")
+    return 1.0 / math.log2(p + 1)
 
 
 def group_exposure(
     ranking: Ranking,
     index: CollectionIndex,
     category: str,
-    formula: str = DCG,
 ) -> dict[str, float]:
     """Raw exposure accumulated by each of the category's groups."""
     cat = index.category(category)
     totals = {g: 0.0 for g in cat.groups}
     for pos, (doc_id, _) in enumerate(ranking.entries, start=1):
-        totals[index.doc_group(doc_id, category)] += position_exposure(pos, formula)
+        totals[index.doc_group(doc_id, category)] += position_exposure(pos)
     return totals
 
 
@@ -59,9 +49,10 @@ class ExposureDistribution:
     def __post_init__(self):
         if len(self.groups) != len(self.values):
             raise ValueError("one value per group required")
-        if any(v < 0 for v in self.values):
+        # written so that NaN fails both checks
+        if not all(v >= 0.0 for v in self.values):
             raise ValueError("exposure shares must be nonnegative")
-        if abs(sum(self.values) - 1.0) > 1e-9:
+        if not abs(sum(self.values) - 1.0) <= 1e-9:
             raise ValueError("exposure shares must sum to 1")
 
 
@@ -93,10 +84,9 @@ def realized_exposure(
     ranking: Ranking,
     index: CollectionIndex,
     category: str,
-    formula: str = DCG,
 ) -> ExposureDistribution:
     cat = index.category(category)
-    raw = group_exposure(ranking, index, category, formula)
+    raw = group_exposure(ranking, index, category)
     return normalize_exposure(category, cat.groups, raw)
 
 
@@ -145,7 +135,6 @@ def achievable_exposure(
     budget: int = DEFAULT_SUBSET_BUDGET,
     samples: int = 100_000,
     seed: int = 0,
-    formula: str = DCG,
 ) -> ExposureHistogram:
     if not 0 <= m <= k:
         raise ValueError("m must satisfy 0 <= m <= k")
@@ -156,7 +145,7 @@ def achievable_exposure(
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
-    weights = [position_exposure(p, formula) for p in range(1, k + 1)]
+    weights = [position_exposure(p) for p in range(1, k + 1)]
     n_subsets = math.comb(k, m)
     lo = sum(weights[k - m :])  # m lowest positions
     hi = sum(weights[:m])  # m highest positions

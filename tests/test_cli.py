@@ -55,6 +55,10 @@ class TestUsageErrors:
             ["no-such-command"],
             # nothing in a run is random, so it takes no seed
             ["run", "--index", "index.qx", "--queries", "q.tsv", "--seed", "7"],
+            # DCG is the only exposure model, and --m the only way to name m
+            ["run", "--index", "index.qx", "--queries", "q.tsv", "--exposure-formula", "dcg"],
+            ["analyze-exposure", "--exposure-formula", "dcg"],
+            ["analyze-exposure", "--m-range", "0:5"],
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):
@@ -66,6 +70,30 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: qexp")
+
+
+@pytest.mark.parametrize("command", ["rank", "expand", "predict", "run"])
+@pytest.mark.parametrize("source", [[], ["--corpus"], ["--categories"]])
+def test_missing_index_source_exits_1_before_loading(
+    workspace, capsys, monkeypatch, command, source
+):
+    files = {"--corpus": "corpus.jsonl", "--categories": "categories.json"}
+    source = [arg for flag in source for arg in (flag, str(workspace / files[flag]))]
+
+    def no_load(path):
+        raise AssertionError("a file was loaded")
+
+    monkeypatch.setattr(qexp.cli, "load_corpus_jsonl", no_load)
+    monkeypatch.setattr(qexp.cli, "load_queries_tsv", no_load)
+    out = workspace / "out"
+    argv = [command, *source, "--queries", str(workspace / "queries.tsv")]
+    argv += ["--out-dir", str(out)] if command == "run" else ["--out", str(out)]
+    if command == "expand":
+        argv += ["--method", "rm3"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: provide either --index or both --corpus and --categories\n"
+    assert not out.exists()
 
 
 class TestIndexCommand:
@@ -181,6 +209,42 @@ class TestRankAndExpand:
         assert code == 0
         for line in out.read_text().splitlines():
             assert len(line.split()) == 6
+
+    @pytest.mark.parametrize("line, qid", [("q 2\tt004", "q 2"), ("\tt004", ""), (" \tt004", "")])
+    def test_query_id_a_run_file_cannot_carry_exits_1(self, workspace, capsys, line, qid):
+        queries = workspace / "queries.tsv"
+        queries.write_text(f"q1\tt000\n{line}\n")
+        out = workspace / "run.trec"
+        code = main([
+            "rank", "--corpus", str(workspace / "corpus.jsonl"),
+            "--categories", str(workspace / "categories.json"),
+            "--queries", str(queries), "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {queries}: line 2: query id {qid!r} is empty or contains whitespace\n"
+        )
+        assert not out.exists()
+
+    def test_ranked_run_file_evaluates_like_its_ranker(self, workspace):
+        source = [
+            "--corpus", str(workspace / "corpus.jsonl"),
+            "--categories", str(workspace / "categories.json"),
+            "--queries", str(workspace / "queries.tsv"),
+        ]
+        run = workspace / "run.trec"
+        assert main(["rank", *source, "--model", "bm25", "--k", "5", "--out", str(run)]) == 0
+        jsds = []
+        for rankers in (["--rankers", "bm25"], ["--rankers", "", "--run-file", str(run)]):
+            out_dir = workspace / "out"
+            assert main(["run", *source, *rankers, "--k", "5", "--out-dir", str(out_dir)]) == 0
+            with open(out_dir / "jsd.csv") as fh:
+                jsds.append({
+                    (r["query_id"], r["category"], r["predictor"]): r["jsd"]
+                    for r in csv.DictReader(fh)
+                })
+        assert len(jsds[1]) == 3 * 6
+        assert jsds[1] == jsds[0]
 
     def test_expand_writes_jsonl(self, workspace):
         out = workspace / "expanded.jsonl"
@@ -574,6 +638,19 @@ class TestAnalyzeExposure:
         out_dir = workspace / "exp"
         assert main(["analyze-exposure", *argv, "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_default_m_is_0_to_5(self, workspace):
+        out_dir = workspace / "exp"
+        assert main(["analyze-exposure", "--k", "8", "--out-dir", str(out_dir)]) == 0
+        with open(out_dir / "histogram.csv") as fh:
+            assert sorted({int(r["m"]) for r in csv.DictReader(fh)}) == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("m", ["", " , "])
+    def test_empty_m_exits_1_without_output(self, workspace, capsys, m):
+        out_dir = workspace / "exp"
+        assert main(["analyze-exposure", "--k", "8", "--m", m, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "error: at least one m is required\n"
         assert not out_dir.exists()
 
     def test_budget_error_suggests_sampling(self, workspace, capsys):

@@ -94,6 +94,13 @@ class TestBuildIndex:
         with pytest.raises(CorpusError, match="d1"):
             build_index(docs, [Category("c", ("g",))])
 
+    @pytest.mark.parametrize("doc_id", ["d 1", "", " ", "d1\t", "\nd1"])
+    def test_doc_id_a_run_file_cannot_carry_rejected(self, doc_id):
+        docs = [Document("d0", "t000", {"c": "g"}), Document(doc_id, "t001", {"c": "g"})]
+        with pytest.raises(CorpusError) as exc_info:
+            build_index(docs, [Category("c", ("g",))])
+        assert str(exc_info.value) == f"doc_id {doc_id!r} is empty or contains whitespace"
+
     def test_missing_label(self):
         docs = [Document("d9", "t000", {})]
         with pytest.raises(CorpusError, match="d9"):

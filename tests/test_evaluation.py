@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 
@@ -61,6 +62,18 @@ class TestJSD:
     def test_invalid_distribution(self):
         with pytest.raises(ValueError):
             jsd([0.6, 0.6], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "p, e",
+        [
+            ([math.nan, 1.0], [0.5, 0.5]),
+            ([0.5, 0.5], [1.0, math.nan]),
+            ([math.nan, math.nan], [0.5, 0.5]),
+        ],
+    )
+    def test_nan_rejected(self, p, e):
+        with pytest.raises(ValueError):
+            jsd(p, e)
 
     def test_accepts_exposure_distributions(self):
         p = ExposureDistribution("c", ("a", "b"), (0.5, 0.5))
@@ -241,6 +254,32 @@ class TestRunExperiment:
             )
         assert ranked == []
 
+    @pytest.mark.parametrize(
+        "rankers, expanders, message",
+        [
+            (("bm25", "tfidf", "bm25"), ("none",), "the ranker list repeats bm25"),
+            (("bm25",), ("rm3", "none", "rm3"), "the expander list repeats rm3"),
+            (("bm25",), ("none", "none"), "the expander list repeats none"),
+        ],
+    )
+    def test_repeated_ranker_or_expander_name_rejected_before_ranking(
+        self, rankers, expanders, message
+    ):
+        ranked = []
+
+        class SpyRanker(ModelRanker):
+            def rank(self, index, query, k):
+                ranked.append(query.query_id)
+                return super().rank(index, query, k)
+
+        with pytest.raises(ValueError, match=message):
+            run_experiment(
+                _experiment_index(), _queries(), None, [SpyRanker(m) for m in rankers],
+                [None if e == "none" else QueryExpander(e) for e in expanders],
+                make_predictors(["gep"], k=10), k=10,
+            )
+        assert ranked == []
+
     def test_failed_query_recorded_and_skipped(self):
         idx = _experiment_index()
         queries = _queries() + [Query.from_terms([], query_id="qbad")]
@@ -262,8 +301,10 @@ class TestRunExperiment:
                 calls.append((self, query.query_id))
                 return super().rank(index, query, k)
 
-        # two rankers may share a name; each still ranks its own first pass
+        # two rankers may use one model; each still ranks its own first pass
         rankers = [SpyRanker(model) for model in models]
+        for i, ranker in enumerate(rankers):
+            ranker.name = f"{ranker.name}-{i}"
         queries = _queries()
         run_experiment(
             idx, queries, None, rankers, [None, QueryExpander("rm3"), QueryExpander("klq")],

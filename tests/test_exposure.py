@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
 from qexp.exposure import (
-    DCG,
-    SHIFTED_LOG,
     ExposureDistribution,
     achievable_exposure,
     group_exposure,
@@ -39,12 +37,6 @@ class TestPositionExposure:
     def test_invalid_position(self):
         with pytest.raises(ValueError):
             position_exposure(0)
-
-    def test_alternative_formula(self):
-        assert position_exposure(1, SHIFTED_LOG) == 1.0
-        assert position_exposure(5, SHIFTED_LOG) == pytest.approx(0.30103, abs=1e-4)
-        with pytest.raises(ValueError):
-            position_exposure(3, "nope")
 
 
 def _two_group_index():
@@ -152,6 +144,11 @@ class TestNormalizeExposure:
             ExposureDistribution("c", ("a", "b"), (0.7, 0.7))
         with pytest.raises(ValueError):
             ExposureDistribution("c", ("a",), (0.5, 0.5))
+
+    @pytest.mark.parametrize("values", [(math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)])
+    def test_nan_share_rejected(self, values):
+        with pytest.raises(ValueError):
+            ExposureDistribution("c", ("a", "b"), values)
 
 
 class TestAchievableExposure:
