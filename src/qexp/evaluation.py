@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .corpus import CollectionIndex
-from .exposure import ExposureDistribution, realized_exposure
+from .exposure import ExposureDistribution, check_distribution, realized_exposure
 from .expansion import ExpansionConfig, ExpansionResult, EXPANDERS
 from .predictors import PredictorFn, PredictorOutput
 from .retrieval import Query, Ranking, rank, read_run_file
@@ -29,21 +29,13 @@ def _values(dist) -> Sequence[float]:
     return dist.values if isinstance(dist, ExposureDistribution) else dist
 
 
-def _check_distribution(values: Sequence[float]) -> None:
-    # written so that NaN fails both checks
-    if not all(v >= 0.0 for v in values):
-        raise ValueError("distribution values must be nonnegative")
-    if not abs(sum(values) - 1.0) <= 1e-9:
-        raise ValueError("distribution values must sum to 1")
-
-
 def jsd(p, e) -> float:
     """Jensen-Shannon distance between two distributions of equal dimension."""
     pv, ev = _values(p), _values(e)
     if len(pv) != len(ev):
         raise ValueError("distributions must have the same dimension")
-    _check_distribution(pv)
-    _check_distribution(ev)
+    check_distribution(pv, "distribution values")
+    check_distribution(ev, "distribution values")
     acc = 0.0
     for pi, ei in zip(pv, ev):
         mi = 0.5 * (pi + ei)

@@ -37,6 +37,15 @@ def group_exposure(
     return totals
 
 
+def check_distribution(values: Sequence[float], what: str) -> None:
+    """Reject values that are not a probability distribution, NaN included."""
+    # written so that NaN fails both checks
+    if not all(v >= 0.0 for v in values):
+        raise ValueError(f"{what} must be nonnegative")
+    if not abs(sum(values) - 1.0) <= 1e-9:
+        raise ValueError(f"{what} must sum to 1")
+
+
 @dataclass(frozen=True)
 class ExposureDistribution:
     """Per-group exposure shares aligned to the category's group order."""
@@ -49,11 +58,7 @@ class ExposureDistribution:
     def __post_init__(self):
         if len(self.groups) != len(self.values):
             raise ValueError("one value per group required")
-        # written so that NaN fails both checks
-        if not all(v >= 0.0 for v in self.values):
-            raise ValueError("exposure shares must be nonnegative")
-        if not abs(sum(self.values) - 1.0) <= 1e-9:
-            raise ValueError("exposure shares must sum to 1")
+        check_distribution(self.values, "exposure shares")
 
 
 def normalize_exposure(

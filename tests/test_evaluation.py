@@ -20,7 +20,7 @@ from qexp.evaluation import (
 )
 from qexp.exposure import ExposureDistribution, realized_exposure
 from qexp.predictors import PREDICTORS, make_predictors
-from qexp.retrieval import Query, write_run_file
+from qexp.retrieval import Query, rank, write_run_file
 from qexp.stats import betainc, student_t_two_sided_p
 
 from conftest import random_labeled_corpus, stable_vocab
@@ -297,19 +297,22 @@ class TestRunExperiment:
         calls = []
 
         class SpyRanker(ModelRanker):
+            def __init__(self, model, name):
+                super().__init__(model)
+                self.model, self.name = model, name
+
             def rank(self, index, query, k):
                 calls.append((self, query.query_id))
-                return super().rank(index, query, k)
+                return rank(index, query, self.model, k)
 
         # two rankers may use one model; each still ranks its own first pass
-        rankers = [SpyRanker(model) for model in models]
-        for i, ranker in enumerate(rankers):
-            ranker.name = f"{ranker.name}-{i}"
+        rankers = [SpyRanker(model, f"{model}-{i}") for i, model in enumerate(models)]
         queries = _queries()
-        run_experiment(
+        report = run_experiment(
             idx, queries, None, rankers, [None, QueryExpander("rm3"), QueryExpander("klq")],
             make_predictors(["gep"], k=10), k=10,
         )
+        assert report.failures == []
         n = len(queries)
         # one first pass per (ranker, query), plus one re-rank per expander
         assert len(calls) == 2 * n + 4 * n
