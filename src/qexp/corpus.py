@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .text import tokenize
+from .text import stem_memo, tokenize
 
 INDEX_MAGIC = b"QEXPIDX"
 INDEX_FORMAT_VERSION = 1
@@ -69,9 +69,10 @@ class CollectionIndex:
     """Read-only term statistics over a labeled corpus.
 
     Built once by :func:`build_index`; treated as immutable afterwards.
-    A term's :class:`TermStats` is built on its first lookup and kept, so
-    it is safe to share across concurrent readers: at worst two of them
-    build the same term's stats twice, with equal results.
+    A term's :class:`TermStats` and the per-document forward index are
+    built on their first lookup and kept, each stored only once complete,
+    so it is safe to share across concurrent readers: at worst two of them
+    build the same thing twice, with equal results.
     """
 
     def __init__(self, categories, doc_ids, doc_lengths, doc_labels, postings):
@@ -81,10 +82,7 @@ class CollectionIndex:
         self._doc_labels: dict[str, dict[str, str]] = doc_labels
         self._postings: dict[str, dict[str, int]] = postings
         self._term_stats: dict[str, TermStats] = {}
-        self._doc_terms: dict[str, dict[str, int]] = {d: {} for d in self._doc_ids}
-        for term, plist in postings.items():
-            for doc_id, tf in plist.items():
-                self._doc_terms[doc_id][term] = tf
+        self._doc_terms: dict[str, dict[str, int]] | None = None  # see doc_terms
         self._total_tokens = sum(self._doc_lengths.values())
         # per (category, group): document count, token count
         self._group_docs = {(c.name, g): 0 for c in categories for g in c.groups}
@@ -133,8 +131,20 @@ class CollectionIndex:
             raise KeyError(f"unknown document {doc_id!r}") from None
 
     def doc_terms(self, doc_id: str) -> Mapping[str, int]:
+        """The document's term -> tf, terms in vocabulary order.
+
+        The forward index behind it is built from the postings on the
+        first call, since only expansion reads it.
+        """
+        doc_terms = self._doc_terms
+        if doc_terms is None:
+            doc_terms = {d: {} for d in self._doc_ids}
+            for term, plist in self._postings.items():
+                for d, tf in plist.items():
+                    doc_terms[d][term] = tf
+            self._doc_terms = doc_terms  # assigned once, complete
         try:
-            return self._doc_terms[doc_id]
+            return doc_terms[doc_id]
         except KeyError:
             raise KeyError(f"unknown document {doc_id!r}") from None
 
@@ -194,8 +204,10 @@ class CollectionIndex:
             ],
             "postings": self._postings,
         }
+        # level 6, not gzip's default 9: several times faster to write for a
+        # file a few percent larger; load reads every level
         blob = gzip.compress(
-            json.dumps(payload, sort_keys=True).encode("utf-8"), mtime=0
+            json.dumps(payload, sort_keys=True).encode("utf-8"), compresslevel=6, mtime=0
         )
         with open(path, "wb") as fh:
             fh.write(INDEX_MAGIC)
@@ -282,36 +294,37 @@ def build_index(
     doc_labels: dict[str, dict[str, str]] = {}
     postings: dict[str, dict[str, int]] = {}
 
-    for doc in docs:
-        # an id is one field of a whitespace-separated TREC run file line
-        if doc.doc_id.split() != [doc.doc_id]:
-            raise CorpusError(f"doc_id {doc.doc_id!r} is empty or contains whitespace")
-        if doc.doc_id in doc_lengths:
-            raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
-        labels: dict[str, str] = {}
-        for cat in categories:
-            group = doc.labels.get(cat.name)
-            if group is None:
-                group = _unknown_group(cat)
+    with stem_memo():  # one memo per build: each distinct word is stemmed once
+        for doc in docs:
+            # an id is one field of a whitespace-separated TREC run file line
+            if doc.doc_id.split() != [doc.doc_id]:
+                raise CorpusError(f"doc_id {doc.doc_id!r} is empty or contains whitespace")
+            if doc.doc_id in doc_lengths:
+                raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
+            labels: dict[str, str] = {}
+            for cat in categories:
+                group = doc.labels.get(cat.name)
                 if group is None:
+                    group = _unknown_group(cat)
+                    if group is None:
+                        raise CorpusError(
+                            f"doc {doc.doc_id!r} has no label for category {cat.name!r}"
+                        )
+                elif group not in cat.groups:
                     raise CorpusError(
-                        f"doc {doc.doc_id!r} has no label for category {cat.name!r}"
+                        f"doc {doc.doc_id!r}: unknown group {group!r} "
+                        f"for category {cat.name!r}"
                     )
-            elif group not in cat.groups:
-                raise CorpusError(
-                    f"doc {doc.doc_id!r}: unknown group {group!r} "
-                    f"for category {cat.name!r}"
-                )
-            labels[cat.name] = group
-        terms = tokenizer(doc.text)
-        doc_ids.append(doc.doc_id)
-        doc_lengths[doc.doc_id] = len(terms)
-        doc_labels[doc.doc_id] = labels
-        counts: dict[str, int] = {}
-        for t in terms:
-            counts[t] = counts.get(t, 0) + 1
-        for t, tf in counts.items():
-            postings.setdefault(t, {})[doc.doc_id] = tf
+                labels[cat.name] = group
+            terms = tokenizer(doc.text)
+            doc_ids.append(doc.doc_id)
+            doc_lengths[doc.doc_id] = len(terms)
+            doc_labels[doc.doc_id] = labels
+            counts: dict[str, int] = {}
+            for t in terms:
+                counts[t] = counts.get(t, 0) + 1
+            for t, tf in counts.items():
+                postings.setdefault(t, {})[doc.doc_id] = tf
 
     return CollectionIndex(list(categories), doc_ids, doc_lengths, doc_labels, postings)
 
@@ -342,14 +355,13 @@ def load_corpus_jsonl(path) -> list[Document]:
             if not isinstance(labels, dict):
                 raise CorpusError(f"{path}: line {lineno}: labels must be a JSON object")
             try:
-                doc = Document(
-                    doc_id=str(obj["doc_id"]),
-                    text=str(obj["text"]),
-                    labels={str(k): str(v) for k, v in labels.items()},
-                )
+                doc_id, text = obj["doc_id"], obj["text"]
             except KeyError as exc:
                 raise CorpusError(f"{path}: line {lineno}: missing field {exc}")
-            docs.append(doc)
+            for name, value in (("doc_id", doc_id), ("text", text)):
+                if not isinstance(value, str):
+                    raise CorpusError(f"{path}: line {lineno}: {name} must be a JSON string")
+            docs.append(Document(doc_id, text, {str(k): str(v) for k, v in labels.items()}))
     return docs
 
 

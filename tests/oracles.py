@@ -1,14 +1,20 @@
 """Independent straight-from-the-formula oracles used by the test suite.
 
 Everything here works on raw token lists and plain arithmetic so the
-implementations under test share no code with the oracles. The
+implementations under test share no code with the oracles; the tokenizer
+oracle alone reuses the Porter stemmer and the stopword list. The
 predictor oracle covers a single category described by a doc_id->group
 mapping. The ranking oracle scores every document on its own and keeps
 the implementation's arithmetic order, so its scores compare exactly.
 """
 
 import math
+import re
+import unicodedata
 from collections import Counter
+
+from qexp.porter import stem
+from qexp.text import STOPWORDS
 
 SMOOTH = 0.5
 CORI_B = 0.4
@@ -180,6 +186,18 @@ def oracle_distribution(raw, groups):
     if total == 0.0:
         return [1.0 / len(groups)] * len(groups)
     return [v / total for v in floored]
+
+
+# ----------------------------- tokenizer oracle -----------------------------
+
+def oracle_tokenize(text):
+    """The text pipeline one document at a time, stemming every token.
+
+    Shares the stemmer and the stopword list with the implementation (they
+    are not what it checks) but keeps no memo of any kind.
+    """
+    text = unicodedata.normalize("NFC", text).lower()
+    return [stem(tok) for tok in re.findall(r"[a-z0-9]+", text) if tok not in STOPWORDS]
 
 
 # ------------------------------ ranking oracle ------------------------------

@@ -133,6 +133,12 @@ class TestIndexCommand:
              "corpus.jsonl: line 11: labels must be a JSON object"),
             ('{"doc_id": "d10", "text": "t000", "labels": null}', None,
              "corpus.jsonl: line 11: labels must be a JSON object"),
+            *[
+                (json.dumps({"doc_id": "d10", "text": "t000", "labels": {}, field: value}), None,
+                 f"corpus.jsonl: line 11: {field} must be a JSON string")
+                for field in ("doc_id", "text")
+                for value in (None, 7, ["d10"])
+            ],
         ],
     )
     def test_malformed_input_exits_1_naming_the_file(
@@ -640,11 +646,17 @@ class TestAnalyzeExposure:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
-    def test_default_m_is_0_to_5(self, workspace):
+    def test_default_m_is_0_to_4(self, workspace):
         out_dir = workspace / "exp"
         assert main(["analyze-exposure", "--k", "8", "--out-dir", str(out_dir)]) == 0
         with open(out_dir / "histogram.csv") as fh:
-            assert sorted({int(r["m"]) for r in csv.DictReader(fh)}) == [0, 1, 2, 3, 4, 5]
+            assert sorted({int(r["m"]) for r in csv.DictReader(fh)}) == [0, 1, 2, 3, 4]
+
+    def test_defaults_fit_the_subset_budget(self):
+        # read from the parser: a bare run walks C(100, 4) subsets, too many for a test
+        args = qexp.cli.build_parser().parse_args(["analyze-exposure"])
+        assert args.mode == "exact"
+        assert max(math.comb(args.k, int(m)) for m in args.m.split(",")) <= args.budget
 
     @pytest.mark.parametrize("m", ["", " , "])
     def test_empty_m_exits_1_without_output(self, workspace, capsys, m):

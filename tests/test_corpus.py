@@ -1,10 +1,13 @@
 import gzip
 import json
 import random
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qexp.text
 from qexp.corpus import (
     Category,
     CollectionIndex,
@@ -17,8 +20,25 @@ from qexp.corpus import (
     load_categories_json,
     load_corpus_jsonl,
 )
+from qexp.text import stem_memo, tokenize
 
 from conftest import random_labeled_corpus
+from oracles import oracle_tokenize
+
+
+def index_contents(idx):
+    """Everything an index holds, each part in the index's own order."""
+    return (
+        [(c.name, c.groups) for c in idx.categories],
+        [
+            (d, idx.doc_length(d), [idx.doc_group(d, c.name) for c in idx.categories])
+            for d in idx.doc_ids
+        ],
+        [
+            (t, stats.df, stats.cf, list(stats.postings.items()))
+            for t, stats in ((t, idx.term_stats(t)) for t in idx.vocabulary)
+        ],
+    )
 
 
 class TestBuildIndex:
@@ -161,6 +181,101 @@ class TestInvariants:
             assert a.term_stats(term) == b.term_stats(term)
 
 
+# words the stemmer rewrites, stopwords, case and punctuation, repeated across docs
+_WORDS = ("running", "runs", "Runner", "connection", "connected,", "the", "and",
+          "ponies", "caresses", "relational", "happy", "t000", "GENERALIZATIONS.")
+_GEO = Category("geo", ("east", "west"))
+
+
+@pytest.fixture
+def stem_calls(monkeypatch):
+    """Counts the stemmer's calls per word."""
+    calls = Counter()
+    real = qexp.text.stem
+
+    def counted(word):
+        calls[word] += 1
+        return real(word)
+
+    monkeypatch.setattr(qexp.text, "stem", counted)
+    return calls
+
+
+class TestStemMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=6)), max_size=15),
+        min_size=1, max_size=8,
+    ))
+    def test_build_equals_per_document_tokenize(self, doc_words):
+        docs = [
+            Document(f"d{i}", " ".join(words), {"geo": _GEO.groups[i % 2]})
+            for i, words in enumerate(doc_words)
+        ]
+        memoized = build_index(docs, [_GEO])
+        assert index_contents(memoized) == index_contents(
+            build_index(docs, [_GEO], tokenizer=oracle_tokenize)
+        )
+
+    def test_each_distinct_word_stemmed_once_per_build(self, stem_calls):
+        docs = [Document(f"d{i}", "running runs running", {"geo": "east"}) for i in range(3)]
+        build_index(docs, [_GEO])
+        assert stem_calls == {"running": 1, "runs": 1}
+        build_index(docs, [_GEO])  # a new build starts from an empty memo
+        assert stem_calls == {"running": 2, "runs": 2}
+
+    @pytest.mark.parametrize(
+        "bad_doc",
+        [
+            None,
+            Document("d0", "runs", {"geo": "east"}),
+            Document("d1", "runs", {"geo": "north"}),
+        ],
+        ids=["returns", "duplicate-id", "unknown-group"],
+    )
+    def test_no_memo_outlives_its_build(self, stem_calls, bad_doc):
+        docs = [Document("d0", "running", {"geo": "east"})]
+        if bad_doc is None:
+            build_index(docs, [_GEO])
+        else:  # fails partway, after tokenizing the first document
+            with pytest.raises(CorpusError):
+                build_index([*docs, bad_doc, Document("d2", "running", {"geo": "west"})], [_GEO])
+        stem_calls.clear()
+        assert tokenize("running") == tokenize("running") == ["run"]
+        assert stem_calls == {"running": 2}
+
+    def test_memo_is_not_shared_with_another_thread(self, stem_calls):
+        with stem_memo():
+            tokenize("running")
+            worker = threading.Thread(target=lambda: [tokenize("running") for _ in range(2)])
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            tokenize("running")
+        assert stem_calls == {"running": 3}  # once in this block, twice in the thread
+
+
+class TestForwardIndex:
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_doc_terms_inverts_the_postings(self, tmp_path_factory, seed):
+        docs, cats = random_labeled_corpus(random.Random(seed), num_docs=15)
+        built = build_index(docs, cats)
+        path = tmp_path_factory.mktemp("fwd") / "index.qx"
+        built.save(path)
+        for idx in (built, CollectionIndex.load(path)):
+            with pytest.raises(KeyError, match="unknown document 'nope'"):
+                idx.doc_terms("nope")  # before the forward index exists
+            for d in idx.doc_ids:
+                expected = [
+                    (t, idx.term_stats(t).postings[d])
+                    for t in idx.vocabulary if d in idx.term_stats(t).postings
+                ]
+                assert list(idx.doc_terms(d).items()) == expected
+            with pytest.raises(KeyError, match="unknown document 'nope'"):
+                idx.doc_terms("nope")
+
+
 class TestPersistence:
     def test_round_trip(self, tiny_index, tmp_path):
         path = tmp_path / "index.qx"
@@ -232,6 +347,20 @@ class TestPersistence:
         )
         with pytest.raises(CorpusError, match=message):
             CollectionIndex.load(path)
+
+    def test_level_9_index_loads_equal_to_level_6(self, tmp_path):
+        docs, cats = random_labeled_corpus(random.Random(7), num_docs=30, num_categories=2)
+        idx = build_index(docs, cats)
+        new = tmp_path / "level6.qx"
+        idx.save(new)
+        header = INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION])
+        data = new.read_bytes()
+        payload = gzip.decompress(data[len(header):])
+        assert data == header + gzip.compress(payload, compresslevel=6, mtime=0)
+        old = tmp_path / "level9.qx"  # gzip's default level, how earlier indexes were written
+        old.write_bytes(header + gzip.compress(payload, compresslevel=9, mtime=0))
+        assert old.read_bytes() != data
+        assert index_contents(CollectionIndex.load(old)) == index_contents(CollectionIndex.load(new))
 
     def test_save_is_deterministic(self, tiny_index, tmp_path):
         p1, p2 = tmp_path / "a.qx", tmp_path / "b.qx"
