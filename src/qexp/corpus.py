@@ -131,16 +131,19 @@ class CollectionIndex:
             raise KeyError(f"unknown document {doc_id!r}") from None
 
     def doc_terms(self, doc_id: str) -> Mapping[str, int]:
-        """The document's term -> tf, terms in vocabulary order.
+        """The document's term -> tf, terms in sorted order.
 
         The forward index behind it is built from the postings on the
-        first call, since only expansion reads it.
+        first call, since only expansion reads it. Its terms are sorted
+        rather than in vocabulary order, which follows the build order, so
+        RM3's float sums over them, and so the final ranking's near-ties,
+        do not depend on the order the documents were indexed in.
         """
         doc_terms = self._doc_terms
         if doc_terms is None:
             doc_terms = {d: {} for d in self._doc_ids}
-            for term, plist in self._postings.items():
-                for d, tf in plist.items():
+            for term in sorted(self._postings):
+                for d, tf in self._postings[term].items():
                     doc_terms[d][term] = tf
             self._doc_terms = doc_terms  # assigned once, complete
         try:

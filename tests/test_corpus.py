@@ -269,7 +269,7 @@ class TestForwardIndex:
             for d in idx.doc_ids:
                 expected = [
                     (t, idx.term_stats(t).postings[d])
-                    for t in idx.vocabulary if d in idx.term_stats(t).postings
+                    for t in sorted(idx.vocabulary) if d in idx.term_stats(t).postings
                 ]
                 assert list(idx.doc_terms(d).items()) == expected
             with pytest.raises(KeyError, match="unknown document 'nope'"):

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
 from qexp.evaluation import (
@@ -420,6 +420,7 @@ class TestRunExperiment:
 class TestRunExperimentProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
+    @example(13)  # an RM3 rounding difference once flipped a tie in the final ranking
     def test_shuffled_documents_and_queries_give_the_same_results(self, seed):
         rng = random.Random(seed)
         docs, cats = random_labeled_corpus(rng, num_docs=16, num_categories=2)
@@ -448,8 +449,7 @@ class TestRunExperimentProperties:
         shuffled_docs, shuffled_queries = docs[:], queries[:]
         rng.shuffle(shuffled_docs)
         rng.shuffle(shuffled_queries)
-        # RM3 sums its relevance model in term insertion order, which follows
-        # the build order, so values agree to rounding rather than bit for bit
+        # compared to rounding: the build order sets the order of float sums
         for before, after in zip(results(docs, queries),
                                  results(shuffled_docs, shuffled_queries)):
             assert after.keys() == before.keys()
