@@ -34,7 +34,6 @@ from .exposure import (
     realized_exposure,
 )
 from .predictors import (
-    PredictorConfig,
     PredictorOutput,
     make_predictors,
     predict,

@@ -28,7 +28,7 @@ from .evaluation import (
 )
 from .expansion import EXPANDERS, ExpansionConfig, write_queries_jsonl
 from .exposure import DEFAULT_SUBSET_BUDGET, achievable_exposure, log_orderings, orderings
-from .predictors import PREDICTORS, QUERY_IDFS, PredictorConfig, make_predictors
+from .predictors import CORI_BELIEF, PREDICTORS, make_predictors
 from .retrieval import RANKERS, Query, rank, write_run_file
 
 
@@ -92,6 +92,22 @@ def _validate_run(args) -> None:
         raise ValueError("at least one predictor is required")
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
+def _per_query(queries: list[Query], fn) -> list:
+    """``fn(query)`` for every query; a ValueError is raised again naming its query."""
+    out = []
+    for query in queries:
+        try:
+            out.append(fn(query))
+        except ValueError as exc:
+            raise ValueError(f"query {query.query_id!r}: {error_message(exc)}") from exc
+    return out
+
+
 def _load_index(args) -> CollectionIndex:
     if getattr(args, "index", None):
         return CollectionIndex.load(args.index)
@@ -115,23 +131,27 @@ def cmd_index(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    _check_k(args.k)
     index = _load_index(args)
     queries = load_queries_tsv(args.queries)
-    rankings = [rank(index, q, args.model, args.k) for q in queries]
+    rankings = _per_query(queries, lambda q: rank(index, q, args.model, args.k))
     write_run_file(args.out, rankings, tag=args.tag or args.model)
     print(f"wrote {sum(len(r.entries) for r in rankings)} lines to {args.out}")
     return 0
 
 
 def cmd_expand(args) -> int:
-    index = _load_index(args)
-    queries = load_queries_tsv(args.queries)
+    _check_k(args.k)
     config = ExpansionConfig(args.fb_docs, args.fb_terms, args.rm3_lambda)
     expander = QueryExpander(args.method, config)
-    results = []
-    for query in queries:
+    index = _load_index(args)
+    queries = load_queries_tsv(args.queries)
+
+    def expand(query):
         first = rank(index, query, args.model, args.k)
-        results.append((query.query_id, expander.expand(index, query, first)))
+        return query.query_id, expander.expand(index, query, first)
+
+    results = _per_query(queries, expand)
     write_queries_jsonl(args.out, results)
     print(f"expanded {len(results)} queries with {args.method} into {args.out}")
     return 0
@@ -139,23 +159,23 @@ def cmd_expand(args) -> int:
 
 def cmd_predict(args) -> int:
     reject_repeats("--category-names", args.category_names or [])
+    predictors = make_predictors(args.predictors, args.k)
     index = _load_index(args)
     queries = load_queries_tsv(args.queries)
-    config = PredictorConfig(floor_idf=args.floor_idf, query_idf=args.query_idf)
-    predictors = make_predictors(args.predictors, args.k, config)
     if args.category_names:
         categories = [index.category(name).name for name in args.category_names]
     else:
         categories = [c.name for c in index.categories]
-    lines = []
-    for query in queries:
-        for category in categories:
-            for predictor in predictors.values():
-                try:
-                    out = predictor(index, query, category)
-                except ValueError as exc:
-                    raise ValueError(f"query {query.query_id!r}: {error_message(exc)}") from exc
-                lines.append(json.dumps(out.to_dict(query.query_id), sort_keys=True) + "\n")
+
+    def query_lines(query):
+        return [
+            json.dumps(predictor(index, query, category).to_dict(query.query_id), sort_keys=True)
+            + "\n"
+            for category in categories
+            for predictor in predictors.values()
+        ]
+
+    lines = [line for per_query in _per_query(queries, query_lines) for line in per_query]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     print(f"wrote {len(lines)} predictions to {args.out}")
@@ -164,12 +184,7 @@ def cmd_predict(args) -> int:
 
 def cmd_run(args) -> int:
     _validate_run(args)
-    predictor_config = PredictorConfig(
-        floor_idf=args.floor_idf,
-        query_idf=args.query_idf,
-        cori_belief=args.cori_belief,
-    )
-    predictors = make_predictors(args.predictors, args.k, predictor_config)
+    predictors = make_predictors(args.predictors, args.k, args.cori_belief)
     expansion = ExpansionConfig(args.fb_docs, args.fb_terms, args.rm3_lambda)
     expanders = [
         None if name == "none" else QueryExpander(name, expansion)
@@ -265,6 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", help="JSONL corpus (doc_id, text, labels)")
         p.add_argument("--categories", dest="categories_file", help="JSON category definitions")
 
+    def add_expansion_options(p):
+        p.add_argument("--fb-docs", type=int, default=ExpansionConfig.fb_docs)
+        p.add_argument("--fb-terms", type=int, default=ExpansionConfig.fb_terms)
+        p.add_argument("--rm3-lambda", type=float, default=ExpansionConfig.rm3_lambda)
+
     p = sub.add_parser("index", help="build and persist a collection index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--categories", dest="categories_file", required=True)
@@ -286,9 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=tuple(EXPANDERS))
     p.add_argument("--model", default="bm25", choices=sorted(RANKERS))
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--fb-docs", type=int, default=3)
-    p.add_argument("--fb-terms", type=int, default=10)
-    p.add_argument("--rm3-lambda", type=float, default=0.5)
+    add_expansion_options(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_expand)
 
@@ -299,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category-names", type=_split_names, default=None,
                    help="comma-separated; default all")
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--no-idf-floor", dest="floor_idf", action="store_false")
-    p.add_argument("--query-idf", default="bm25", choices=QUERY_IDFS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -320,12 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--comparisons", type=int, default=None,
                    help="Bonferroni m; default = number of baselines compared")
-    p.add_argument("--fb-docs", type=int, default=3)
-    p.add_argument("--fb-terms", type=int, default=10)
-    p.add_argument("--rm3-lambda", type=float, default=0.5)
-    p.add_argument("--no-idf-floor", dest="floor_idf", action="store_false")
-    p.add_argument("--query-idf", default="bm25", choices=QUERY_IDFS)
-    p.add_argument("--cori-belief", type=float, default=0.4)
+    add_expansion_options(p)
+    p.add_argument("--cori-belief", type=float, default=CORI_BELIEF)
     p.add_argument("--reference", default="gep")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_run)

@@ -361,10 +361,12 @@ def load_corpus_jsonl(path) -> list[Document]:
                 doc_id, text = obj["doc_id"], obj["text"]
             except KeyError as exc:
                 raise CorpusError(f"{path}: line {lineno}: missing field {exc}")
-            for name, value in (("doc_id", doc_id), ("text", text)):
+            fields = [("doc_id", doc_id), ("text", text)]
+            fields += [(f"label {category!r}", group) for category, group in labels.items()]
+            for name, value in fields:
                 if not isinstance(value, str):
                     raise CorpusError(f"{path}: line {lineno}: {name} must be a JSON string")
-            docs.append(Document(doc_id, text, {str(k): str(v) for k, v in labels.items()}))
+            docs.append(Document(doc_id, text, dict(labels)))
     return docs
 
 
@@ -382,13 +384,15 @@ def load_categories_json(path) -> list[Category]:
         if not isinstance(obj, dict):
             raise CorpusError(f"{path}: expected a category object, got {obj!r}")
         try:
-            name, groups = str(obj["name"]), obj["groups"]
+            name, groups = obj["name"], obj["groups"]
         except KeyError as exc:
             raise CorpusError(f"{path}: category definition missing field {exc}")
-        if not isinstance(groups, list):
-            raise CorpusError(f"{path}: category {name!r}: groups must be a JSON list")
+        if not isinstance(name, str):
+            raise CorpusError(f"{path}: category name {name!r} is not a JSON string")
+        if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
+            raise CorpusError(f"{path}: category {name!r}: groups must be a JSON list of strings")
         try:
-            cats.append(Category(name, tuple(str(g) for g in groups)))
+            cats.append(Category(name, tuple(groups)))
         except ValueError as exc:  # no groups, or a repeated group name
             raise CorpusError(f"{path}: {exc}") from None
     return cats

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping
 
 from .corpus import Category, CollectionIndex
 from .exposure import ExposureDistribution, normalize_exposure
-from .retrieval import Query
+from .retrieval import Query, bm25_idf
 
 #: replaces zero df/cf counts inside baseline logarithms
 SMOOTH = 0.5
@@ -27,23 +27,8 @@ SMOOTH = 0.5
 #: CORI's T = df_g / (df_g + CORI_DF_BASE + CORI_DF_SCALE * cw_g / mean_cw)
 CORI_DF_BASE = 50.0
 CORI_DF_SCALE = 150.0
-
-#: collection idf variants of GEP's query vector, as f(N, df)
-_QUERY_IDF: dict[str, Callable[[int, int], float]] = {
-    "bm25": lambda n, df: math.log2((n - df + SMOOTH) / (df + SMOOTH)),
-    "classic": lambda n, df: math.log2(n / df),
-}
-QUERY_IDFS = tuple(_QUERY_IDF)
-
-
-@dataclass(frozen=True)
-class PredictorConfig:
-    floor_idf: bool = True        # clamp negative idf values at zero
-    query_idf: str = "bm25"       # one of QUERY_IDFS: collection idf of GEP's query vector
-    cori_belief: float = 0.4      # default belief (the b parameter)
-
-
-DEFAULT_CONFIG = PredictorConfig()
+#: CORI's default belief b, in [0, 1]
+CORI_BELIEF = 0.4
 
 
 @dataclass(frozen=True)
@@ -116,57 +101,37 @@ def _finish(name: str, category: Category, raw: Mapping[str, float]) -> Predicto
 
 # --------------------------------- GEP -------------------------------------
 
-def gep_group_term_score(
-    stats: QueryGroupStats,
-    term: str,
-    group: str,
-    k: int,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> float:
+def gep_group_term_score(stats: QueryGroupStats, term: str, group: str, k: int) -> float:
     """Mean of the k largest tf-idf scores of the group's documents.
 
-    The group idf is log2((|d_g| - df_g + 0.5) / (df_g + 0.5)), floored
-    by default. Terms appearing in fewer than k group documents are
-    padded with zeros, so a single high-scoring document cannot
-    dominate: one document can occupy only one ranking position.
+    The group idf is `bm25_idf` over the group's documents. Terms
+    appearing in fewer than k group documents are padded with zeros, so
+    a single high-scoring document cannot dominate: one document can
+    occupy only one ranking position.
     """
     plist = stats.postings[term][group]
     if not plist:
         return 0.0
-    df_g = len(plist)
-    idf = math.log2((stats.n_g[group] - df_g + SMOOTH) / (df_g + SMOOTH))
-    if config.floor_idf:
-        idf = max(0.0, idf)
+    idf = bm25_idf(stats.n_g[group], len(plist))
     scores = sorted((tf * idf for tf in plist.values()), reverse=True)
     return sum(scores[:k]) / k
 
 
-def gep_query_vector(
-    stats: QueryGroupStats,
-    config: PredictorConfig = DEFAULT_CONFIG,
-) -> dict[str, float]:
-    """qtf * collection idf per distinct query term; unindexed terms get 0."""
-    idf_of = _QUERY_IDF[config.query_idf]
-    out: dict[str, float] = {}
-    for term, qtf in stats.qtf.items():
-        df = stats.df[term]
-        if df == 0:
-            out[term] = 0.0
-            continue
-        idf = idf_of(stats.num_docs, df)
-        if config.floor_idf:
-            idf = max(0.0, idf)
-        out[term] = qtf * idf
-    return out
+def gep_query_vector(stats: QueryGroupStats) -> dict[str, float]:
+    """qtf * collection `bm25_idf` per distinct query term; unindexed terms get 0."""
+    return {
+        term: qtf * bm25_idf(stats.num_docs, stats.df[term]) if stats.df[term] else 0.0
+        for term, qtf in stats.qtf.items()
+    }
 
 
-def _gep(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
+def _gep(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """Dot product of each group's top-k tf-idf vector with the query vector."""
-    qvec = gep_query_vector(stats, config)
+    qvec = gep_query_vector(stats)
     raw = {}
     for group in stats.category.groups:
         raw[group] = sum(
-            gep_group_term_score(stats, term, group, k, config) * qw
+            gep_group_term_score(stats, term, group, k) * qw
             for term, qw in qvec.items()
             if qw != 0.0
         )
@@ -202,17 +167,17 @@ def _cf(plist: Mapping[str, int]) -> int:
     return sum(plist.values())
 
 
-def _avidf(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
+def _avidf(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """Mean log2(N_g / df_g) over query terms: average term specificity."""
     return _mean_log_ratio(stats, stats.n_g, len)
 
 
-def _avictf(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
+def _avictf(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """Mean log2(tokens_g / cf_g) over query terms."""
     return _mean_log_ratio(stats, stats.tokens_g, _cf)
 
 
-def _scs(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
+def _scs(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """KL of the query language model from each group's language model."""
     total = sum(stats.qtf.values())
     raw = {}
@@ -232,7 +197,7 @@ def _scs(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, f
     return raw
 
 
-def _avpmi(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
+def _avpmi(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """Mean pointwise mutual information over unordered query-term pairs.
 
     Probabilities are smoothed document-occurrence fractions within the
@@ -260,7 +225,7 @@ def _avpmi(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str,
     return raw
 
 
-def _cori(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
+def _cori(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """Mean CORI belief per group, treating each group as a collection.
 
     belief(t|g) = b + (1-b) * T * I with
@@ -273,7 +238,7 @@ def _cori(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, 
     mean_cw = sum(stats.tokens_g.values()) / n_groups
     gf = {term: sum(1 for docs in split.values() if docs) for term, split in stats.postings.items()}
 
-    b = config.cori_belief
+    b = cori_belief
     raw = {}
     for group, tokens_g in stats.tokens_g.items():
         acc = 0.0
@@ -293,7 +258,7 @@ def _cori(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, 
     return raw
 
 
-def _uniform(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[str, float]:
+def _uniform(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """Query-independent uniform prediction; a floor for real predictors."""
     return dict.fromkeys(stats.category.groups, 1.0)
 
@@ -301,7 +266,7 @@ def _uniform(stats: QueryGroupStats, k: int, config: PredictorConfig) -> dict[st
 # ------------------------------- registry ----------------------------------
 
 #: every predictor's raw group scores, by name; the only list of predictor names
-_FORMULAS: dict[str, Callable[[QueryGroupStats, int, PredictorConfig], dict[str, float]]] = {
+_FORMULAS: dict[str, Callable[[QueryGroupStats, int, float], dict[str, float]]] = {
     "gep": _gep,
     "scs": _scs,
     "avidf": _avidf,
@@ -316,14 +281,12 @@ BASELINES = PREDICTORS[1:-1]  # the adapted QPP baselines: all but GEP and unifo
 PredictorFn = Callable[[CollectionIndex, Query, str], PredictorOutput]
 
 
-def _check(name: str, k: int, config: PredictorConfig) -> None:
+def _check(name: str, k: int, cori_belief: float) -> None:
     if name not in _FORMULAS:
         raise ValueError(f"unknown predictor {name!r} (choose from {PREDICTORS})")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if config.query_idf not in QUERY_IDFS:
-        raise ValueError(f"unknown query idf variant {config.query_idf!r}")
-    if not 0.0 <= config.cori_belief <= 1.0:
+    if not 0.0 <= cori_belief <= 1.0:
         raise ValueError("cori belief must lie in [0, 1]")
 
 
@@ -333,28 +296,29 @@ def predict(
     query: Query,
     category: str,
     k: int = 100,
-    config: PredictorConfig = DEFAULT_CONFIG,
+    cori_belief: float = CORI_BELIEF,
 ) -> PredictorOutput:
     """The named predictor's exposure distribution over the category's groups.
 
-    ``k`` is GEP's ranking depth; the baselines ignore it, but it must be >= 1.
+    ``k`` is GEP's ranking depth and ``cori_belief`` CORI's b; every
+    predictor ignores what it does not use, but both are checked.
     """
-    _check(name, k, config)
+    _check(name, k, cori_belief)
     stats = query_group_stats(index, query, category)
-    return _finish(name, stats.category, _FORMULAS[name](stats, k, config))
+    return _finish(name, stats.category, _FORMULAS[name](stats, k, cori_belief))
 
 
 def make_predictors(
     names: Iterable[str],
     k: int = 100,
-    config: PredictorConfig = DEFAULT_CONFIG,
+    cori_belief: float = CORI_BELIEF,
 ) -> dict[str, PredictorFn]:
     """Bind predictor names to (index, query, category) callables that call `predict`.
 
-    Every name, ``k`` and ``config`` is checked here, before any call.
+    Every name, ``k`` and ``cori_belief`` is checked here, before any call.
     """
     bound = {}
     for name in names:
-        _check(name, k, config)
-        bound[name] = partial(predict, name, k=k, config=config)
+        _check(name, k, cori_belief)
+        bound[name] = partial(predict, name, k=k, cori_belief=cori_belief)
     return bound

@@ -76,13 +76,17 @@ BM25_B = 0.75
 RANKERS = ("bm25", "tfidf")
 
 
+def bm25_idf(n: int, df: int) -> float:
+    """Robertson idf of a term in ``df`` of ``n`` documents, floored at zero."""
+    return max(0.0, math.log2((n - df + 0.5) / (df + 0.5)))
+
+
 def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100) -> Ranking:
     """Top-k documents by score; zero-score documents are excluded.
 
     Scores accumulate term at a time: each weighted query term occurrence
-    adds its contribution to every document in its postings. BM25 uses the
-    Robertson idf log2((N-df+0.5)/(df+0.5)), TF-IDF uses log2(N/df), both
-    floored at zero.
+    adds its contribution to every document in its postings. BM25 uses
+    `bm25_idf`, TF-IDF uses log2(N/df), both floored at zero.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -101,7 +105,7 @@ def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100
         if stats.df == 0:
             continue
         if bm25:
-            idf = max(0.0, math.log2((n - stats.df + 0.5) / (stats.df + 0.5)))
+            idf = bm25_idf(n, stats.df)
         else:
             idf = max(0.0, math.log2(n / stats.df))
         for doc_id, tf in stats.postings.items():

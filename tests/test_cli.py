@@ -59,6 +59,12 @@ class TestUsageErrors:
             ["run", "--index", "index.qx", "--queries", "q.tsv", "--exposure-formula", "dcg"],
             ["analyze-exposure", "--exposure-formula", "dcg"],
             ["analyze-exposure", "--m-range", "0:5"],
+            # GEP's idf is the floored Robertson idf, with no switch
+            *[
+                [command, "--index", "index.qx", "--queries", "q.tsv", "--out", "o", *flag]
+                for command in ("run", "predict")
+                for flag in (["--no-idf-floor"], ["--query-idf", "classic"])
+            ],
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):
@@ -133,6 +139,14 @@ class TestIndexCommand:
              "corpus.jsonl: line 11: labels must be a JSON object"),
             ('{"doc_id": "d10", "text": "t000", "labels": null}', None,
              "corpus.jsonl: line 11: labels must be a JSON object"),
+            ('{"doc_id": "d10", "text": "t000", "labels": {"c": null}}', None,
+             "corpus.jsonl: line 11: label 'c' must be a JSON string"),
+            ('{"doc_id": "d10", "text": "t000", "labels": {"c": 7}}', None,
+             "corpus.jsonl: line 11: label 'c' must be a JSON string"),
+            (None, '{"name": null, "groups": ["A", "B"]}',
+             "categories.json: category name None is not a JSON string"),
+            (None, '{"name": "c", "groups": [1, null]}',
+             "categories.json: category 'c': groups must be a JSON list of strings"),
             *[
                 (json.dumps({"doc_id": "d10", "text": "t000", "labels": {}, field: value}), None,
                  f"corpus.jsonl: line 11: {field} must be a JSON string")
@@ -251,6 +265,47 @@ class TestRankAndExpand:
                 })
         assert len(jsds[1]) == 3 * 6
         assert jsds[1] == jsds[0]
+
+    @pytest.mark.parametrize("command", ["rank", "expand"])
+    def test_failing_query_is_named_and_nothing_written(self, workspace, capsys, command):
+        queries = workspace / "queries.tsv"
+        queries.write_text("q1\tt000 t001\nq2\tthe of and\n")
+        out = workspace / "out"
+        argv = [
+            command, "--corpus", str(workspace / "corpus.jsonl"),
+            "--categories", str(workspace / "categories.json"),
+            "--queries", str(queries), "--out", str(out),
+        ]
+        if command == "expand":
+            argv += ["--method", "rm3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: query 'q2': cannot rank an empty query\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("rank", ("--k", "0"), "k must be >= 1"),
+            ("expand", ("--k", "0"), "k must be >= 1"),
+            ("expand", ("--fb-docs", "0"), "fb_docs must be >= 1"),
+            ("expand", ("--fb-terms", "0"), "fb_terms must be >= 1"),
+            ("expand", ("--rm3-lambda", "1.5"), "rm3_lambda must lie in [0, 1]"),
+        ],
+    )
+    def test_bad_option_exits_1_before_loading(
+        self, workspace, capsys, monkeypatch, command, extra, message
+    ):
+        def no_load(args):
+            raise AssertionError("the index was loaded")
+
+        monkeypatch.setattr(qexp.cli, "_load_index", no_load)
+        out = workspace / "out"
+        argv = [command, "--index", "index.qx", "--queries", "q.tsv", "--out", str(out), *extra]
+        if command == "expand":
+            argv += ["--method", "rm3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_expand_writes_jsonl(self, workspace):
         out = workspace / "expanded.jsonl"

@@ -9,7 +9,6 @@ from qexp.exposure import normalize_exposure
 from qexp.predictors import (
     BASELINES,
     PREDICTORS,
-    PredictorConfig,
     gep_group_term_score,
     gep_query_vector,
     make_predictors,
@@ -35,8 +34,8 @@ def _term_score(index, term, category, group, k):
     return gep_group_term_score(stats, term, group, k)
 
 
-def _query_vector(index, query, category, config=PredictorConfig()):
-    return gep_query_vector(query_group_stats(index, query, category), config)
+def _query_vector(index, query, category):
+    return gep_query_vector(query_group_stats(index, query, category))
 
 
 class TestGepTermScore:
@@ -102,11 +101,6 @@ class TestGepQueryVector:
         one = _query_vector(tiny_index, Query.from_terms(["t003"]), "geo")["t003"]
         two = _query_vector(tiny_index, Query.from_terms(["t003", "t003"]), "geo")["t003"]
         assert two == pytest.approx(2 * one)
-
-    def test_classic_variant(self, tiny_index):
-        config = PredictorConfig(query_idf="classic")
-        vec = _query_vector(tiny_index, Query.from_terms(["t003"]), "geo", config)
-        assert vec["t003"] == pytest.approx(math.log2(4 / 1))
 
 
 class TestPredictGep:
@@ -255,20 +249,21 @@ class TestPredictProperties:
             assert bound(idx, query, cat.name) == out
 
     @pytest.mark.parametrize(
-        "name, k, config, message",
+        "name, k, cori_belief, message",
         [
-            ("gepp", 10, PredictorConfig(), "unknown predictor 'gepp'"),
-            ("avidf", 0, PredictorConfig(), "k must be >= 1"),
-            ("gep", 10, PredictorConfig(query_idf="okapi"), "unknown query idf variant 'okapi'"),
-            ("cori", 10, PredictorConfig(cori_belief=1.5), r"cori belief must lie in \[0, 1\]"),
-            ("gep", 10, PredictorConfig(cori_belief=-0.1), r"cori belief must lie in \[0, 1\]"),
+            ("gepp", 10, 0.4, "unknown predictor 'gepp'"),
+            ("avidf", 0, 0.4, "k must be >= 1"),
+            ("cori", 10, 1.5, r"cori belief must lie in \[0, 1\]"),
+            ("gep", 10, -0.1, r"cori belief must lie in \[0, 1\]"),
         ],
     )
-    def test_bad_arguments_rejected_when_bound_and_called(self, tiny_index, name, k, config, message):
+    def test_bad_arguments_rejected_when_bound_and_called(
+        self, tiny_index, name, k, cori_belief, message
+    ):
         with pytest.raises(ValueError, match=message):
-            make_predictors([name], k, config)
+            make_predictors([name], k, cori_belief)
         with pytest.raises(ValueError, match=message):
-            predict(name, tiny_index, Query.from_terms(["t000"]), "geo", k, config)
+            predict(name, tiny_index, Query.from_terms(["t000"]), "geo", k, cori_belief)
 
 
 class TestNormalizationProperties:
