@@ -27,7 +27,9 @@ from .evaluation import (
     ModelRanker, QueryExpander, RunFileRanker, error_message, reject_repeats, run_experiment,
 )
 from .expansion import EXPANDERS, ExpansionConfig, write_queries_jsonl
-from .exposure import DEFAULT_SUBSET_BUDGET, achievable_exposure, log_orderings, orderings
+from .exposure import (
+    DEFAULT_SUBSET_BUDGET, achievable_exposure, check_achievable_args, log_orderings, orderings,
+)
 from .predictors import CORI_BELIEF, PREDICTORS, make_predictors
 from .retrieval import RANKERS, Query, rank, write_run_file
 
@@ -230,9 +232,11 @@ def cmd_analyze_exposure(args) -> int:
     m_values = [int(v) for v in _split_names(args.m)]
     if not m_values:
         raise ValueError("at least one m is required")
+    # every m is checked before the first histogram is computed
     for m in m_values:
-        if not 0 <= m <= args.k:
-            raise ValueError(f"m={m} outside 0..k={args.k}")
+        check_achievable_args(
+            args.k, m, args.mode, bins=args.bins, budget=args.budget, samples=args.samples
+        )
     histograms = [
         achievable_exposure(
             args.k,

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Mapping, Sequence
+from functools import reduce
+from itertools import accumulate
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import CollectionIndex
 from .retrieval import Ranking
@@ -131,6 +134,26 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 MAX_DISTINCT_VALUES = 10_000
 
 
+def check_achievable_args(
+    k: int, m: int, mode: str, *, bins: int, budget: int, samples: int
+) -> None:
+    """Reject what achievable_exposure would reject, before any subset is walked."""
+    if not 0 <= m <= k:
+        raise ValueError(f"m={m} outside 0..k={k}")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    n_subsets = math.comb(k, m)
+    if mode == "exact" and n_subsets > budget:
+        raise ValueError(
+            f"exact mode needs C({k},{m})={n_subsets} subset evaluations, "
+            f"over the budget of {budget}; use sampled mode"
+        )
+
+
 def achievable_exposure(
     k: int,
     m: int,
@@ -141,44 +164,78 @@ def achievable_exposure(
     samples: int = 100_000,
     seed: int = 0,
 ) -> ExposureHistogram:
-    if not 0 <= m <= k:
-        raise ValueError("m must satisfy 0 <= m <= k")
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-
+    check_achievable_args(k, m, mode, bins=bins, budget=budget, samples=samples)
     weights = [position_exposure(p) for p in range(1, k + 1)]
     n_subsets = math.comb(k, m)
-    lo = sum(weights[k - m :])  # m lowest positions
-    hi = sum(weights[:m])  # m highest positions
+    lo = _add(weights[k - m :])  # m lowest positions
+    hi = _add(weights[:m])  # m highest positions
 
     if mode == "exact":
-        if n_subsets > budget:
-            raise ValueError(
-                f"exact mode needs C({k},{m})={n_subsets} subset evaluations, "
-                f"over the budget of {budget}; use sampled mode"
-            )
-        values = [
-            sum(weights[i] for i in subset)
-            for subset in combinations(range(k), m)
-        ]
-        mean = sum(values) / len(values)
+        values = _subset_sums(weights, m)
+        mean = _add(values) / len(values)
         out_bins = _bin_values(values, lo, hi, bins)
         return ExposureHistogram(k, m, "exact", out_bins, n_subsets, mean)
 
     rng = random.Random(seed)
-    positions = list(range(k))
-    values = [
-        sum(weights[i] for i in rng.sample(positions, m)) for _ in range(samples)
-    ]
-    mean = sum(values) / len(values)
+    # sampling the weights draws the same positions as sampling range(k)
+    values = [_add(rng.sample(weights, m)) for _ in range(samples)]
+    mean = _add(values) / len(values)
     scale = n_subsets / samples
     tallies = _bin_values(values, lo, hi, bins, force_equal_width=True)
     est = tuple((low, high, count * scale) for low, high, count in tallies)
     return ExposureHistogram(k, m, "sampled", est, n_subsets, mean, sample_size=samples)
+
+
+def _add(values: Iterable[float], start: float = 0) -> float:
+    """Sum left to right from start, on every Python version.
+
+    Since 3.12 the builtin sum compensates float rounding, which would
+    change the last bits of a report with the interpreter.
+    """
+    return reduce(add, values, start)
+
+
+def _subset_sums(weights: list[float], m: int) -> list[float]:
+    """The weight sum of every m-subset of positions, in combinations() order.
+
+    Each sum is added left to right from 0, so it equals _add over the
+    subset bit for bit, and a prefix that subsets share is added once.
+    Branching on the first m-1 positions takes about C(k, m-1) Python
+    steps; branching on the k-m positions left out takes about C(k, m),
+    each summing the subset's last run in C, and is cheaper once
+    m > 2(k-m).
+    """
+    k = len(weights)
+    if m == 0:
+        return [0]
+    if 2 * (k - m) < m:
+        return list(_skip_sums(weights, k - m))
+    return [s + w for s, start in _prefix_sums(weights, m - 1) for w in weights[start:]]
+
+
+def _prefix_sums(
+    weights: list[float], n: int, start: int = 0, total: float = 0
+) -> Iterator[tuple[float, int]]:
+    """Yield (total + the n-subset's sum, the position after it) for every
+    n-subset of positions start.. that leaves one position after it, in
+    lexicographic order."""
+    if n == 0:
+        yield total, start
+        return
+    for i in range(start, len(weights) - n):
+        yield from _prefix_sums(weights, n - 1, i + 1, total + weights[i])
+
+
+def _skip_sums(weights: list[float], r: int, start: int = 0, total: float = 0) -> Iterator[float]:
+    """Yield total + the sum of positions start.. but r left out, for every
+    choice of the r, in lexicographic order of the positions kept."""
+    if r == 0:
+        yield _add(weights[start:], total)
+        return
+    # runs[j]: total plus positions start..start+j-1, if start+j is the next left out
+    runs = list(accumulate(weights[start : len(weights) - r], initial=total))
+    for q in reversed(range(start, len(weights) - r + 1)):
+        yield from _skip_sums(weights, r - 1, q + 1, runs[q - start])
 
 
 def _bin_values(values, lo, hi, n_bins, force_equal_width=False):
@@ -196,9 +253,9 @@ def _bin_values(values, lo, hi, n_bins, force_equal_width=False):
         return ((lo, hi, float(len(values))),)
     counts = [0] * n_bins
     width = (hi - lo) / n_bins
-    for v in values:
-        i = min(int((v - lo) / width), n_bins - 1)
-        counts[max(i, 0)] += 1
+    # a value past either end (rounding at lo or hi) goes into the end bin
+    for i, c in Counter(int((v - lo) / width) for v in values).items():
+        counts[min(max(i, 0), n_bins - 1)] += c
     return tuple(
         (lo + i * width, lo + (i + 1) * width, float(c))
         for i, c in enumerate(counts)

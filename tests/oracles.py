@@ -12,6 +12,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
+from itertools import combinations
 
 from qexp.porter import stem
 from qexp.text import STOPWORDS
@@ -229,6 +230,64 @@ def oracle_rank(doc_tokens, terms, weights, model, k):
             scored.append((d, score))
     scored.sort(key=lambda ds: (-ds[1], ds[0]))
     return scored[:k]
+
+
+# ------------------------- achievable exposure oracle -----------------------
+
+def _add_left_to_right(values):
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def oracle_achievable_exposure(k, m, n_bins=200, max_distinct=10_000):
+    """Exact-mode histogram of every m-subset of positions 1..k: (bins, subsets, mean).
+
+    Each subset's DCG weights are added left to right from 0, and the bins
+    are filled one value at a time: one bin per distinct value rounded to 12
+    places while there are at most max_distinct of them, else n_bins
+    equal-width bins over [m lowest weights, m highest weights], with a
+    value past either end counted in the end bin.
+    """
+    weights = [1.0 / math.log2(p + 1) for p in range(1, k + 1)]
+    values = [
+        _add_left_to_right(weights[i] for i in subset)
+        for subset in combinations(range(k), m)
+    ]
+    mean = _add_left_to_right(values) / len(values)
+    distinct = {}
+    for v in values:
+        key = round(v, 12)
+        distinct[key] = distinct.get(key, 0) + 1
+    if len(distinct) <= max_distinct:
+        bins = tuple((v, v, float(c)) for v, c in sorted(distinct.items()))
+        return bins, len(values), mean
+    lo = _add_left_to_right(weights[k - m :])
+    hi = _add_left_to_right(weights[:m])
+    width = (hi - lo) / n_bins
+    counts = [0] * n_bins
+    for v in values:
+        i = min(int((v - lo) / width), n_bins - 1)
+        counts[max(i, 0)] += 1
+    bins = tuple(
+        (lo + i * width, lo + (i + 1) * width, float(c)) for i, c in enumerate(counts)
+    )
+    return bins, len(values), mean
+
+
+def compensated_sum(values, start=0):
+    """The builtin sum of Python 3.12 and later, which adds floats with
+    Neumaier compensation; earlier versions add them left to right."""
+    total, c = start, 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
 
 
 # --------------------------- t distribution oracle --------------------------

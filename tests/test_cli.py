@@ -14,6 +14,8 @@ from qexp.cli import main
 from qexp.corpus import INDEX_MAGIC, CollectionIndex
 from qexp.exposure import position_exposure
 
+from oracles import compensated_sum
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -719,6 +721,53 @@ class TestAnalyzeExposure:
         assert main(["analyze-exposure", "--k", "8", "--m", m, "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == "error: at least one m is required\n"
         assert not out_dir.exists()
+
+    def test_over_budget_m_exits_1_before_any_subset_is_walked(
+        self, workspace, capsys, monkeypatch
+    ):
+        walks = []
+        real = qexp.exposure._subset_sums
+
+        def counted(weights, m):
+            walks.append(m)
+            return real(weights, m)
+
+        monkeypatch.setattr(qexp.exposure, "_subset_sums", counted)
+        out_dir = workspace / "exp"
+        # C(100, 4) fits the budget and C(100, 5) does not
+        code = main(["analyze-exposure", "--k", "100", "--m", "4,5", "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: exact mode needs C(100,5)=75287520 subset evaluations, "
+            "over the budget of 5000000; use sampled mode\n"
+        )
+        assert walks == []
+        assert not (out_dir / "histogram.csv").exists()
+
+    def test_outputs_do_not_depend_on_the_python_version(self, tmp_path, monkeypatch):
+        # the builtin sum of Python 3.12 and later compensates float rounding;
+        # patched into the module that adds exposure, it stands in for 3.12
+        def outputs(name):
+            blobs = {}
+            for mode, k, m in (
+                ("exact", "40", "0,1,2,3,4,38,39,40"),
+                ("sampled", "60", "10,25,50"),
+            ):
+                out_dir = tmp_path / name / mode
+                assert main([
+                    "analyze-exposure", "--k", k, "--m", m, "--mode", mode,
+                    "--samples", "2000", "--out-dir", str(out_dir),
+                ]) == 0
+                blobs[mode] = (out_dir / "histogram.csv").read_bytes()
+            blobs["means"] = [
+                qexp.exposure.achievable_exposure(40, 4).mean,
+                qexp.exposure.achievable_exposure(60, 25, "sampled", samples=2000).mean,
+            ]
+            return blobs
+
+        plain = outputs("plain")
+        monkeypatch.setattr(qexp.exposure, "sum", compensated_sum, raising=False)
+        assert outputs("compensated") == plain
 
     def test_budget_error_suggests_sampling(self, workspace, capsys):
         code = main([

@@ -3,10 +3,11 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
 from qexp.exposure import (
+    MAX_DISTINCT_VALUES,
     ExposureDistribution,
     achievable_exposure,
     group_exposure,
@@ -17,6 +18,8 @@ from qexp.exposure import (
     realized_exposure,
 )
 from qexp.retrieval import Ranking
+
+from oracles import oracle_achievable_exposure
 
 
 class TestPositionExposure:
@@ -191,6 +194,37 @@ class TestAchievableExposure:
             assert hist.min_value == pytest.approx(sums[0], abs=1e-9)
             assert hist.max_value == pytest.approx(sums[-1], abs=1e-9)
             assert hist.mean == pytest.approx(sum(sums) / len(sums), abs=1e-9)
+
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.sampled_from(sorted({*range(min(k, 4) + 1), *range(max(k - 4, 0), k + 1)})),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    @example((24, 4))  # the smallest k whose m=4 sums take equal-width bins
+    @example((40, 4))
+    @example((24, 16))  # the last m that branches on the positions kept ...
+    @example((24, 17))  # ... and the first that branches on those left out
+    @example((40, 36))
+    @example((40, 40))
+    def test_exact_equals_the_enumeration_oracle(self, k_m):
+        k, m = k_m
+        hist = achievable_exposure(k, m)
+        bins, subsets, mean = oracle_achievable_exposure(k, m)
+        assert hist.bins == bins
+        assert hist.subsets == subsets
+        assert hist.mean == mean
+
+    @pytest.mark.parametrize("k, equal_width", [(23, False), (24, True)])
+    def test_more_than_max_distinct_values_take_equal_width_bins(self, k, equal_width):
+        # every m=4 sum is distinct here, so C(k, 4) decides the path
+        assert (math.comb(k, 4) > MAX_DISTINCT_VALUES) == equal_width
+        hist = achievable_exposure(k, 4, bins=200)
+        assert len(hist.bins) == (200 if equal_width else math.comb(k, 4))
+        assert all((low < high) == equal_width for low, high, _ in hist.bins)
 
     def test_min_max_are_worst_and_best_positions(self):
         hist = achievable_exposure(10, 3)
