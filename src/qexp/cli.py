@@ -22,9 +22,10 @@ from .corpus import (
     build_index,
     load_categories_json,
     load_corpus_jsonl,
+    reject_repeats,
 )
 from .evaluation import (
-    ModelRanker, QueryExpander, RunFileRanker, error_message, reject_repeats, run_experiment,
+    ModelRanker, QueryExpander, RunFileRanker, check_experiment, error_message, run_experiment,
 )
 from .expansion import EXPANDERS, ExpansionConfig, write_queries_jsonl
 from .exposure import (
@@ -67,31 +68,14 @@ def _split_names(value: str) -> list[str]:
 
 
 def _validate_run(args) -> None:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     for path in filter(None, [args.index, args.corpus, args.categories_file, args.queries]):
         if not Path(path).exists():
             raise ValueError(f"file not found: {path}")
     for path in args.run_files:
         if not Path(path).exists():
             raise ValueError(f"run file not found: {path}")
-    for name in args.rankers:
-        if name not in RANKERS:
-            raise ValueError(f"unknown ranker {name!r} (choose from {sorted(RANKERS)})")
     if args.reference not in PREDICTORS:
         raise ValueError(f"unknown reference {args.reference!r} (choose from {PREDICTORS})")
-    if args.comparisons is not None and args.comparisons < 1:
-        raise ValueError("comparisons must be >= 1")
-    if not args.rankers and not args.run_files:
-        raise ValueError("at least one ranker or run file is required")
-    if not args.expanders:
-        raise ValueError("at least one expander is required ('none' for no expansion)")
-    reject_repeats("--rankers", args.rankers)
-    reject_repeats("--expanders", args.expanders)
-    reject_repeats("--run-file", args.run_files)
-    reject_repeats("--category-names", args.category_names or [])
-    if not args.predictors:
-        raise ValueError("at least one predictor is required")
 
 
 def _check_k(k: int) -> None:
@@ -192,22 +176,14 @@ def cmd_run(args) -> int:
         None if name == "none" else QueryExpander(name, expansion)
         for name in args.expanders
     ]
+    rankers = [ModelRanker(name) for name in args.rankers]
+    rankers += [RunFileRanker(path) for path in args.run_files]
+    check_experiment(args.category_names, rankers, expanders, predictors, args.k)
 
     index = _load_index(args)
     queries = load_queries_tsv(args.queries)
-    rankers = [ModelRanker(name) for name in args.rankers]
-    rankers += [RunFileRanker(path) for path in args.run_files]
-
     report = run_experiment(
-        index,
-        queries,
-        args.category_names,
-        rankers,
-        expanders,
-        predictors,
-        args.k,
-        alpha=args.alpha,
-        comparisons=args.comparisons,
+        index, queries, args.category_names, rankers, expanders, predictors, args.k,
         reference=args.reference,
     )
 
@@ -233,6 +209,7 @@ def cmd_analyze_exposure(args) -> int:
     if not m_values:
         raise ValueError("at least one m is required")
     # every m is checked before the first histogram is computed
+    reject_repeats("--m", m_values)
     for m in m_values:
         check_achievable_args(
             args.k, m, args.mode, bins=args.bins, budget=args.budget, samples=args.samples
@@ -337,9 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     # an empty list also means every category, and config.json records it as null
     p.add_argument("--category-names", type=lambda v: _split_names(v) or None, default=None)
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--comparisons", type=int, default=None,
-                   help="Bonferroni m; default = number of baselines compared")
     add_expansion_options(p)
     p.add_argument("--cori-belief", type=float, default=CORI_BELIEF)
     p.add_argument("--reference", default="gep")

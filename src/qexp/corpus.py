@@ -30,6 +30,13 @@ class CorpusError(ValueError):
     """Invalid corpus input (duplicate ids, missing labels, bad files)."""
 
 
+def reject_repeats(what: str, names: Sequence[str]) -> None:
+    """Raise ValueError naming every name that occurs more than once."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{what} repeats {', '.join(map(str, repeated))}")
+
+
 @dataclass(frozen=True)
 class Document:
     doc_id: str

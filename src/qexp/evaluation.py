@@ -17,12 +17,15 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
-from .corpus import CollectionIndex
-from .exposure import ExposureDistribution, check_distribution, realized_exposure
+from .corpus import CollectionIndex, reject_repeats
+from .exposure import ExposureDistribution, check_distribution, float_sum, realized_exposure
 from .expansion import ExpansionConfig, ExpansionResult, EXPANDERS
 from .predictors import PredictorFn, PredictorOutput
-from .retrieval import Query, Ranking, rank, read_run_file
+from .retrieval import RANKERS, Query, Ranking, rank, read_run_file
 from .stats import student_t_two_sided_p
+
+#: level of the Bonferroni-corrected t-tests; summary.json reports every raw p
+ALPHA = 0.01
 
 
 def _values(dist) -> Sequence[float]:
@@ -55,10 +58,10 @@ def coefficient_of_variation(values: Sequence[float]) -> float:
     n = len(values)
     if n == 0:
         raise ValueError("empty input")
-    mean = sum(values) / n
+    mean = float_sum(values) / n
     if mean <= 0.0:
         raise ValueError("coefficient of variation requires a positive mean")
-    var = sum((v - mean) ** 2 for v in values) / n
+    var = float_sum((v - mean) ** 2 for v in values) / n
     return math.sqrt(var) / mean * 100.0
 
 
@@ -70,8 +73,8 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     if n < 2:
         raise ValueError("paired t-test needs at least two pairs")
     diffs = [x - y for x, y in zip(a, b)]
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    mean = float_sum(diffs) / n
+    var = float_sum((d - mean) ** 2 for d in diffs) / (n - 1)
     if var == 0.0:
         raise ValueError("zero-variance differences: t statistic undefined")
     t = mean / math.sqrt(var / n)
@@ -91,6 +94,8 @@ class ModelRanker:
     """Ranks with a retrieval model; usable as first pass and for re-ranking."""
 
     def __init__(self, model: str = "bm25"):
+        if model not in RANKERS:
+            raise ValueError(f"unknown ranker {model!r} (choose from {sorted(RANKERS)})")
         self.name = model
 
     def rank(self, index: CollectionIndex, query: Query, k: int) -> Ranking:
@@ -161,13 +166,6 @@ def error_message(exc: BaseException) -> str:
     return str(exc)
 
 
-def reject_repeats(what: str, names: Sequence[str]) -> None:
-    """Raise ValueError naming every name that occurs more than once."""
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"{what} repeats {', '.join(repeated)}")
-
-
 @dataclass(frozen=True)
 class Failure:
     ranker: str
@@ -207,6 +205,30 @@ class PredictionReport:
             fh.write("\n")
 
 
+def check_experiment(
+    categories: Sequence[str] | None, rankers: Sequence[ModelRanker | RunFileRanker],
+    expanders: Sequence[QueryExpander | None], predictors: Mapping[str, PredictorFn], k: int,
+) -> None:
+    """Reject `run_experiment` arguments that are bad whatever the index and queries."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not rankers:
+        raise ValueError("at least one ranker or run file is required")
+    if not expanders:
+        raise ValueError("at least one expander is required ('none' for no expansion)")
+    if not predictors:
+        raise ValueError("at least one predictor is required")
+    # rows and the summary are keyed by ranker, expander and category names
+    reject_repeats("the ranker list", [r.name for r in rankers])
+    reject_repeats("the expander list", ["none" if e is None else e.name for e in expanders])
+    reject_repeats("the category list", categories or [])
+    if any(isinstance(r, RunFileRanker) for r in rankers) and any(e is not None for e in expanders):
+        raise ValueError(
+            "run-file rankers cannot re-rank expanded queries; "
+            "use expander 'none' with run files"
+        )
+
+
 def run_experiment(
     index: CollectionIndex,
     queries: Sequence[Query],
@@ -216,8 +238,6 @@ def run_experiment(
     predictors: Mapping[str, PredictorFn],
     k: int = 100,
     *,
-    alpha: float = 0.01,
-    comparisons: int | None = None,
     reference: str = "gep",
 ) -> PredictionReport:
     """Rank, measure realized exposure, score every predictor with JSD.
@@ -228,8 +248,7 @@ def run_experiment(
     query that fails in any stage of a pipeline is recorded and skipped;
     it does not abort the experiment.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_experiment(categories, rankers, expanders, predictors, k)
     category_names = (
         [c.name for c in index.categories] if categories is None else list(categories)
     )
@@ -242,20 +261,11 @@ def run_experiment(
         if q.query_id in seen:
             raise ValueError(f"duplicate query id {q.query_id!r}")
         seen.add(q.query_id)
-    # rows, per_query and the summary are keyed by these names
-    expander_names = ["none" if e is None else e.name for e in expanders]
-    reject_repeats("the ranker list", [r.name for r in rankers])
-    reject_repeats("the expander list", expander_names)
     pipelines = [
-        (ranker, expander, exp_name)
+        (ranker, expander, "none" if expander is None else expander.name)
         for ranker in rankers
-        for expander, exp_name in zip(expanders, expander_names)
+        for expander in expanders
     ]
-    if any(isinstance(r, RunFileRanker) and e is not None for r, e, _ in pipelines):
-        raise ValueError(
-            "run-file rankers cannot re-rank expanded queries; "
-            "use expander 'none' with run files"
-        )
 
     rows: list[Row] = []
     cv_rows: list[CvRow] = []
@@ -326,11 +336,11 @@ def run_experiment(
     cv_rows.sort(key=lambda r: (r.ranker, r.expander, r.query_id, r.category))
 
     others = [p for p in predictors if p != reference]
-    m = comparisons if comparisons is not None else max(1, len(others))
+    m = max(1, len(others))
     baselines = others if reference in predictors else []
     summary = {
         "k": k,
-        "alpha": alpha,
+        "alpha": ALPHA,
         "comparisons": m,
         "reference": reference,
         "pipelines": [
@@ -340,7 +350,7 @@ def run_experiment(
                 "categories": {
                     category: _score(
                         per_query.get((ranker.name, exp_name, category), {}),
-                        reference, baselines, m, alpha,
+                        reference, baselines, m,
                     )
                     for category in category_names
                 },
@@ -351,7 +361,7 @@ def run_experiment(
     return PredictionReport(rows, cv_rows, failures, summary)
 
 
-def _score(jsds: Mapping[str, Mapping[str, float]], reference, baselines, m, alpha) -> dict:
+def _score(jsds: Mapping[str, Mapping[str, float]], reference, baselines, m) -> dict:
     """Mean JSD per predictor, and the reference's paired t-test against each baseline."""
     ref = jsds.get(reference, {})
     significance = {}
@@ -368,9 +378,9 @@ def _score(jsds: Mapping[str, Mapping[str, float]], reference, baselines, m, alp
                 test["note"] = str(exc)
             else:
                 adjusted = bonferroni([p], m)[0]
-                test.update(t=t, p=p, adjusted_p=adjusted, significant=adjusted < alpha)
+                test.update(t=t, p=p, adjusted_p=adjusted, significant=adjusted < ALPHA)
         significance[baseline] = test
     return {
-        "mean_jsd": {name: sum(values.values()) / len(values) for name, values in jsds.items()},
+        "mean_jsd": {name: float_sum(values.values()) / len(values) for name, values in jsds.items()},
         "significance": significance,
     }

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus import CollectionIndex
+from .exposure import float_sum
 from .retrieval import Query, Ranking
 
 
@@ -49,7 +50,7 @@ def _feedback_docs(index: CollectionIndex, ranking: Ranking, fb_docs: int):
 
 def _ml_query_model(query: Query) -> dict[str, float]:
     qtf = query.qtf()
-    total = sum(qtf.values())
+    total = float_sum(qtf.values())
     return {t: w / total for t, w in qtf.items()}
 
 
@@ -86,7 +87,7 @@ def expand_rm3(
             continue
         for term, tf in terms.items():
             rm[term] = rm.get(term, 0.0) + prior * tf / length
-    mass = sum(rm.values())
+    mass = float_sum(rm.values())
     if mass == 0.0:
         return ExpansionResult(query, expanded=False)
     rm = {t: w / mass for t, w in rm.items()}
@@ -104,7 +105,7 @@ def expand_rm3(
             if w > 0.0:  # zero-weight candidates are dropped
                 kept[term] = w
 
-    total = sum(kept.values())
+    total = float_sum(kept.values())
     terms = tuple(kept)
     weights = tuple(kept[t] / total for t in terms)
     new_query = Query(terms, weights, query.query_id)
@@ -161,8 +162,8 @@ def expand_klq(
         return ExpansionResult(query, expanded=False)
 
     qtf = query.qtf()
-    q_total = sum(qtf.values())
-    e_total = sum(w for _, w in top)
+    q_total = float_sum(qtf.values())
+    e_total = float_sum(w for _, w in top)
     terms = list(qtf) + [t for t, _ in top]
     weights = [0.5 * qtf[t] / q_total for t in qtf]
     weights += [0.5 * w / e_total for _, w in top]

@@ -20,6 +20,15 @@ from .corpus import CollectionIndex
 from .retrieval import Ranking
 
 
+def float_sum(values: Iterable[float], start: float = 0) -> float:
+    """Sum left to right from start, on every Python version.
+
+    Since 3.12 the builtin sum compensates float rounding and would change a
+    report's last bits; every float sum that reaches a report uses this one.
+    """
+    return reduce(add, values, start)
+
+
 def position_exposure(p: int) -> float:
     """Exposure weight of rank position p >= 1; strictly decreasing in p."""
     if p < 1:
@@ -77,7 +86,7 @@ def normalize_exposure(
     values = [raw.get(g, 0.0) for g in groups]
     if any(v < 0 for v in values):
         raise ValueError("raw exposure values must be nonnegative")
-    total = sum(values)
+    total = float_sum(values)
     if total == 0.0:
         n = len(groups)
         return ExposureDistribution(
@@ -167,38 +176,29 @@ def achievable_exposure(
     check_achievable_args(k, m, mode, bins=bins, budget=budget, samples=samples)
     weights = [position_exposure(p) for p in range(1, k + 1)]
     n_subsets = math.comb(k, m)
-    lo = _add(weights[k - m :])  # m lowest positions
-    hi = _add(weights[:m])  # m highest positions
+    lo = float_sum(weights[k - m :])  # m lowest positions
+    hi = float_sum(weights[:m])  # m highest positions
 
     if mode == "exact":
         values = _subset_sums(weights, m)
-        mean = _add(values) / len(values)
+        mean = float_sum(values) / len(values)
         out_bins = _bin_values(values, lo, hi, bins)
         return ExposureHistogram(k, m, "exact", out_bins, n_subsets, mean)
 
     rng = random.Random(seed)
     # sampling the weights draws the same positions as sampling range(k)
-    values = [_add(rng.sample(weights, m)) for _ in range(samples)]
-    mean = _add(values) / len(values)
+    values = [float_sum(rng.sample(weights, m)) for _ in range(samples)]
+    mean = float_sum(values) / len(values)
     scale = n_subsets / samples
     tallies = _bin_values(values, lo, hi, bins, force_equal_width=True)
     est = tuple((low, high, count * scale) for low, high, count in tallies)
     return ExposureHistogram(k, m, "sampled", est, n_subsets, mean, sample_size=samples)
 
 
-def _add(values: Iterable[float], start: float = 0) -> float:
-    """Sum left to right from start, on every Python version.
-
-    Since 3.12 the builtin sum compensates float rounding, which would
-    change the last bits of a report with the interpreter.
-    """
-    return reduce(add, values, start)
-
-
 def _subset_sums(weights: list[float], m: int) -> list[float]:
     """The weight sum of every m-subset of positions, in combinations() order.
 
-    Each sum is added left to right from 0, so it equals _add over the
+    Each sum is added left to right from 0, so it equals float_sum over the
     subset bit for bit, and a prefix that subsets share is added once.
     Branching on the first m-1 positions takes about C(k, m-1) Python
     steps; branching on the k-m positions left out takes about C(k, m),
@@ -230,7 +230,7 @@ def _skip_sums(weights: list[float], r: int, start: int = 0, total: float = 0) -
     """Yield total + the sum of positions start.. but r left out, for every
     choice of the r, in lexicographic order of the positions kept."""
     if r == 0:
-        yield _add(weights[start:], total)
+        yield float_sum(weights[start:], total)
         return
     # runs[j]: total plus positions start..start+j-1, if start+j is the next left out
     runs = list(accumulate(weights[start : len(weights) - r], initial=total))

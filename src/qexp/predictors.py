@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping, Sequence
 
-from .corpus import Category, CollectionIndex
-from .exposure import ExposureDistribution, normalize_exposure
+from .corpus import Category, CollectionIndex, reject_repeats
+from .exposure import ExposureDistribution, float_sum, normalize_exposure
 from .retrieval import Query, bm25_idf
 
 #: replaces zero df/cf counts inside baseline logarithms
@@ -114,7 +114,7 @@ def gep_group_term_score(stats: QueryGroupStats, term: str, group: str, k: int) 
         return 0.0
     idf = bm25_idf(stats.n_g[group], len(plist))
     scores = sorted((tf * idf for tf in plist.values()), reverse=True)
-    return sum(scores[:k]) / k
+    return float_sum(scores[:k]) / k
 
 
 def gep_query_vector(stats: QueryGroupStats) -> dict[str, float]:
@@ -130,7 +130,7 @@ def _gep(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]
     qvec = gep_query_vector(stats)
     raw = {}
     for group in stats.category.groups:
-        raw[group] = sum(
+        raw[group] = float_sum(
             gep_group_term_score(stats, term, group, k) * qw
             for term, qw in qvec.items()
             if qw != 0.0
@@ -149,7 +149,7 @@ def _mean_log_ratio(
 
     A zero count is smoothed to 0.5; a group of size zero scores 0.
     """
-    total = sum(stats.qtf.values())
+    total = float_sum(stats.qtf.values())
     raw = {}
     for group, size in sizes.items():
         if size == 0 or total == 0.0:
@@ -179,7 +179,7 @@ def _avictf(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, flo
 
 def _scs(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """KL of the query language model from each group's language model."""
-    total = sum(stats.qtf.values())
+    total = float_sum(stats.qtf.values())
     raw = {}
     for group, tokens_g in stats.tokens_g.items():
         if tokens_g == 0 or total == 0.0:
@@ -309,14 +309,18 @@ def predict(
 
 
 def make_predictors(
-    names: Iterable[str],
+    names: Sequence[str],
     k: int = 100,
     cori_belief: float = CORI_BELIEF,
 ) -> dict[str, PredictorFn]:
     """Bind predictor names to (index, query, category) callables that call `predict`.
 
-    Every name, ``k`` and ``cori_belief`` is checked here, before any call.
+    The names (at least one, none repeated), ``k`` and ``cori_belief`` are
+    checked here, before any call.
     """
+    if not names:
+        raise ValueError("at least one predictor is required")
+    reject_repeats("the predictor list", names)
     bound = {}
     for name in names:
         _check(name, k, cori_belief)

@@ -136,9 +136,9 @@ def read_run_file(path) -> dict[str, tuple[tuple[str, float], ...]]:
     """Parse a TREC run file into (doc_id, score) entries per query id.
 
     Entries are in rank order. Only the line format is checked here; a
-    malformed line fails the whole file. Whether a query's entries form a
-    valid :class:`Ranking` is left to the caller, so one bad query need
-    not fail the others.
+    malformed line, a non-finite score included, fails the whole file.
+    Whether a query's entries form a valid :class:`Ranking` is left to
+    the caller, so one bad query need not fail the others.
     """
     per_query: dict[str, list[tuple[int, str, float]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -152,9 +152,12 @@ def read_run_file(path) -> dict[str, tuple[tuple[str, float], ...]]:
                 )
             qid, _, doc_id, pos, score, _ = parts
             try:
-                per_query.setdefault(qid, []).append((int(pos), doc_id, float(score)))
+                position, value = int(pos), float(score)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad rank or score") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: bad rank or score")
+            per_query.setdefault(qid, []).append((position, doc_id, value))
     return {
         qid: tuple((doc_id, score) for _, doc_id, score in sorted(rows, key=lambda r: r[:2]))
         for qid, rows in per_query.items()

@@ -255,15 +255,20 @@ class TestRunExperiment:
         assert ranked == []
 
     @pytest.mark.parametrize(
-        "rankers, expanders, message",
+        "rankers, expanders, categories, predictors, message",
         [
-            (("bm25", "tfidf", "bm25"), ("none",), "the ranker list repeats bm25"),
-            (("bm25",), ("rm3", "none", "rm3"), "the expander list repeats rm3"),
-            (("bm25",), ("none", "none"), "the expander list repeats none"),
+            (("bm25", "tfidf", "bm25"), ("none",), None, ("gep",), "the ranker list repeats bm25"),
+            (("bm25",), ("rm3", "none", "rm3"), None, ("gep",), "the expander list repeats rm3"),
+            (("bm25",), ("none", "none"), None, ("gep",), "the expander list repeats none"),
+            (("bm25",), ("none",), ("c", "c"), ("gep",), "the category list repeats c"),
+            (("bm26",), ("none",), None, ("gep",), "unknown ranker 'bm26'"),
+            ((), ("none",), None, ("gep",), "at least one ranker"),
+            (("bm25",), (), None, ("gep",), "at least one expander"),
+            (("bm25",), ("none",), None, (), "at least one predictor"),
         ],
     )
     def test_repeated_ranker_or_expander_name_rejected_before_ranking(
-        self, rankers, expanders, message
+        self, rankers, expanders, categories, predictors, message
     ):
         ranked = []
 
@@ -274,9 +279,9 @@ class TestRunExperiment:
 
         with pytest.raises(ValueError, match=message):
             run_experiment(
-                _experiment_index(), _queries(), None, [SpyRanker(m) for m in rankers],
+                _experiment_index(), _queries(), categories, [SpyRanker(m) for m in rankers],
                 [None if e == "none" else QueryExpander(e) for e in expanders],
-                make_predictors(["gep"], k=10), k=10,
+                make_predictors(predictors, k=10) if predictors else {}, k=10,
             )
         assert ranked == []
 
