@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .corpus import Category, CollectionIndex, reject_repeats
@@ -86,8 +85,10 @@ def query_group_stats(index: CollectionIndex, query: Query, category: str) -> Qu
     )
 
 
-def _finish(name: str, category: Category, raw: Mapping[str, float]) -> PredictorOutput:
-    """Floor raw scores at zero and normalize them into a distribution."""
+def _finish(name: str, stats: QueryGroupStats, k: int, cori_belief: float) -> PredictorOutput:
+    """Run the named formula, floor its scores at zero and normalize them."""
+    category = stats.category
+    raw = _FORMULAS[name](stats, k, cori_belief)
     floored = {g: max(0.0, raw[g]) for g in category.groups}
     dist = normalize_exposure(category.name, category.groups, floored)
     return PredictorOutput(
@@ -304,8 +305,7 @@ def predict(
     predictor ignores what it does not use, but both are checked.
     """
     _check(name, k, cori_belief)
-    stats = query_group_stats(index, query, category)
-    return _finish(name, stats.category, _FORMULAS[name](stats, k, cori_belief))
+    return _finish(name, query_group_stats(index, query, category), k, cori_belief)
 
 
 def make_predictors(
@@ -313,16 +313,34 @@ def make_predictors(
     k: int = 100,
     cori_belief: float = CORI_BELIEF,
 ) -> dict[str, PredictorFn]:
-    """Bind predictor names to (index, query, category) callables that call `predict`.
+    """Bind predictor names to (index, query, category) callables.
 
-    The names (at least one, none repeated), ``k`` and ``cori_belief`` are
-    checked here, before any call.
+    Each callable gives what `predict` gives. The callables share the
+    last table they built: consecutive calls on the same index (the same
+    object), an equal query and the same category build it once, so a
+    caller that loops category, then predictor, builds one per (query,
+    category). The names (at least one, none repeated), ``k`` and
+    ``cori_belief`` are checked here, before any call.
     """
     if not names:
         raise ValueError("at least one predictor is required")
     reject_repeats("the predictor list", names)
-    bound = {}
     for name in names:
         _check(name, k, cori_belief)
-        bound[name] = partial(predict, name, k=k, cori_belief=cori_belief)
-    return bound
+    # (index, query, category, table) of the last build, replaced whole, so
+    # concurrent callers never pair one key with another key's table
+    memo = (None, None, None, None)
+
+    def bind(name: str) -> PredictorFn:
+        def predictor(index: CollectionIndex, query: Query, category: str) -> PredictorOutput:
+            nonlocal memo
+            last = memo
+            if last[0] is index and last[1] == query and last[2] == category:
+                stats = last[3]
+            else:
+                stats = query_group_stats(index, query, category)
+                memo = (index, query, category, stats)
+            return _finish(name, stats, k, cori_belief)
+        return predictor
+
+    return {name: bind(name) for name in names}

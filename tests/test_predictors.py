@@ -1,10 +1,15 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qexp.corpus import Category, Document, build_index
+import qexp.predictors
+from qexp.cli import load_queries_tsv, main
+from qexp.corpus import Category, Document, build_index, save_categories_json, save_corpus_jsonl
+from qexp.evaluation import ModelRanker, QueryExpander, run_experiment
 from qexp.exposure import normalize_exposure
 from qexp.predictors import (
     BASELINES,
@@ -320,3 +325,144 @@ class TestOracleEquivalence:
                 assert out.raw_scores[idx_g] == pytest.approx(raw[g], abs=1e-9), name
             expected = oracle_distribution(raw, groups)
             assert list(out.distribution.values) == pytest.approx(expected, abs=1e-9), name
+
+
+def _two_category_index(seed, num_docs=16):
+    rng = random.Random(seed)
+    docs, cats = random_labeled_corpus(
+        rng, num_docs=num_docs, num_groups=rng.randint(2, 4), num_categories=2
+    )
+    return build_index(docs, cats), docs, cats
+
+
+class _CountBuilds:
+    """Stands in for `query_group_stats`, counting the tables it builds."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, index, query, category):
+        self.calls += 1
+        return query_group_stats(index, query, category)
+
+
+class TestSharedTable:
+    """The callables of one `make_predictors` bundle share the last table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.lists(
+            st.tuples(
+                st.sampled_from(PREDICTORS),
+                st.integers(0, 1),  # index
+                st.integers(0, 4),  # query
+                st.sampled_from(["cat0", "cat1"]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    # the same query object on the other index, then in the other category
+    @example(0, [("gep", 0, 0, "cat0"), ("gep", 1, 0, "cat0"), ("gep", 1, 0, "cat1")])
+    def test_interleaved_calls_match_predict(self, seed, calls):
+        rng = random.Random(seed)
+        indexes = [_two_category_index(seed)[0], _two_category_index(seed + 1)[0]]
+        terms = [rng.choices(stable_vocab(10), k=rng.randint(1, 4)) for _ in range(3)]
+        queries = [Query.from_terms(t) for t in terms]
+        queries.append(Query.from_terms(terms[0]))  # equal to queries[0], another object
+        queries.append(Query.from_terms(terms[1] + ["t000"]))
+        assert queries[3] == queries[0] and queries[3] is not queries[0]
+        bundle = make_predictors(PREDICTORS, 3)
+        for name, i, q, category in calls:
+            got = bundle[name](indexes[i], queries[q], category)
+            assert got == predict(name, indexes[i], queries[q], category, 3), (name, i, q, category)
+
+    def test_one_table_per_query_and_category(self, tmp_path, monkeypatch):
+        num_queries = 5
+        index, docs, cats = _two_category_index(7, num_docs=30)
+        save_corpus_jsonl(tmp_path / "corpus.jsonl", docs)
+        save_categories_json(tmp_path / "categories.json", cats)
+        rng = random.Random(7)
+        lines = [
+            f"q{i}\t{' '.join(rng.choices(stable_vocab(10), k=rng.randint(1, 4)))}\n"
+            for i in range(num_queries)
+        ]
+        (tmp_path / "queries.tsv").write_text("".join(lines))
+        builds = _CountBuilds()
+        monkeypatch.setattr(qexp.predictors, "query_group_stats", builds)
+
+        out = tmp_path / "pred.jsonl"
+        code = main([
+            "predict", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--categories", str(tmp_path / "categories.json"),
+            "--queries", str(tmp_path / "queries.tsv"), "--out", str(out),
+            "--predictors", ",".join(PREDICTORS),
+        ])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == num_queries * 2 * len(PREDICTORS)
+        assert builds.calls == num_queries * 2
+
+        builds.calls = 0
+        report = run_experiment(
+            index, load_queries_tsv(tmp_path / "queries.tsv"), None,
+            [ModelRanker("bm25"), ModelRanker("tfidf")], [None, QueryExpander("rm3")],
+            make_predictors(PREDICTORS, 10), k=10,
+        )
+        assert report.failures == []
+        assert builds.calls == num_queries * 2
+
+    def test_failed_build_stores_nothing(self, monkeypatch):
+        index, _, _ = _two_category_index(3)
+        query = Query.from_terms(["t000", "t001"])
+        bundle = make_predictors(PREDICTORS, 5)
+        builds = _CountBuilds()
+        monkeypatch.setattr(qexp.predictors, "query_group_stats", builds)
+        assert bundle["gep"](index, query, "cat0") == predict("gep", index, query, "cat0", 5)
+        assert builds.calls == 2  # the bundle's table, then predict's own
+        for name in PREDICTORS:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="^cannot predict for an empty query$"):
+                    bundle[name](index, Query.from_terms([]), "cat0")
+                with pytest.raises(KeyError, match="unknown category 'nope'"):
+                    bundle[name](index, query, "nope")
+        builds.calls = 0
+        for name in PREDICTORS:
+            assert bundle[name](index, query, "cat0") == predict(name, index, query, "cat0", 5)
+        assert builds.calls == len(PREDICTORS)  # only predict's: the bundle kept its table
+
+    def test_threads_sharing_one_bundle(self):
+        index, _, _ = _two_category_index(11, num_docs=40)
+        bundle = make_predictors(PREDICTORS, 5)
+        vocab = stable_vocab(10)
+        per_thread = [
+            [Query.from_terms(random.Random(t * 100 + i).choices(vocab, k=3)) for i in range(6)]
+            for t in range(4)
+        ]
+        results: dict[int, list] = {}
+        start = threading.Barrier(len(per_thread))
+
+        def work(t):
+            start.wait(timeout=30)
+            results[t] = [
+                (query, category, name, bundle[name](index, query, category))
+                for query in per_thread[t]
+                for category in ("cat0", "cat1")
+                for name in PREDICTORS
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(per_thread))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(len(per_thread)))
+        for outputs in results.values():
+            for query, category, name, got in outputs:
+                assert got == predict(name, index, query, category, 5)
