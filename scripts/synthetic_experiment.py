@@ -14,7 +14,7 @@ from pathlib import Path
 
 from qexp.cli import main as cli_main
 from qexp.corpus import save_categories_json, save_corpus_jsonl
-from qexp.predictors import BASELINES
+from qexp.predictors import PREDICTORS
 from qexp.synthetic import SyntheticConfig, make_planted_skew_corpus
 
 
@@ -43,7 +43,6 @@ def main() -> int:
         for q in queries:
             fh.write(f"{q.query_id}\t{' '.join(q.terms)}\n")
 
-    predictors = ("gep",) + BASELINES + ("uniform",)
     if cli_main([
         "index", "--corpus", str(out_dir / "corpus.jsonl"),
         "--categories", str(out_dir / "categories.json"), "--out", str(out_dir / "index.qx"),
@@ -52,7 +51,7 @@ def main() -> int:
     code = cli_main([
         "run", "--index", str(out_dir / "index.qx"), "--queries", str(out_dir / "queries.tsv"),
         "--rankers", "bm25", "--expanders", args.expanders,
-        "--predictors", ",".join(predictors), "--category-names", category,
+        "--predictors", ",".join(PREDICTORS), "--category-names", category,
         "--k", str(args.k), "--out-dir", str(out_dir),
     ])
     if code == 1:  # nothing was written
@@ -61,14 +60,14 @@ def main() -> int:
     with open(out_dir / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
     print(f"\nmean JSD per predictor ({category}, k={args.k}):")
-    print("  " + "  ".join(f"{h:>8}" for h in ("pipeline",) + predictors))
+    print("  " + "  ".join(f"{h:>8}" for h in ("pipeline",) + PREDICTORS))
     for p in summary["pipelines"]:
         pipeline = p["ranker"] if p["expander"] == "none" else f"{p['ranker']}+{p['expander']}"
         means = p["categories"][category]["mean_jsd"]
-        cells = [f"{means.get(name, float('nan')):8.4f}" for name in predictors]
+        cells = [f"{means.get(name, float('nan')):8.4f}" for name in PREDICTORS]
         print(f"  {pipeline:>8}  " + "  ".join(cells))
     significance = summary["pipelines"][0]["categories"][category]["significance"]
-    marked = [name for name in predictors[1:] if significance[name]["significant"]]
+    marked = [name for name in PREDICTORS[1:] if significance[name]["significant"]]
     print(f"\nGEP significantly better than (alpha={summary['alpha']}, "
           f"Bonferroni m={summary['comparisons']}): {marked or 'none'}")
     return code

@@ -28,10 +28,8 @@ from .evaluation import (
     ModelRanker, QueryExpander, RunFileRanker, check_experiment, error_message, run_experiment,
 )
 from .expansion import EXPANDERS, ExpansionConfig, write_queries_jsonl
-from .exposure import (
-    DEFAULT_SUBSET_BUDGET, achievable_exposure, check_achievable_args, log_orderings, orderings,
-)
-from .predictors import CORI_BELIEF, PREDICTORS, make_predictors
+from .exposure import achievable_exposure, check_achievable_args, log_orderings, orderings
+from .predictors import CORI_BELIEF, make_predictors
 from .retrieval import RANKERS, Query, rank, write_run_file
 
 
@@ -67,15 +65,22 @@ def _split_names(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
+def _split_ints(value: str) -> list[int]:
+    try:
+        return [int(v) for v in _split_names(value)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {value!r}"
+        ) from None
+
+
 def _validate_run(args) -> None:
-    for path in filter(None, [args.index, args.corpus, args.categories_file, args.queries]):
+    for path in (args.index, args.queries):
         if not Path(path).exists():
             raise ValueError(f"file not found: {path}")
     for path in args.run_files:
         if not Path(path).exists():
             raise ValueError(f"run file not found: {path}")
-    if args.reference not in PREDICTORS:
-        raise ValueError(f"unknown reference {args.reference!r} (choose from {PREDICTORS})")
 
 
 def _check_k(k: int) -> None:
@@ -94,20 +99,10 @@ def _per_query(queries: list[Query], fn) -> list:
     return out
 
 
-def _load_index(args) -> CollectionIndex:
-    if getattr(args, "index", None):
-        return CollectionIndex.load(args.index)
-    if args.corpus is None or args.categories_file is None:
-        raise ValueError("provide either --index or both --corpus and --categories")
-    docs = load_corpus_jsonl(args.corpus)
-    categories = load_categories_json(args.categories_file)
-    return build_index(docs, categories)
-
-
 # ------------------------------- subcommands -------------------------------
 
 def cmd_index(args) -> int:
-    index = _load_index(args)
+    index = build_index(load_corpus_jsonl(args.corpus), load_categories_json(args.categories_file))
     index.save(args.out)
     print(
         f"docs={index.num_docs} terms={len(index.vocabulary)} "
@@ -118,7 +113,7 @@ def cmd_index(args) -> int:
 
 def cmd_rank(args) -> int:
     _check_k(args.k)
-    index = _load_index(args)
+    index = CollectionIndex.load(args.index)
     queries = load_queries_tsv(args.queries)
     rankings = _per_query(queries, lambda q: rank(index, q, args.model, args.k))
     write_run_file(args.out, rankings, tag=args.tag or args.model)
@@ -130,7 +125,7 @@ def cmd_expand(args) -> int:
     _check_k(args.k)
     config = ExpansionConfig(args.fb_docs, args.fb_terms, args.rm3_lambda)
     expander = QueryExpander(args.method, config)
-    index = _load_index(args)
+    index = CollectionIndex.load(args.index)
     queries = load_queries_tsv(args.queries)
 
     def expand(query):
@@ -146,7 +141,7 @@ def cmd_expand(args) -> int:
 def cmd_predict(args) -> int:
     reject_repeats("--category-names", args.category_names or [])
     predictors = make_predictors(args.predictors, args.k)
-    index = _load_index(args)
+    index = CollectionIndex.load(args.index)
     queries = load_queries_tsv(args.queries)
     if args.category_names:
         categories = [index.category(name).name for name in args.category_names]
@@ -180,11 +175,10 @@ def cmd_run(args) -> int:
     rankers += [RunFileRanker(path) for path in args.run_files]
     check_experiment(args.category_names, rankers, expanders, predictors, args.k)
 
-    index = _load_index(args)
+    index = CollectionIndex.load(args.index)
     queries = load_queries_tsv(args.queries)
     report = run_experiment(
-        index, queries, args.category_names, rankers, expanders, predictors, args.k,
-        reference=args.reference,
+        index, queries, args.category_names, rankers, expanders, predictors, args.k
     )
 
     out_dir = Path(args.out_dir)
@@ -205,26 +199,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze_exposure(args) -> int:
-    m_values = [int(v) for v in _split_names(args.m)]
-    if not m_values:
+    if not args.m:
         raise ValueError("at least one m is required")
     # every m is checked before the first histogram is computed
-    reject_repeats("--m", m_values)
-    for m in m_values:
-        check_achievable_args(
-            args.k, m, args.mode, bins=args.bins, budget=args.budget, samples=args.samples
-        )
+    reject_repeats("--m", args.m)
+    for m in args.m:
+        check_achievable_args(args.k, m, args.mode, samples=args.samples)
     histograms = [
-        achievable_exposure(
-            args.k,
-            m,
-            args.mode,
-            bins=args.bins,
-            budget=args.budget,
-            samples=args.samples,
-            seed=args.seed,
-        )
-        for m in m_values
+        achievable_exposure(args.k, m, args.mode, samples=args.samples, seed=args.seed)
+        for m in args.m
     ]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,24 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_index_source(p):
-        p.add_argument("--index", help="path to a saved index")
-        p.add_argument("--corpus", help="JSONL corpus (doc_id, text, labels)")
-        p.add_argument("--categories", dest="categories_file", help="JSON category definitions")
-
     def add_expansion_options(p):
         p.add_argument("--fb-docs", type=int, default=ExpansionConfig.fb_docs)
         p.add_argument("--fb-terms", type=int, default=ExpansionConfig.fb_terms)
         p.add_argument("--rm3-lambda", type=float, default=ExpansionConfig.rm3_lambda)
 
     p = sub.add_parser("index", help="build and persist a collection index")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--categories", dest="categories_file", required=True)
+    p.add_argument("--corpus", required=True, help="JSONL corpus (doc_id, text, labels)")
+    p.add_argument("--categories", dest="categories_file", required=True,
+                   help="JSON category definitions")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("rank", help="rank queries and write a TREC run file")
-    add_index_source(p)
+    p.add_argument("--index", required=True, help="an index written by qexp index")
     p.add_argument("--queries", required=True, help="TSV: qid<TAB>query text")
     p.add_argument("--model", default="bm25", choices=sorted(RANKERS))
     p.add_argument("--k", type=int, default=100)
@@ -282,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("expand", help="apply PRF expansion and dump the queries")
-    add_index_source(p)
+    p.add_argument("--index", required=True, help="an index written by qexp index")
     p.add_argument("--queries", required=True)
     p.add_argument("--method", required=True, choices=tuple(EXPANDERS))
     p.add_argument("--model", default="bm25", choices=sorted(RANKERS))
@@ -292,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("predict", help="emit per-group exposure predictions")
-    add_index_source(p)
+    p.add_argument("--index", required=True, help="an index written by qexp index")
     p.add_argument("--queries", required=True)
     p.add_argument("--predictors", type=_split_names, default="gep")
     p.add_argument("--category-names", type=_split_names, default=None,
@@ -302,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("run", help="full experiment: rank, predict, evaluate")
-    add_index_source(p)
+    p.add_argument("--index", required=True, help="an index written by qexp index")
     p.add_argument("--queries", required=True)
     p.add_argument("--rankers", type=_split_names, default="bm25",
                    help="comma-separated retrieval models")
@@ -316,17 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=100)
     add_expansion_options(p)
     p.add_argument("--cori-belief", type=float, default=CORI_BELIEF)
-    p.add_argument("--reference", default="gep")
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("analyze-exposure", help="achievable exposure and orderings data")
     p.add_argument("--k", type=int, default=100)
-    # C(100, 4) = 3.9M subsets fits the default budget; C(100, 5) would not
-    p.add_argument("--m", default="0,1,2,3,4", help="comma-separated group document counts")
+    # C(100, 4) = 3.9M subsets fits the subset budget; C(100, 5) would not
+    p.add_argument("--m", type=_split_ints, default="0,1,2,3,4",
+                   help="comma-separated group document counts")
     p.add_argument("--mode", default="exact", choices=("exact", "sampled"))
-    p.add_argument("--bins", type=int, default=200)
-    p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="out")

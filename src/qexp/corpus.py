@@ -253,7 +253,7 @@ class CollectionIndex:
             doc_lengths = {d["id"]: d["length"] for d in payload["docs"]}
             doc_labels = {d["id"]: dict(d["labels"]) for d in payload["docs"]}
             postings = payload["postings"]
-            _check_payload(categories, doc_ids, doc_labels, postings)
+            _check_payload(categories, doc_ids, doc_lengths, doc_labels, postings)
             return cls(categories, doc_ids, doc_lengths, doc_labels, postings)
         except KeyError as exc:
             raise CorpusError(f"{path}: corrupt index (missing field {exc})") from None
@@ -261,22 +261,36 @@ class CollectionIndex:
             raise CorpusError(f"{path}: corrupt index ({exc})") from None
 
 
-def _check_payload(categories, doc_ids, doc_labels, postings) -> None:
-    """Reject a decoded index whose labels or postings do not fit its docs."""
+def _check_payload(categories, doc_ids, doc_lengths, doc_labels, postings) -> None:
+    """Reject a decoded index that build_index could not have written."""
     if not doc_ids:
         raise ValueError("no documents")
+    if not categories:
+        raise ValueError("no categories")
+    reject_repeats("the category list", [c.name for c in categories])
     if len(doc_labels) != len(doc_ids):
         raise ValueError("duplicate document ids")
     for doc_id, labels in doc_labels.items():
+        length = doc_lengths[doc_id]
+        if type(length) is not int or length < 0:
+            raise ValueError(f"document {doc_id!r} has length {length!r}, not an int >= 0")
         for cat in categories:
             if labels.get(cat.name) not in cat.groups:
                 raise ValueError(
                     f"document {doc_id!r} has no group of category {cat.name!r}"
                 )
+    # one union rather than a subset test per term: most terms have few postings
+    if not set().union(*postings.values()) <= doc_labels.keys():
+        term, unknown = next(
+            (t, d) for t, plist in postings.items() for d in plist if d not in doc_labels
+        )
+        raise ValueError(f"term {term!r} has a posting for unknown document {unknown!r}")
     for term, plist in postings.items():
-        if not plist.keys() <= doc_labels.keys():
-            unknown = next(d for d in plist if d not in doc_labels)
-            raise ValueError(f"term {term!r} has a posting for unknown document {unknown!r}")
+        for doc_id, tf in plist.items():
+            if type(tf) is not int or tf < 1:  # a JSON true decodes to a bool
+                raise ValueError(
+                    f"term {term!r} has tf {tf!r} for document {doc_id!r}, not an int >= 1"
+                )
 
 
 def build_index(

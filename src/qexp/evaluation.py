@@ -26,6 +26,8 @@ from .stats import student_t_two_sided_p
 
 #: level of the Bonferroni-corrected t-tests; summary.json reports every raw p
 ALPHA = 0.01
+#: the predictor every other predictor is t-tested against
+REFERENCE = "gep"
 
 
 def _values(dist) -> Sequence[float]:
@@ -237,8 +239,6 @@ def run_experiment(
     expanders: Sequence[QueryExpander | None],
     predictors: Mapping[str, PredictorFn],
     k: int = 100,
-    *,
-    reference: str = "gep",
 ) -> PredictionReport:
     """Rank, measure realized exposure, score every predictor with JSD.
 
@@ -335,14 +335,14 @@ def run_experiment(
     rows.sort(key=lambda r: (r.ranker, r.expander, r.query_id, r.category, r.predictor))
     cv_rows.sort(key=lambda r: (r.ranker, r.expander, r.query_id, r.category))
 
-    others = [p for p in predictors if p != reference]
+    others = [p for p in predictors if p != REFERENCE]
     m = max(1, len(others))
-    baselines = others if reference in predictors else []
+    baselines = others if REFERENCE in predictors else []
     summary = {
         "k": k,
         "alpha": ALPHA,
         "comparisons": m,
-        "reference": reference,
+        "reference": REFERENCE,
         "pipelines": [
             {
                 "ranker": ranker.name,
@@ -350,7 +350,7 @@ def run_experiment(
                 "categories": {
                     category: _score(
                         per_query.get((ranker.name, exp_name, category), {}),
-                        reference, baselines, m,
+                        baselines, m,
                     )
                     for category in category_names
                 },
@@ -361,9 +361,9 @@ def run_experiment(
     return PredictionReport(rows, cv_rows, failures, summary)
 
 
-def _score(jsds: Mapping[str, Mapping[str, float]], reference, baselines, m) -> dict:
+def _score(jsds: Mapping[str, Mapping[str, float]], baselines, m) -> dict:
     """Mean JSD per predictor, and the reference's paired t-test against each baseline."""
-    ref = jsds.get(reference, {})
+    ref = jsds.get(REFERENCE, {})
     significance = {}
     for baseline in baselines:
         base = jsds.get(baseline, {})

@@ -141,25 +141,23 @@ class ExposureHistogram:
 DEFAULT_SUBSET_BUDGET = 5_000_000
 #: distinct-value histograms switch to equal-width bins above this
 MAX_DISTINCT_VALUES = 10_000
+#: the number of equal-width bins
+HISTOGRAM_BINS = 200
 
 
-def check_achievable_args(
-    k: int, m: int, mode: str, *, bins: int, budget: int, samples: int
-) -> None:
+def check_achievable_args(k: int, m: int, mode: str, *, samples: int) -> None:
     """Reject what achievable_exposure would reject, before any subset is walked."""
     if not 0 <= m <= k:
         raise ValueError(f"m={m} outside 0..k={k}")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n_subsets = math.comb(k, m)
-    if mode == "exact" and n_subsets > budget:
+    if mode == "exact" and n_subsets > DEFAULT_SUBSET_BUDGET:
         raise ValueError(
             f"exact mode needs C({k},{m})={n_subsets} subset evaluations, "
-            f"over the budget of {budget}; use sampled mode"
+            f"over the budget of {DEFAULT_SUBSET_BUDGET}; use sampled mode"
         )
 
 
@@ -168,12 +166,10 @@ def achievable_exposure(
     m: int,
     mode: str = "exact",
     *,
-    bins: int = 200,
-    budget: int = DEFAULT_SUBSET_BUDGET,
     samples: int = 100_000,
     seed: int = 0,
 ) -> ExposureHistogram:
-    check_achievable_args(k, m, mode, bins=bins, budget=budget, samples=samples)
+    check_achievable_args(k, m, mode, samples=samples)
     weights = [position_exposure(p) for p in range(1, k + 1)]
     n_subsets = math.comb(k, m)
     lo = float_sum(weights[k - m :])  # m lowest positions
@@ -182,7 +178,7 @@ def achievable_exposure(
     if mode == "exact":
         values = _subset_sums(weights, m)
         mean = float_sum(values) / len(values)
-        out_bins = _bin_values(values, lo, hi, bins)
+        out_bins = _bin_values(values, lo, hi)
         return ExposureHistogram(k, m, "exact", out_bins, n_subsets, mean)
 
     rng = random.Random(seed)
@@ -190,7 +186,7 @@ def achievable_exposure(
     values = [float_sum(rng.sample(weights, m)) for _ in range(samples)]
     mean = float_sum(values) / len(values)
     scale = n_subsets / samples
-    tallies = _bin_values(values, lo, hi, bins, force_equal_width=True)
+    tallies = _bin_values(values, lo, hi, force_equal_width=True)
     est = tuple((low, high, count * scale) for low, high, count in tallies)
     return ExposureHistogram(k, m, "sampled", est, n_subsets, mean, sample_size=samples)
 
@@ -238,7 +234,7 @@ def _skip_sums(weights: list[float], r: int, start: int = 0, total: float = 0) -
         yield from _skip_sums(weights, r - 1, q + 1, runs[q - start])
 
 
-def _bin_values(values, lo, hi, n_bins, force_equal_width=False):
+def _bin_values(values, lo, hi, force_equal_width=False):
     distinct: dict[float, int] = {}
     if not force_equal_width:
         for v in values:
@@ -251,11 +247,11 @@ def _bin_values(values, lo, hi, n_bins, force_equal_width=False):
         return tuple((v, v, float(c)) for v, c in sorted(distinct.items()))
     if hi == lo:
         return ((lo, hi, float(len(values))),)
-    counts = [0] * n_bins
-    width = (hi - lo) / n_bins
+    counts = [0] * HISTOGRAM_BINS
+    width = (hi - lo) / HISTOGRAM_BINS
     # a value past either end (rounding at lo or hi) goes into the end bin
     for i, c in Counter(int((v - lo) / width) for v in values).items():
-        counts[min(max(i, 0), n_bins - 1)] += c
+        counts[min(max(i, 0), HISTOGRAM_BINS - 1)] += c
     return tuple(
         (lo + i * width, lo + (i + 1) * width, float(c))
         for i, c in enumerate(counts)

@@ -231,9 +231,12 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     qfile = tmp_path / "queries.tsv"
     qfile.write_text("".join(f"{q.query_id}\t{' '.join(q.terms)}\n" for q in queries))
 
+    index = tmp_path / "index.qx"
+    assert main(["index", "--corpus", str(corpus), "--categories", str(categories),
+                 "--out", str(index)]) == 0
     out_dir = tmp_path / "out"
     argv = [
-        "run", "--corpus", str(corpus), "--categories", str(categories),
+        "run", "--index", str(index),
         "--queries", str(qfile), "--rankers", "bm25", "--expanders", "none,rm3",
         "--predictors", "gep,scs,avidf,avictf,avpmi,cori",
         "--k", "50", "--out-dir", str(out_dir),

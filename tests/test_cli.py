@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -14,7 +15,9 @@ import qexp.expansion
 import qexp.exposure
 import qexp.predictors
 from qexp.cli import main
-from qexp.corpus import INDEX_MAGIC, CollectionIndex, save_categories_json, save_corpus_jsonl
+from qexp.corpus import (
+    INDEX_MAGIC, CollectionIndex, build_index, load_categories_json, load_corpus_jsonl,
+)
 from qexp.exposure import position_exposure
 from qexp.predictors import PREDICTORS
 from qexp.synthetic import SyntheticConfig, make_planted_skew_corpus
@@ -48,6 +51,9 @@ def workspace(tmp_path):
 
     queries = tmp_path / "queries.tsv"
     queries.write_text("q1\tt000 t001\nq2\tt004 t005\nq3\tt000 t005\n")
+    build_index(load_corpus_jsonl(corpus), load_categories_json(categories)).save(
+        tmp_path / "index.qx"
+    )
     return tmp_path
 
 
@@ -88,11 +94,55 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: qexp")
 
 
+class TestOptionSurface:
+    # an option is added or dropped on purpose: this list changes with it
+    OPTIONS = {
+        "index": ["--corpus", "--categories", "--out"],
+        "rank": ["--index", "--queries", "--model", "--k", "--tag", "--out"],
+        "expand": [
+            "--index", "--queries", "--method", "--model", "--k",
+            "--fb-docs", "--fb-terms", "--rm3-lambda", "--out",
+        ],
+        "predict": ["--index", "--queries", "--predictors", "--category-names", "--k", "--out"],
+        "run": [
+            "--index", "--queries", "--rankers", "--run-file", "--expanders", "--predictors",
+            "--category-names", "--k", "--fb-docs", "--fb-terms", "--rm3-lambda",
+            "--cori-belief", "--out-dir",
+        ],
+        "analyze-exposure": ["--k", "--m", "--mode", "--samples", "--seed", "--out-dir"],
+    }
+
+    def test_each_command_has_exactly_its_options(self):
+        parser = qexp.cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+            for name, sub in commands.choices.items()
+        }
+        assert options == self.OPTIONS
+        assert sum(map(len, options.values())) == 43
+
+    def test_run_config_json_has_exactly_the_run_options(self, workspace):
+        out_dir = workspace / "out"
+        assert main([
+            "run", "--index", str(workspace / "index.qx"),
+            "--queries", str(workspace / "queries.tsv"), "--k", "5", "--out-dir", str(out_dir),
+        ]) == 0
+        config = json.loads((out_dir / "config.json").read_text())
+        assert sorted(config) == [
+            "category_names", "cori_belief", "expanders", "fb_docs", "fb_terms", "index", "k",
+            "out_dir", "predictors", "queries", "rankers", "rm3_lambda", "run_files",
+        ]
+
+
 @pytest.mark.parametrize("command", ["rank", "expand", "predict", "run"])
-@pytest.mark.parametrize("source", [[], ["--corpus"], ["--categories"]])
+@pytest.mark.parametrize(
+    "source", [[], ["--corpus"], ["--categories"], ["--corpus", "--categories"]]
+)
 def test_missing_index_source_exits_1_before_loading(
     workspace, capsys, monkeypatch, command, source
 ):
+    # only qexp index reads a corpus: the other commands read what it wrote
     files = {"--corpus": "corpus.jsonl", "--categories": "categories.json"}
     source = [arg for flag in source for arg in (flag, str(workspace / files[flag]))]
 
@@ -100,6 +150,7 @@ def test_missing_index_source_exits_1_before_loading(
         raise AssertionError("a file was loaded")
 
     monkeypatch.setattr(qexp.cli, "load_corpus_jsonl", no_load)
+    monkeypatch.setattr(qexp.cli.CollectionIndex, "load", no_load)
     monkeypatch.setattr(qexp.cli, "load_queries_tsv", no_load)
     out = workspace / "out"
     argv = [command, *source, "--queries", str(workspace / "queries.tsv")]
@@ -108,13 +159,14 @@ def test_missing_index_source_exits_1_before_loading(
         argv += ["--method", "rm3"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == "error: provide either --index or both --corpus and --categories\n"
+    assert err.startswith(f"usage: qexp {command}")
+    assert err.endswith("error: the following arguments are required: --index\n")
     assert not out.exists()
 
 
 class TestIndexCommand:
     def test_build_and_summary(self, workspace, capsys):
-        out = workspace / "index.qx"
+        out = workspace / "built.qx"
         code = main([
             "index", "--corpus", str(workspace / "corpus.jsonl"),
             "--categories", str(workspace / "categories.json"),
@@ -212,8 +264,6 @@ class TestCorruptIndex:
 
     def test_truncated_index_exits_1(self, workspace, capsys):
         path = workspace / "index.qx"
-        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"),
-                     "--categories", str(workspace / "categories.json"), "--out", str(path)]) == 0
         path.write_bytes(path.read_bytes()[:-20])
         assert self._predict(workspace, path) == 1
         err = capsys.readouterr().err
@@ -231,8 +281,7 @@ class TestRankAndExpand:
     def test_rank_writes_run_file(self, workspace):
         out = workspace / "run.trec"
         code = main([
-            "rank", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "rank", "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"),
             "--model", "bm25", "--k", "5", "--out", str(out),
         ])
@@ -246,8 +295,7 @@ class TestRankAndExpand:
         queries.write_text(f"q1\tt000\n{line}\n")
         out = workspace / "run.trec"
         code = main([
-            "rank", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "rank", "--index", str(workspace / "index.qx"),
             "--queries", str(queries), "--out", str(out),
         ])
         assert code == 1
@@ -258,8 +306,7 @@ class TestRankAndExpand:
 
     def test_ranked_run_file_evaluates_like_its_ranker(self, workspace):
         source = [
-            "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"),
         ]
         run = workspace / "run.trec"
@@ -282,8 +329,7 @@ class TestRankAndExpand:
         queries.write_text("q1\tt000 t001\nq2\tthe of and\n")
         out = workspace / "out"
         argv = [
-            command, "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            command, "--index", str(workspace / "index.qx"),
             "--queries", str(queries), "--out", str(out),
         ]
         if command == "expand":
@@ -305,10 +351,10 @@ class TestRankAndExpand:
     def test_bad_option_exits_1_before_loading(
         self, workspace, capsys, monkeypatch, command, extra, message
     ):
-        def no_load(args):
+        def no_load(path):
             raise AssertionError("the index was loaded")
 
-        monkeypatch.setattr(qexp.cli, "_load_index", no_load)
+        monkeypatch.setattr(qexp.cli.CollectionIndex, "load", no_load)
         out = workspace / "out"
         argv = [command, "--index", "index.qx", "--queries", "q.tsv", "--out", str(out), *extra]
         if command == "expand":
@@ -320,8 +366,7 @@ class TestRankAndExpand:
     def test_expand_writes_jsonl(self, workspace):
         out = workspace / "expanded.jsonl"
         code = main([
-            "expand", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "expand", "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"),
             "--method", "rm3", "--k", "5", "--out", str(out),
         ])
@@ -337,8 +382,7 @@ class TestPredictCommand:
     def test_predictions_jsonl(self, workspace):
         out = workspace / "pred.jsonl"
         code = main([
-            "predict", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "predict", "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"),
             "--predictors", "gep,avidf", "--k", "5", "--out", str(out),
         ])
@@ -362,8 +406,7 @@ class TestPredictCommand:
     def test_bad_argument_exits_1_before_writing(self, workspace, capsys, extra, message):
         out = workspace / "pred.jsonl"
         code = main([
-            "predict", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "predict", "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"), "--out", str(out), *extra,
         ])
         assert code == 1
@@ -371,14 +414,13 @@ class TestPredictCommand:
         assert not out.exists()
 
     def test_repeated_category_name_exits_1_before_loading(self, workspace, capsys, monkeypatch):
-        def no_load(args):
+        def no_load(path):
             raise AssertionError("the index was loaded")
 
-        monkeypatch.setattr(qexp.cli, "_load_index", no_load)
+        monkeypatch.setattr(qexp.cli.CollectionIndex, "load", no_load)
         out = workspace / "pred.jsonl"
         code = main([
-            "predict", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "predict", "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"), "--out", str(out),
             "--category-names", "c,c",
         ])
@@ -391,8 +433,7 @@ class TestPredictCommand:
         queries.write_text("q1\tt000 t001\nq2\tthe of and\n")
         out = workspace / "pred.jsonl"
         code = main([
-            "predict", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "predict", "--index", str(workspace / "index.qx"),
             "--queries", str(queries), "--out", str(out),
         ])
         assert code == 1
@@ -403,8 +444,7 @@ class TestPredictCommand:
 class TestRunCommand:
     def _run(self, workspace, out_dir, extra=()):
         return main([
-            "run", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "run", "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"),
             "--rankers", "bm25", "--expanders", "none",
             "--predictors", "gep,scs,avidf,avictf,avpmi,cori",
@@ -442,8 +482,7 @@ class TestRunCommand:
 
     def test_validation_error_exit_code(self, workspace, capsys):
         code = main([
-            "run", "--corpus", str(workspace / "missing.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "run", "--index", str(workspace / "missing.qx"),
             "--queries", str(workspace / "queries.tsv"),
             "--out-dir", str(workspace / "out"),
         ])
@@ -459,19 +498,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 2" in err and "'q1'" in err
         assert not (out_dir / "jsd.csv").exists()
-
-    @pytest.mark.parametrize(
-        "extra, message",
-        [
-            (("--reference", "gepp"), "unknown reference 'gepp'"),
-        ],
-    )
-    def test_bad_run_option_exits_1_before_ranking(self, workspace, capsys, extra, message):
-        out_dir = workspace / "out"
-        assert self._run(workspace, out_dir, extra) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
-        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -494,10 +520,10 @@ class TestRunCommand:
         run = workspace / "run.trec"
         run.write_text("q1 Q0 d00 1 1.0 ext\n")
 
-        def no_load(args):
+        def no_load(path):
             raise AssertionError("the index was loaded")
 
-        monkeypatch.setattr(qexp.cli, "_load_index", no_load)
+        monkeypatch.setattr(qexp.cli.CollectionIndex, "load", no_load)
         out_dir = workspace / "out"
         extra = [arg.format(run=run) for arg in extra]
         assert self._run(workspace, out_dir, extra) == 1
@@ -513,8 +539,7 @@ class TestRunCommand:
 
     def _run_file_run(self, workspace, run, out_dir):
         return main([
-            "run", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "run", "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"), "--rankers", "",
             "--run-file", str(run), "--expanders", "none",
             "--predictors", "uniform", "--k", "5", "--out-dir", str(out_dir),
@@ -589,8 +614,7 @@ class TestRunCommand:
         queries.write_text("q1\tt000 t001\n")
         out_dir = workspace / "out"
         code = main([
-            "run", "--corpus", str(workspace / "corpus.jsonl"),
-            "--categories", str(workspace / "categories.json"),
+            "run", "--index", str(workspace / "index.qx"),
             "--queries", str(queries), "--rankers", "",
             "--run-file", str(run), "--expanders", "none",
             "--predictors", "uniform", "--k", "5", "--out-dir", str(out_dir),
@@ -614,14 +638,12 @@ class TestRunCommand:
         docs, categories, queries = make_planted_skew_corpus(
             SyntheticConfig(docs_per_group=20, num_queries=12)
         )
-        save_corpus_jsonl(tmp_path / "corpus.jsonl", docs)
-        save_categories_json(tmp_path / "categories.json", categories)
+        build_index(docs, categories).save(tmp_path / "index.qx")
         (tmp_path / "queries.tsv").write_text(
             "".join(f"{q.query_id}\t{' '.join(q.terms)}\n" for q in queries)
         )
         source = [
-            "--corpus", str(tmp_path / "corpus.jsonl"),
-            "--categories", str(tmp_path / "categories.json"),
+            "--index", str(tmp_path / "index.qx"),
             "--queries", str(tmp_path / "queries.tsv"),
             "--predictors", ",".join(PREDICTORS), "--k", "20",
         ]
@@ -743,14 +765,14 @@ class TestAnalyzeExposure:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--mode", "sampled", "--bins", "0"], "bins must be >= 1"),
             (["--mode", "sampled", "--samples", "0"], "samples must be >= 1"),
             (["--mode", "sampled", "--samples", "-5"], "samples must be >= 1"),
-            (["--mode", "exact", "--bins", "0", "--k", "40", "--m", "4"], "bins must be >= 1"),
             (["--k", "10", "--m", "2,2"], "--m repeats 2"),
         ],
     )
-    def test_bad_bins_or_samples_exit_1_without_output(self, workspace, capsys, argv, message):
+    def test_bad_samples_or_repeated_m_exit_1_without_output(
+        self, workspace, capsys, argv, message
+    ):
         out_dir = workspace / "exp"
         assert main(["analyze-exposure", *argv, "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -766,13 +788,21 @@ class TestAnalyzeExposure:
         # read from the parser: a bare run walks C(100, 4) subsets, too many for a test
         args = qexp.cli.build_parser().parse_args(["analyze-exposure"])
         assert args.mode == "exact"
-        assert max(math.comb(args.k, int(m)) for m in args.m.split(",")) <= args.budget
+        assert max(math.comb(args.k, m) for m in args.m) <= qexp.exposure.DEFAULT_SUBSET_BUDGET
 
-    @pytest.mark.parametrize("m", ["", " , "])
-    def test_empty_m_exits_1_without_output(self, workspace, capsys, m):
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ("", "error: at least one m is required\n"),
+            (" , ", "error: at least one m is required\n"),
+            # argparse parses the list, so the usage error names the option
+            ("1,x", "error: argument --m: expected comma-separated integers, got '1,x'\n"),
+        ],
+    )
+    def test_empty_or_non_integer_m_exits_1_without_output(self, workspace, capsys, m, message):
         out_dir = workspace / "exp"
         assert main(["analyze-exposure", "--k", "8", "--m", m, "--out-dir", str(out_dir)]) == 1
-        assert capsys.readouterr().err == "error: at least one m is required\n"
+        assert capsys.readouterr().err.endswith(message)
         assert not out_dir.exists()
 
     def test_over_budget_m_exits_1_before_any_subset_is_walked(

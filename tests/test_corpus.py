@@ -1,6 +1,7 @@
 import gzip
 import json
 import random
+import re
 import threading
 from collections import Counter
 
@@ -328,25 +329,39 @@ class TestPersistence:
             CollectionIndex.load(path)
 
     @pytest.mark.parametrize(
-        "labels, postings, message",
+        "doc, changes, message",
         [
-            ({"geo": "north"}, {"t000": {"d1": 1}}, "'d1' has no group of category 'geo'"),
-            ({}, {"t000": {"d1": 1}}, "'d1' has no group of category 'geo'"),
-            ({"geo": "east"}, {"t000": {"d9": 1}}, "unknown document 'd9'"),
+            ({"labels": {"geo": "north"}}, {}, "'d1' has no group of category 'geo'"),
+            ({"labels": {}}, {}, "'d1' has no group of category 'geo'"),
+            ({}, {"postings": {"t000": {"d9": 1}}}, "unknown document 'd9'"),
+            *[
+                ({}, {"postings": {"t000": {"d1": tf}}},
+                 f"term 't000' has tf {tf!r} for document 'd1', not an int >= 1")
+                for tf in ("1", -4, 0, 1.5, 1.0, True, None)
+            ],
+            *[
+                ({"length": length}, {}, f"document 'd1' has length {length!r}, not an int >= 0")
+                for length in (-3, 1.5, "1", False)
+            ],
+            ({}, {"categories": []}, "no categories"),
+            ({}, {"categories": [{"name": "geo", "groups": ["east", "west"]}] * 2},
+             "the category list repeats geo"),
         ],
     )
-    def test_inconsistent_payload(self, tmp_path, labels, postings, message):
+    def test_inconsistent_payload(self, tmp_path, doc, changes, message):
         payload = {
             "categories": [{"name": "geo", "groups": ["east", "west"]}],
-            "docs": [{"id": "d1", "length": 1, "labels": labels}],
-            "postings": postings,
+            "docs": [{"id": "d1", "length": 1, "labels": {"geo": "east"}, **doc}],
+            "postings": {"t000": {"d1": 1}},
+            **changes,
         }
         path = tmp_path / "index.qx"
         path.write_bytes(
             INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION]) + gzip.compress(json.dumps(payload).encode())
         )
-        with pytest.raises(CorpusError, match=message):
+        with pytest.raises(CorpusError, match=re.escape(message)) as raised:
             CollectionIndex.load(path)
+        assert str(raised.value).startswith(f"{path}: corrupt index (")
 
     def test_level_9_index_loads_equal_to_level_6(self, tmp_path):
         docs, cats = random_labeled_corpus(random.Random(7), num_docs=30, num_categories=2)

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qexp.corpus import Category, Document, build_index
+from qexp.corpus import Category, CollectionIndex, Document, build_index
 from qexp.evaluation import (
     Failure,
     ModelRanker,
@@ -18,9 +18,10 @@ from qexp.evaluation import (
     paired_t_test,
     run_experiment,
 )
+from qexp.expansion import EXPANDERS
 from qexp.exposure import ExposureDistribution, realized_exposure
 from qexp.predictors import PREDICTORS, make_predictors
-from qexp.retrieval import Query, rank, write_run_file
+from qexp.retrieval import RANKERS, Query, rank, write_run_file
 from qexp.stats import betainc, student_t_two_sided_p
 
 from conftest import random_labeled_corpus, stable_vocab
@@ -229,8 +230,7 @@ class TestRunExperiment:
             return PredictorOutput("identity", category, dist.groups, dist.values, dist)
 
         report = run_experiment(
-            idx, _queries(), None, [ranker], [None],
-            {"identity": identity}, k=10, reference="identity",
+            idx, _queries(), None, [ranker], [None], {"identity": identity}, k=10
         )
         assert all(row.jsd == pytest.approx(0.0, abs=1e-12) for row in report.rows)
 
@@ -363,8 +363,7 @@ class TestRunExperiment:
 
         expander = QueryExpander("rm3")
         run_experiment(
-            idx, _queries(), None, [ModelRanker("bm25")], [expander],
-            {"spy": spy}, k=10, reference="spy",
+            idx, _queries(), None, [ModelRanker("bm25")], [expander], {"spy": spy}, k=10
         )
         assert set(seen) <= {tuple(q.terms) for q in _queries()}
 
@@ -460,6 +459,39 @@ class TestRunExperimentProperties:
             assert after.keys() == before.keys()
             for key, value in before.items():
                 assert after[key] == pytest.approx(value, abs=1e-9), key
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_a_loaded_index_gives_the_results_of_the_built_one(self, tmp_path_factory, seed):
+        # qexp index builds and saves; every other command loads what it saved
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(
+            rng, num_docs=20, num_groups=rng.randint(2, 4), num_categories=2
+        )
+        # save sorts each posting list by doc id; the build keeps the corpus order
+        rng.shuffle(docs)
+        built = build_index(docs, cats)
+        path = tmp_path_factory.mktemp("equiv") / "index.qx"
+        built.save(path)
+        vocab = stable_vocab(10)  # two terms the corpus never uses
+        queries = [
+            Query.from_text(" ".join(rng.choices(vocab, k=rng.randint(1, 4))), query_id=f"q{i}")
+            for i in range(6)
+        ] + [Query.from_terms([], query_id="qempty")]
+
+        def run(index):
+            return run_experiment(
+                index, queries, None, [ModelRanker(name) for name in RANKERS],
+                [None, *(QueryExpander(name) for name in EXPANDERS)],
+                make_predictors(PREDICTORS, 3), 3,
+            )
+
+        built_report, loaded_report = run(built), run(CollectionIndex.load(path))
+        assert built_report.failures  # the empty query fails every pipeline
+        assert loaded_report.rows == built_report.rows
+        assert loaded_report.cv_rows == built_report.cv_rows
+        assert loaded_report.summary == built_report.summary
+        assert loaded_report.failures == built_report.failures
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))

@@ -222,7 +222,7 @@ class TestAchievableExposure:
     def test_more_than_max_distinct_values_take_equal_width_bins(self, k, equal_width):
         # every m=4 sum is distinct here, so C(k, 4) decides the path
         assert (math.comb(k, 4) > MAX_DISTINCT_VALUES) == equal_width
-        hist = achievable_exposure(k, 4, bins=200)
+        hist = achievable_exposure(k, 4)
         assert len(hist.bins) == (200 if equal_width else math.comb(k, 4))
         assert all((low < high) == equal_width for low, high, _ in hist.bins)
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qexp.predictors
 from qexp.cli import load_queries_tsv, main
-from qexp.corpus import Category, Document, build_index, save_categories_json, save_corpus_jsonl
+from qexp.corpus import Category, Document, build_index
 from qexp.evaluation import ModelRanker, QueryExpander, run_experiment
 from qexp.exposure import normalize_exposure
 from qexp.predictors import (
@@ -332,7 +332,7 @@ def _two_category_index(seed, num_docs=16):
     docs, cats = random_labeled_corpus(
         rng, num_docs=num_docs, num_groups=rng.randint(2, 4), num_categories=2
     )
-    return build_index(docs, cats), docs, cats
+    return build_index(docs, cats)
 
 
 class _CountBuilds:
@@ -367,7 +367,7 @@ class TestSharedTable:
     @example(0, [("gep", 0, 0, "cat0"), ("gep", 1, 0, "cat0"), ("gep", 1, 0, "cat1")])
     def test_interleaved_calls_match_predict(self, seed, calls):
         rng = random.Random(seed)
-        indexes = [_two_category_index(seed)[0], _two_category_index(seed + 1)[0]]
+        indexes = [_two_category_index(seed), _two_category_index(seed + 1)]
         terms = [rng.choices(stable_vocab(10), k=rng.randint(1, 4)) for _ in range(3)]
         queries = [Query.from_terms(t) for t in terms]
         queries.append(Query.from_terms(terms[0]))  # equal to queries[0], another object
@@ -380,9 +380,8 @@ class TestSharedTable:
 
     def test_one_table_per_query_and_category(self, tmp_path, monkeypatch):
         num_queries = 5
-        index, docs, cats = _two_category_index(7, num_docs=30)
-        save_corpus_jsonl(tmp_path / "corpus.jsonl", docs)
-        save_categories_json(tmp_path / "categories.json", cats)
+        index = _two_category_index(7, num_docs=30)
+        index.save(tmp_path / "index.qx")
         rng = random.Random(7)
         lines = [
             f"q{i}\t{' '.join(rng.choices(stable_vocab(10), k=rng.randint(1, 4)))}\n"
@@ -394,8 +393,7 @@ class TestSharedTable:
 
         out = tmp_path / "pred.jsonl"
         code = main([
-            "predict", "--corpus", str(tmp_path / "corpus.jsonl"),
-            "--categories", str(tmp_path / "categories.json"),
+            "predict", "--index", str(tmp_path / "index.qx"),
             "--queries", str(tmp_path / "queries.tsv"), "--out", str(out),
             "--predictors", ",".join(PREDICTORS),
         ])
@@ -413,7 +411,7 @@ class TestSharedTable:
         assert builds.calls == num_queries * 2
 
     def test_failed_build_stores_nothing(self, monkeypatch):
-        index, _, _ = _two_category_index(3)
+        index = _two_category_index(3)
         query = Query.from_terms(["t000", "t001"])
         bundle = make_predictors(PREDICTORS, 5)
         builds = _CountBuilds()
@@ -432,7 +430,7 @@ class TestSharedTable:
         assert builds.calls == len(PREDICTORS)  # only predict's: the bundle kept its table
 
     def test_threads_sharing_one_bundle(self):
-        index, _, _ = _two_category_index(11, num_docs=40)
+        index = _two_category_index(11, num_docs=40)
         bundle = make_predictors(PREDICTORS, 5)
         vocab = stable_vocab(10)
         per_thread = [
