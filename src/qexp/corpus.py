@@ -56,6 +56,16 @@ class Category:
             raise ValueError(f"category {self.name!r} has duplicate group names")
 
 
+def check_categories(categories: Sequence[Category]) -> None:
+    """Reject an empty category list or a repeated category name."""
+    if not categories:
+        raise CorpusError("no categories")
+    try:
+        reject_repeats("the category list", [c.name for c in categories])
+    except ValueError as exc:
+        raise CorpusError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class TermStats:
     df: int
@@ -265,9 +275,7 @@ def _check_payload(categories, doc_ids, doc_lengths, doc_labels, postings) -> No
     """Reject a decoded index that build_index could not have written."""
     if not doc_ids:
         raise ValueError("no documents")
-    if not categories:
-        raise ValueError("no categories")
-    reject_repeats("the category list", [c.name for c in categories])
+    check_categories(categories)
     if len(doc_labels) != len(doc_ids):
         raise ValueError("duplicate document ids")
     for doc_id, labels in doc_labels.items():
@@ -279,14 +287,10 @@ def _check_payload(categories, doc_ids, doc_lengths, doc_labels, postings) -> No
                 raise ValueError(
                     f"document {doc_id!r} has no group of category {cat.name!r}"
                 )
-    # one union rather than a subset test per term: most terms have few postings
-    if not set().union(*postings.values()) <= doc_labels.keys():
-        term, unknown = next(
-            (t, d) for t, plist in postings.items() for d in plist if d not in doc_labels
-        )
-        raise ValueError(f"term {term!r} has a posting for unknown document {unknown!r}")
     for term, plist in postings.items():
         for doc_id, tf in plist.items():
+            if doc_id not in doc_labels:
+                raise ValueError(f"term {term!r} has a posting for unknown document {doc_id!r}")
             if type(tf) is not int or tf < 1:  # a JSON true decodes to a bool
                 raise ValueError(
                     f"term {term!r} has tf {tf!r} for document {doc_id!r}, not an int >= 1"
@@ -307,11 +311,7 @@ def build_index(
     """
     if not docs:
         raise CorpusError("empty corpus")
-    if not categories:
-        raise CorpusError("no categories configured")
-    cats = {c.name: c for c in categories}
-    if len(cats) != len(categories):
-        raise CorpusError("duplicate category names")
+    check_categories(categories)
 
     doc_ids: list[str] = []
     doc_lengths: dict[str, int] = {}

@@ -107,6 +107,18 @@ class TestBuildIndex:
         with pytest.raises(CorpusError, match="empty corpus"):
             build_index([], [Category("c", ("g",))])
 
+    @pytest.mark.parametrize(
+        "categories, message",
+        [
+            ([], "no categories"),
+            ([Category("c", ("g",)), Category("c", ("h",))], "the category list repeats c"),
+        ],
+    )
+    def test_bad_category_list(self, categories, message):
+        with pytest.raises(CorpusError) as exc_info:
+            build_index([Document("d1", "t000", {"c": "g"})], categories)
+        assert str(exc_info.value) == message
+
     def test_duplicate_doc_id(self):
         docs = [
             Document("d1", "t000", {"c": "g"}),
