@@ -21,7 +21,7 @@ from .evaluation import (
     paired_t_test,
     run_experiment,
 )
-from .expansion import ExpansionConfig, ExpansionResult, expand_klq, expand_rm3
+from .expansion import ExpansionResult, expand_klq, expand_rm3
 from .exposure import (
     ExposureDistribution,
     ExposureHistogram,

@@ -27,7 +27,7 @@ from .corpus import (
 from .evaluation import (
     ModelRanker, QueryExpander, RunFileRanker, check_experiment, error_message, run_experiment,
 )
-from .expansion import EXPANDERS, ExpansionConfig, write_queries_jsonl
+from .expansion import EXPANDERS, write_queries_jsonl
 from .exposure import achievable_exposure, check_achievable_args, log_orderings, orderings
 from .predictors import CORI_BELIEF, make_predictors
 from .retrieval import RANKERS, Query, rank, write_run_file
@@ -74,15 +74,6 @@ def _split_ints(value: str) -> list[int]:
         ) from None
 
 
-def _validate_run(args) -> None:
-    for path in (args.index, args.queries):
-        if not Path(path).exists():
-            raise ValueError(f"file not found: {path}")
-    for path in args.run_files:
-        if not Path(path).exists():
-            raise ValueError(f"run file not found: {path}")
-
-
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -116,15 +107,14 @@ def cmd_rank(args) -> int:
     index = CollectionIndex.load(args.index)
     queries = load_queries_tsv(args.queries)
     rankings = _per_query(queries, lambda q: rank(index, q, args.model, args.k))
-    write_run_file(args.out, rankings, tag=args.tag or args.model)
+    write_run_file(args.out, rankings, tag=args.model)
     print(f"wrote {sum(len(r.entries) for r in rankings)} lines to {args.out}")
     return 0
 
 
 def cmd_expand(args) -> int:
     _check_k(args.k)
-    config = ExpansionConfig(args.fb_docs, args.fb_terms, args.rm3_lambda)
-    expander = QueryExpander(args.method, config)
+    expander = QueryExpander(args.method)
     index = CollectionIndex.load(args.index)
     queries = load_queries_tsv(args.queries)
 
@@ -164,13 +154,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_run(args) -> int:
-    _validate_run(args)
     predictors = make_predictors(args.predictors, args.k, args.cori_belief)
-    expansion = ExpansionConfig(args.fb_docs, args.fb_terms, args.rm3_lambda)
-    expanders = [
-        None if name == "none" else QueryExpander(name, expansion)
-        for name in args.expanders
-    ]
+    expanders = [None if name == "none" else QueryExpander(name) for name in args.expanders]
     rankers = [ModelRanker(name) for name in args.rankers]
     rankers += [RunFileRanker(path) for path in args.run_files]
     check_experiment(args.category_names, rankers, expanders, predictors, args.k)
@@ -239,11 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_expansion_options(p):
-        p.add_argument("--fb-docs", type=int, default=ExpansionConfig.fb_docs)
-        p.add_argument("--fb-terms", type=int, default=ExpansionConfig.fb_terms)
-        p.add_argument("--rm3-lambda", type=float, default=ExpansionConfig.rm3_lambda)
-
     p = sub.add_parser("index", help="build and persist a collection index")
     p.add_argument("--corpus", required=True, help="JSONL corpus (doc_id, text, labels)")
     p.add_argument("--categories", dest="categories_file", required=True,
@@ -256,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="TSV: qid<TAB>query text")
     p.add_argument("--model", default="bm25", choices=sorted(RANKERS))
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--tag", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rank)
 
@@ -266,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=tuple(EXPANDERS))
     p.add_argument("--model", default="bm25", choices=sorted(RANKERS))
     p.add_argument("--k", type=int, default=100)
-    add_expansion_options(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_expand)
 
@@ -293,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     # an empty list also means every category, and config.json records it as null
     p.add_argument("--category-names", type=lambda v: _split_names(v) or None, default=None)
     p.add_argument("--k", type=int, default=100)
-    add_expansion_options(p)
     p.add_argument("--cori-belief", type=float, default=CORI_BELIEF)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_run)

@@ -287,14 +287,23 @@ def _check_payload(categories, doc_ids, doc_lengths, doc_labels, postings) -> No
                 raise ValueError(
                     f"document {doc_id!r} has no group of category {cat.name!r}"
                 )
+    # a document's length is its tokens, so its postings' tf must add up to it
+    tokens = dict.fromkeys(doc_labels, 0)
     for term, plist in postings.items():
         for doc_id, tf in plist.items():
-            if doc_id not in doc_labels:
+            if doc_id not in tokens:
                 raise ValueError(f"term {term!r} has a posting for unknown document {doc_id!r}")
             if type(tf) is not int or tf < 1:  # a JSON true decodes to a bool
                 raise ValueError(
                     f"term {term!r} has tf {tf!r} for document {doc_id!r}, not an int >= 1"
                 )
+            tokens[doc_id] += tf
+    for doc_id, total in tokens.items():
+        if total != doc_lengths[doc_id]:
+            raise ValueError(
+                f"document {doc_id!r} has length {doc_lengths[doc_id]!r}, "
+                f"but the tf of its postings add up to {total}"
+            )
 
 
 def build_index(

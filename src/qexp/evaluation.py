@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .corpus import CollectionIndex, reject_repeats
 from .exposure import ExposureDistribution, check_distribution, float_sum, realized_exposure
-from .expansion import ExpansionConfig, ExpansionResult, EXPANDERS
+from .expansion import ExpansionResult, EXPANDERS
 from .predictors import PredictorFn, PredictorOutput
 from .retrieval import RANKERS, Query, Ranking, rank, read_run_file
 from .stats import student_t_two_sided_p
@@ -130,15 +130,14 @@ class RunFileRanker:
 class QueryExpander:
     """Named PRF expander applied between the two ranking passes."""
 
-    def __init__(self, method: str, config: ExpansionConfig = ExpansionConfig()):
+    def __init__(self, method: str):
         if method not in EXPANDERS:
             raise ValueError(f"unknown expander {method!r}")
         self.name = method
         self._fn = EXPANDERS[method]
-        self.config = config
 
     def expand(self, index, query, ranking) -> ExpansionResult:
-        return self._fn(index, query, ranking, self.config)
+        return self._fn(index, query, ranking)
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,12 @@ from .corpus import CollectionIndex
 from .exposure import float_sum
 from .retrieval import Query, Ranking
 
-
-@dataclass(frozen=True)
-class ExpansionConfig:
-    fb_docs: int = 3
-    fb_terms: int = 10
-    rm3_lambda: float = 0.5
-
-    def __post_init__(self):
-        if self.fb_docs < 1:
-            raise ValueError("fb_docs must be >= 1")
-        if self.fb_terms < 1:
-            raise ValueError("fb_terms must be >= 1")
-        if not 0.0 <= self.rm3_lambda <= 1.0:
-            raise ValueError("rm3_lambda must lie in [0, 1]")
+#: feedback documents read from the top of the first-pass ranking
+FB_DOCS = 3
+#: expansion terms added besides the original query terms
+FB_TERMS = 10
+#: RM3's weight on the relevance model against the query model
+RM3_LAMBDA = 0.5
 
 
 @dataclass(frozen=True)
@@ -39,10 +31,10 @@ class ExpansionResult:
     expanded: bool
 
 
-def _feedback_docs(index: CollectionIndex, ranking: Ranking, fb_docs: int):
+def _feedback_docs(index: CollectionIndex, ranking: Ranking):
     """Top feedback entries as (doc_id, score, term->tf, length)."""
     out = []
-    for doc_id, score in ranking.entries[:fb_docs]:
+    for doc_id, score in ranking.entries[:FB_DOCS]:
         terms = index.doc_terms(doc_id)
         out.append((doc_id, score, terms, index.doc_length(doc_id)))
     return out
@@ -58,19 +50,18 @@ def expand_rm3(
     index: CollectionIndex,
     query: Query,
     ranking: Ranking,
-    config: ExpansionConfig = ExpansionConfig(),
 ) -> ExpansionResult:
     """Interpolate the query model with a relevance model from feedback docs.
 
-    w(t) = (1-lambda) * P(t|Q) + lambda * P_rm(t), with
+    w(t) = (1-RM3_LAMBDA) * P(t|Q) + RM3_LAMBDA * P_rm(t), with
     P_rm(t) proportional to sum over feedback docs of P(t|d) * prior(d),
     the prior being the doc's min-max-normalized retrieval score. Only
-    the top ``fb_terms`` relevance-model terms survive besides the
+    the top ``FB_TERMS`` relevance-model terms survive besides the
     original query terms; weights are renormalized to sum to one.
     """
     if not query.terms:
         raise ValueError("cannot expand an empty query")
-    feedback = _feedback_docs(index, ranking, config.fb_docs)
+    feedback = _feedback_docs(index, ranking)
     if not feedback:
         return ExpansionResult(query, expanded=False)
 
@@ -92,16 +83,15 @@ def expand_rm3(
         return ExpansionResult(query, expanded=False)
     rm = {t: w / mass for t, w in rm.items()}
 
-    top = sorted(rm.items(), key=lambda tw: (-tw[1], tw[0]))[: config.fb_terms]
+    top = sorted(rm.items(), key=lambda tw: (-tw[1], tw[0]))[:FB_TERMS]
     ml = _ml_query_model(query)
-    lam = config.rm3_lambda
 
     kept: dict[str, float] = {}
     for term in ml:  # originals first, in query order
-        kept[term] = (1.0 - lam) * ml[term] + lam * rm.get(term, 0.0)
+        kept[term] = (1.0 - RM3_LAMBDA) * ml[term] + RM3_LAMBDA * rm.get(term, 0.0)
     for term, weight in top:
         if term not in kept:
-            w = lam * weight
+            w = RM3_LAMBDA * weight
             if w > 0.0:  # zero-weight candidates are dropped
                 kept[term] = w
 
@@ -123,18 +113,17 @@ def expand_klq(
     index: CollectionIndex,
     query: Query,
     ranking: Ranking,
-    config: ExpansionConfig = ExpansionConfig(),
 ) -> ExpansionResult:
     """Append the feedback terms that diverge most from the collection model.
 
     Candidate terms from the feedback set F are scored by
-    P(t|F) * log2(P(t|F)/P(t|C)); the top ``fb_terms`` positive-weight
+    P(t|F) * log2(P(t|F)/P(t|C)); the top ``FB_TERMS`` positive-weight
     candidates are appended. Expansion terms receive the same total mass
     as the original terms (1:1), whose relative weights are preserved.
     """
     if not query.terms:
         raise ValueError("cannot expand an empty query")
-    feedback = _feedback_docs(index, ranking, config.fb_docs)
+    feedback = _feedback_docs(index, ranking)
     if not feedback:
         return ExpansionResult(query, expanded=False)
 
@@ -157,7 +146,7 @@ def expand_klq(
         if w > 0.0:
             candidates[term] = w
 
-    top = sorted(candidates.items(), key=lambda tw: (-tw[1], tw[0]))[: config.fb_terms]
+    top = sorted(candidates.items(), key=lambda tw: (-tw[1], tw[0]))[:FB_TERMS]
     if not top:
         return ExpansionResult(query, expanded=False)
 

@@ -125,16 +125,7 @@ class ExposureHistogram:
     mode: str
     bins: tuple[tuple[float, float, float], ...]  # (low, high, count)
     subsets: int  # C(k, m)
-    mean: float
     sample_size: int | None = None
-
-    @property
-    def min_value(self) -> float:
-        return self.bins[0][0]
-
-    @property
-    def max_value(self) -> float:
-        return self.bins[-1][1]
 
 
 #: exact enumeration refuses to walk more position subsets than this
@@ -177,18 +168,16 @@ def achievable_exposure(
 
     if mode == "exact":
         values = _subset_sums(weights, m)
-        mean = float_sum(values) / len(values)
         out_bins = _bin_values(values, lo, hi)
-        return ExposureHistogram(k, m, "exact", out_bins, n_subsets, mean)
+        return ExposureHistogram(k, m, "exact", out_bins, n_subsets)
 
     rng = random.Random(seed)
     # sampling the weights draws the same positions as sampling range(k)
     values = [float_sum(rng.sample(weights, m)) for _ in range(samples)]
-    mean = float_sum(values) / len(values)
     scale = n_subsets / samples
     tallies = _bin_values(values, lo, hi, force_equal_width=True)
     est = tuple((low, high, count * scale) for low, high, count in tallies)
-    return ExposureHistogram(k, m, "sampled", est, n_subsets, mean, sample_size=samples)
+    return ExposureHistogram(k, m, "sampled", est, n_subsets, sample_size=samples)
 
 
 def _subset_sums(weights: list[float], m: int) -> list[float]:

@@ -242,7 +242,7 @@ def _add_left_to_right(values):
 
 
 def oracle_achievable_exposure(k, m, n_bins=200, max_distinct=10_000):
-    """Exact-mode histogram of every m-subset of positions 1..k: (bins, subsets, mean).
+    """Exact-mode histogram of every m-subset of positions 1..k: (bins, subsets).
 
     Each subset's DCG weights are added left to right from 0, and the bins
     are filled one value at a time: one bin per distinct value rounded to 12
@@ -255,14 +255,13 @@ def oracle_achievable_exposure(k, m, n_bins=200, max_distinct=10_000):
         _add_left_to_right(weights[i] for i in subset)
         for subset in combinations(range(k), m)
     ]
-    mean = _add_left_to_right(values) / len(values)
     distinct = {}
     for v in values:
         key = round(v, 12)
         distinct[key] = distinct.get(key, 0) + 1
     if len(distinct) <= max_distinct:
         bins = tuple((v, v, float(c)) for v, c in sorted(distinct.items()))
-        return bins, len(values), mean
+        return bins, len(values)
     lo = _add_left_to_right(weights[k - m :])
     hi = _add_left_to_right(weights[:m])
     width = (hi - lo) / n_bins
@@ -273,7 +272,7 @@ def oracle_achievable_exposure(k, m, n_bins=200, max_distinct=10_000):
     bins = tuple(
         (lo + i * width, lo + (i + 1) * width, float(c)) for i, c in enumerate(counts)
     )
-    return bins, len(values), mean
+    return bins, len(values)
 
 
 def compensated_sum(values, start=0):

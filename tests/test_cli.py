@@ -98,29 +98,36 @@ class TestOptionSurface:
     # an option is added or dropped on purpose: this list changes with it
     OPTIONS = {
         "index": ["--corpus", "--categories", "--out"],
-        "rank": ["--index", "--queries", "--model", "--k", "--tag", "--out"],
-        "expand": [
-            "--index", "--queries", "--method", "--model", "--k",
-            "--fb-docs", "--fb-terms", "--rm3-lambda", "--out",
-        ],
+        "rank": ["--index", "--queries", "--model", "--k", "--out"],
+        "expand": ["--index", "--queries", "--method", "--model", "--k", "--out"],
         "predict": ["--index", "--queries", "--predictors", "--category-names", "--k", "--out"],
         "run": [
             "--index", "--queries", "--rankers", "--run-file", "--expanders", "--predictors",
-            "--category-names", "--k", "--fb-docs", "--fb-terms", "--rm3-lambda",
-            "--cori-belief", "--out-dir",
+            "--category-names", "--k", "--cori-belief", "--out-dir",
         ],
         "analyze-exposure": ["--k", "--m", "--mode", "--samples", "--seed", "--out-dir"],
     }
 
-    def test_each_command_has_exactly_its_options(self):
+    @staticmethod
+    def parser_options():
         parser = qexp.cli.build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        options = {
+        return {
             name: [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
             for name, sub in commands.choices.items()
         }
+
+    def test_each_command_has_exactly_its_options(self):
+        options = self.parser_options()
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 43
+        assert sum(map(len, options.values())) == 36
+
+    def test_readme_names_only_options_some_command_has(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+        known = {option for options in self.parser_options().values() for option in options}
+        # --help, and pip's flag in the install block
+        assert named - known <= {"--help", "--no-build-isolation"}
 
     def test_run_config_json_has_exactly_the_run_options(self, workspace):
         out_dir = workspace / "out"
@@ -130,8 +137,8 @@ class TestOptionSurface:
         ]) == 0
         config = json.loads((out_dir / "config.json").read_text())
         assert sorted(config) == [
-            "category_names", "cori_belief", "expanders", "fb_docs", "fb_terms", "index", "k",
-            "out_dir", "predictors", "queries", "rankers", "rm3_lambda", "run_files",
+            "category_names", "cori_belief", "expanders", "index", "k",
+            "out_dir", "predictors", "queries", "rankers", "run_files",
         ]
 
 
@@ -278,16 +285,20 @@ class TestCorruptIndex:
 
 
 class TestRankAndExpand:
-    def test_rank_writes_run_file(self, workspace):
+    @pytest.mark.parametrize("model", ["bm25", "tfidf"])
+    def test_rank_writes_run_file_tagged_with_the_model(self, workspace, model):
         out = workspace / "run.trec"
         code = main([
             "rank", "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"),
-            "--model", "bm25", "--k", "5", "--out", str(out),
+            "--model", model, "--k", "5", "--out", str(out),
         ])
         assert code == 0
-        for line in out.read_text().splitlines():
-            assert len(line.split()) == 6
+        lines = out.read_text().splitlines()
+        assert lines
+        for line in lines:
+            fields = line.split()
+            assert len(fields) == 6 and fields[5] == model
 
     @pytest.mark.parametrize("line, qid", [("q 2\tt004", "q 2"), ("\tt004", ""), (" \tt004", "")])
     def test_query_id_a_run_file_cannot_carry_exits_1(self, workspace, capsys, line, qid):
@@ -343,9 +354,6 @@ class TestRankAndExpand:
         [
             ("rank", ("--k", "0"), "k must be >= 1"),
             ("expand", ("--k", "0"), "k must be >= 1"),
-            ("expand", ("--fb-docs", "0"), "fb_docs must be >= 1"),
-            ("expand", ("--fb-terms", "0"), "fb_terms must be >= 1"),
-            ("expand", ("--rm3-lambda", "1.5"), "rm3_lambda must lie in [0, 1]"),
         ],
     )
     def test_bad_option_exits_1_before_loading(
@@ -480,14 +488,17 @@ class TestRunCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["failures"][0]["query_id"] == "qbad"
 
-    def test_validation_error_exit_code(self, workspace, capsys):
-        code = main([
-            "run", "--index", str(workspace / "missing.qx"),
-            "--queries", str(workspace / "queries.tsv"),
-            "--out-dir", str(workspace / "out"),
-        ])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("missing", ["--index", "--queries", "--run-file"])
+    def test_validation_error_exit_code(self, workspace, capsys, missing):
+        files = {"--index": workspace / "index.qx", "--queries": workspace / "queries.tsv"}
+        files[missing] = workspace / "missing.file"
+        argv = ["run", "--out-dir", str(workspace / "out")]
+        argv += [arg for flag, path in files.items() for arg in (flag, str(path))]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(files[missing]) in err and "Traceback" not in err
+        assert not (workspace / "out").exists()
 
     def test_duplicate_query_id_exits_1(self, workspace, capsys):
         # predictions are cached per query id, so a repeat must not reach the run
@@ -842,10 +853,6 @@ class TestAnalyzeExposure:
                     "--samples", "2000", "--out-dir", str(out_dir),
                 ]) == 0
                 blobs[mode] = (out_dir / "histogram.csv").read_bytes()
-            blobs["means"] = [
-                qexp.exposure.achievable_exposure(40, 4).mean,
-                qexp.exposure.achievable_exposure(60, 25, "sampled", samples=2000).mean,
-            ]
             return blobs
 
         plain = outputs("plain")

@@ -355,6 +355,11 @@ class TestPersistence:
                 ({"length": length}, {}, f"document 'd1' has length {length!r}, not an int >= 0")
                 for length in (-3, 1.5, "1", False)
             ],
+            ({"length": 500}, {},
+             "document 'd1' has length 500, but the tf of its postings add up to 1"),
+            ({}, {"postings": {"t000": {"d1": 1}, "t001": {"d1": 2}}},
+             "document 'd1' has length 1, but the tf of its postings add up to 3"),
+            ({}, {"postings": {}}, "document 'd1' has length 1, but the tf of its postings add up to 0"),
             ({}, {"categories": []}, "no categories"),
             ({}, {"categories": [{"name": "geo", "groups": ["east", "west"]}] * 2},
              "the category list repeats geo"),
