@@ -31,6 +31,7 @@ from .expansion import EXPANDERS, write_queries_jsonl
 from .exposure import achievable_exposure, check_achievable_args, log_orderings, orderings
 from .predictors import CORI_BELIEF, make_predictors
 from .retrieval import RANKERS, Query, rank, write_run_file
+from .text import stem_memo
 
 
 def load_queries_tsv(path) -> list[Query]:
@@ -41,7 +42,8 @@ def load_queries_tsv(path) -> list[Query]:
     """
     queries = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # one memo for the file, so each distinct word is stemmed once
+    with open(path, "r", encoding="utf-8") as fh, stem_memo():
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

@@ -2,160 +2,133 @@
 
 Within each step the longest matching suffix is selected and its
 condition tested; whether or not the rule then fires, the step is over.
-Words are assumed to be lowercase ASCII; digits are treated as
-consonants, which leaves digit-bearing tokens untouched.
+Steps 2-4 look a word's last two letters up in the step's table, which
+lists the suffixes with that ending longest first.
+
+The conditions read the word's class string: one letter per character,
+"v" for a vowel and "c" for a consonant. a, e, i, o and u are vowels, y
+is a vowel after a consonant, and every other character (digits,
+uppercase, punctuation, non-ASCII) is a consonant, which leaves
+digit-bearing tokens untouched. A character's class depends only on the
+characters before it, so the class string of a stem is a prefix of the
+word's, and m in the pattern [C](VC)^m[V] is the count of "vc" in it.
 """
 
 from __future__ import annotations
 
-_VOWELS = frozenset("aeiou")
+
+class _ClassTable(dict):
+    """str.translate table: code point -> "v", "c" or "y" (decided later)."""
+
+    def __missing__(self, code: int) -> str:
+        return "c"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+_CLASS = _ClassTable.fromkeys(range(128), "c")
+_CLASS.update({ord(ch): "v" for ch in "aeiou"})
+_CLASS[ord("y")] = "y"
 
 
-def _measure(stem: str) -> int:
-    """m in the pattern [C](VC)^m[V]: vowel-to-consonant transitions."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if cons and prev_vowel:
-            m += 1
-        prev_vowel = not cons
-    return m
+def _classes(word: str) -> str:
+    cv = word.translate(_CLASS)
+    i = cv.find("y")
+    while i >= 0:
+        # y is a consonant first or after a vowel, a vowel after a consonant
+        cv = cv[:i] + ("c" if i == 0 or cv[i - 1] == "v" else "v") + cv[i + 1:]
+        i = cv.find("y", i + 1)
+    return cv
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+def _ends_cvc(w: str, cv: str, n: int) -> bool:
+    # *o condition on w[:n]: consonant-vowel-consonant, the last not w, x or y.
+    return n >= 3 and cv[n - 3:n] == "cvc" and w[n - 1] not in "wxy"
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+def _by_ending(table: dict[str, str]) -> dict[str, list[tuple[str, str]]]:
+    """Last two letters -> the (suffix, replacement) pairs so ending, longest first."""
+    index: dict[str, list[tuple[str, str]]] = {}
+    for suffix in sorted(table, key=len, reverse=True):
+        index.setdefault(suffix[-2:], []).append((suffix, table[suffix]))
+    return index
 
 
-def _ends_cvc(word: str) -> bool:
-    # *o condition: final consonant-vowel-consonant, last not w, x or y.
-    if len(word) < 3:
-        return False
-    n = len(word)
-    return (
-        _is_consonant(word, n - 3)
-        and not _is_consonant(word, n - 2)
-        and _is_consonant(word, n - 1)
-        and word[-1] not in "wxy"
-    )
-
-
-# (suffix, replacement) pairs; condition per step noted at the call site.
-_STEP2 = (
-    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
-    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
-    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
-    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-)
-
-_STEP3 = (
-    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-    ("ical", "ic"), ("ful", ""), ("ness", ""),
-)
-
-_STEP4 = (
+# suffix -> replacement
+_STEP2 = {
+    "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
+    "izer": "ize", "abli": "able", "alli": "al", "entli": "ent",
+    "eli": "e", "ousli": "ous", "ization": "ize", "ation": "ate",
+    "ator": "ate", "alism": "al", "iveness": "ive", "fulness": "ful",
+    "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
+}
+_STEP3 = {
+    "icate": "ic", "ative": "", "alize": "al", "iciti": "ic",
+    "ical": "ic", "ful": "", "ness": "",
+}
+_STEP4 = dict.fromkeys((
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
-
-
-def _longest_match(word: str, suffixes) -> str | None:
-    best = None
-    for s in suffixes:
-        if word.endswith(s) and (best is None or len(s) > len(best)):
-            best = s
-    return best
+), "")
+# each step's lookup table and the least m of a stem for its rules to fire
+_STEPS_2_TO_4 = ((_by_ending(_STEP2), 1), (_by_ending(_STEP3), 1), (_by_ending(_STEP4), 2))
 
 
 def stem(word: str) -> str:
     if len(word) <= 1:
         return word
-    w = word
+    cv = _classes(word)
 
     # Step 1a
-    if w.endswith("sses"):
+    w = word
+    if w.endswith(("sses", "ies")):
         w = w[:-2]
-    elif w.endswith("ies"):
-        w = w[:-2]
-    elif w.endswith("ss"):
-        pass
-    elif w.endswith("s"):
+    elif w.endswith("s") and not w.endswith("ss"):
         w = w[:-1]
 
     # Step 1b
     if w.endswith("eed"):
-        if _measure(w[:-3]) > 0:
+        if cv.count("vc", 0, len(w) - 3) > 0:
             w = w[:-1]
     else:
-        stripped = False
-        if w.endswith("ed") and _has_vowel(w[:-2]):
-            w = w[:-2]
-            stripped = True
-        elif w.endswith("ing") and _has_vowel(w[:-3]):
-            w = w[:-3]
-            stripped = True
-        if stripped:
-            if w.endswith(("at", "bl", "iz")):
+        cut = 2 if w.endswith("ed") else 3 if w.endswith("ing") else 0
+        if cut and "v" in cv[:len(w) - cut]:
+            w = w[:-cut]
+            n = len(w)
+            # a *o stem never ends in a double consonant, so the rule order
+            # "at/bl/iz, double consonant, m=1 and *o" needs no third branch
+            if w.endswith(("at", "bl", "iz")) or (
+                cv.count("vc", 0, n) == 1 and _ends_cvc(w, cv, n)
+            ):
                 w += "e"
-            elif _ends_double_consonant(w) and w[-1] not in "lsz":
+                cv = cv[:n] + "v"
+            elif n >= 2 and w[-1] == w[-2] and cv[n - 1] == "c" and w[-1] not in "lsz":
                 w = w[:-1]
-            elif _measure(w) == 1 and _ends_cvc(w):
-                w += "e"
 
     # Step 1c
-    if w.endswith("y") and _has_vowel(w[:-1]):
+    if w.endswith("y") and "v" in cv[:len(w) - 1]:
         w = w[:-1] + "i"
+        cv = cv[:len(w) - 1] + "v"
 
-    # Step 2 (m > 0)
-    match = _longest_match(w, [s for s, _ in _STEP2])
-    if match is not None:
-        repl = dict(_STEP2)[match]
-        stem_ = w[: len(w) - len(match)]
-        if _measure(stem_) > 0:
-            w = stem_ + repl
-
-    # Step 3 (m > 0)
-    match = _longest_match(w, [s for s, _ in _STEP3])
-    if match is not None:
-        repl = dict(_STEP3)[match]
-        stem_ = w[: len(w) - len(match)]
-        if _measure(stem_) > 0:
-            w = stem_ + repl
-
-    # Step 4 (m > 1; "ion" additionally needs the stem to end in s or t)
-    match = _longest_match(w, _STEP4)
-    if match is not None:
-        stem_ = w[: len(w) - len(match)]
-        if _measure(stem_) > 1 and (match != "ion" or stem_.endswith(("s", "t"))):
-            w = stem_
+    # Steps 2 and 3 (m > 0), step 4 (m > 1; "ion" needs a stem ending in s or t)
+    for table, least_m in _STEPS_2_TO_4:
+        for suffix, repl in table.get(w[-2:], ()):
+            if w.endswith(suffix):
+                n = len(w) - len(suffix)
+                if cv.count("vc", 0, n) >= least_m and (
+                    suffix != "ion" or w.endswith(("sion", "tion"))
+                ):
+                    w = w[:n] + repl
+                    cv = _classes(w)
+                break
 
     # Step 5a
     if w.endswith("e"):
-        stem_ = w[:-1]
-        m = _measure(stem_)
-        if m > 1 or (m == 1 and not _ends_cvc(stem_)):
-            w = stem_
+        n = len(w) - 1
+        m = cv.count("vc", 0, n)
+        if m > 1 or (m == 1 and not _ends_cvc(w, cv, n)):
+            w = w[:n]
 
-    # Step 5b
-    if _measure(w) > 1 and _ends_double_consonant(w) and w[-1] == "l":
+    # Step 5b: a double consonant ending in l is ll
+    if w.endswith("ll") and cv.count("vc", 0, len(w)) > 1:
         w = w[:-1]
 
     return w

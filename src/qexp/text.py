@@ -57,10 +57,11 @@ def stem_memo():
 
 
 def tokenize(text: str) -> list[str]:
-    """NFC-normalize, lowercase, split on non-alphanumerics, drop stopwords, stem.
+    """NFC-normalize, lowercase, keep the runs of a-z and 0-9, drop stopwords, stem.
 
-    Each distinct word is stemmed once per call, or once per enclosing
-    :func:`stem_memo` block.
+    Every other character splits a token, accented letters too: "Café"
+    gives ["caf"]. Each distinct word is stemmed once per call, or once
+    per enclosing :func:`stem_memo` block.
     """
     memo = _ACTIVE_MEMO.get()
     if memo is None:

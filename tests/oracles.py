@@ -1,11 +1,12 @@
 """Independent straight-from-the-formula oracles used by the test suite.
 
 Everything here works on raw token lists and plain arithmetic so the
-implementations under test share no code with the oracles; the tokenizer
-oracle alone reuses the Porter stemmer and the stopword list. The
-predictor oracle covers a single category described by a doc_id->group
-mapping. The ranking oracle scores every document on its own and keeps
-the implementation's arithmetic order, so its scores compare exactly.
+implementations under test share no code with the oracles, apart from the
+stopword list the tokenizer oracle reads; it stems with its own rule-by-rule
+Porter transcription. The predictor oracle covers a single category
+described by a doc_id->group mapping. The ranking oracle scores every
+document on its own and keeps the implementation's arithmetic order, so
+its scores compare exactly.
 """
 
 import math
@@ -14,7 +15,6 @@ import unicodedata
 from collections import Counter
 from itertools import combinations
 
-from qexp.porter import stem
 from qexp.text import STOPWORDS
 
 SMOOTH = 0.5
@@ -189,16 +189,177 @@ def oracle_distribution(raw, groups):
     return [v / total for v in floored]
 
 
+# ------------------------------ stemmer oracle ------------------------------
+# The Porter stemmer transcribed rule by rule (classic 1980 tables): every
+# step tries each suffix of its table with endswith, keeps the longest match,
+# then tests its condition; m and the consonant test walk the word one
+# character at a time. Every character other than a vowel (and y after a
+# consonant) is a consonant. This is the implementation qexp.porter had
+# before it moved to class strings and suffix tables.
+
+_VOWELS = frozenset("aeiou")
+
+
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    """m in the pattern [C](VC)^m[V]: vowel-to-consonant transitions."""
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        cons = _is_consonant(stem, i)
+        if cons and prev_vowel:
+            m += 1
+        prev_vowel = not cons
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _is_consonant(word, len(word) - 1)
+    )
+
+
+def _ends_cvc(word: str) -> bool:
+    # *o condition: final consonant-vowel-consonant, last not w, x or y.
+    if len(word) < 3:
+        return False
+    n = len(word)
+    return (
+        _is_consonant(word, n - 3)
+        and not _is_consonant(word, n - 2)
+        and _is_consonant(word, n - 1)
+        and word[-1] not in "wxy"
+    )
+
+
+# (suffix, replacement) pairs; condition per step noted at the call site.
+_STEP2 = (
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
+    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+)
+
+_STEP3 = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+)
+
+_STEP4 = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
+
+
+def _longest_match(word: str, suffixes) -> str | None:
+    best = None
+    for s in suffixes:
+        if word.endswith(s) and (best is None or len(s) > len(best)):
+            best = s
+    return best
+
+
+def oracle_stem(word: str) -> str:
+    if len(word) <= 1:
+        return word
+    w = word
+
+    # Step 1a
+    if w.endswith("sses"):
+        w = w[:-2]
+    elif w.endswith("ies"):
+        w = w[:-2]
+    elif w.endswith("ss"):
+        pass
+    elif w.endswith("s"):
+        w = w[:-1]
+
+    # Step 1b
+    if w.endswith("eed"):
+        if _measure(w[:-3]) > 0:
+            w = w[:-1]
+    else:
+        stripped = False
+        if w.endswith("ed") and _has_vowel(w[:-2]):
+            w = w[:-2]
+            stripped = True
+        elif w.endswith("ing") and _has_vowel(w[:-3]):
+            w = w[:-3]
+            stripped = True
+        if stripped:
+            if w.endswith(("at", "bl", "iz")):
+                w += "e"
+            elif _ends_double_consonant(w) and w[-1] not in "lsz":
+                w = w[:-1]
+            elif _measure(w) == 1 and _ends_cvc(w):
+                w += "e"
+
+    # Step 1c
+    if w.endswith("y") and _has_vowel(w[:-1]):
+        w = w[:-1] + "i"
+
+    # Step 2 (m > 0)
+    match = _longest_match(w, [s for s, _ in _STEP2])
+    if match is not None:
+        repl = dict(_STEP2)[match]
+        stem_ = w[: len(w) - len(match)]
+        if _measure(stem_) > 0:
+            w = stem_ + repl
+
+    # Step 3 (m > 0)
+    match = _longest_match(w, [s for s, _ in _STEP3])
+    if match is not None:
+        repl = dict(_STEP3)[match]
+        stem_ = w[: len(w) - len(match)]
+        if _measure(stem_) > 0:
+            w = stem_ + repl
+
+    # Step 4 (m > 1; "ion" additionally needs the stem to end in s or t)
+    match = _longest_match(w, _STEP4)
+    if match is not None:
+        stem_ = w[: len(w) - len(match)]
+        if _measure(stem_) > 1 and (match != "ion" or stem_.endswith(("s", "t"))):
+            w = stem_
+
+    # Step 5a
+    if w.endswith("e"):
+        stem_ = w[:-1]
+        m = _measure(stem_)
+        if m > 1 or (m == 1 and not _ends_cvc(stem_)):
+            w = stem_
+
+    # Step 5b
+    if _measure(w) > 1 and _ends_double_consonant(w) and w[-1] == "l":
+        w = w[:-1]
+
+    return w
+
+
 # ----------------------------- tokenizer oracle -----------------------------
 
 def oracle_tokenize(text):
     """The text pipeline one document at a time, stemming every token.
 
-    Shares the stemmer and the stopword list with the implementation (they
-    are not what it checks) but keeps no memo of any kind.
+    Shares the stopword list with the implementation (it is not what it
+    checks) but stems with :func:`oracle_stem` and keeps no memo of any kind.
     """
     text = unicodedata.normalize("NFC", text).lower()
-    return [stem(tok) for tok in re.findall(r"[a-z0-9]+", text) if tok not in STOPWORDS]
+    return [oracle_stem(tok) for tok in re.findall(r"[a-z0-9]+", text) if tok not in STOPWORDS]
 
 
 # ------------------------------ ranking oracle ------------------------------

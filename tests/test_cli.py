@@ -14,12 +14,14 @@ import qexp.evaluation
 import qexp.expansion
 import qexp.exposure
 import qexp.predictors
-from qexp.cli import main
+import qexp.text
+from qexp.cli import load_queries_tsv, main
 from qexp.corpus import (
     INDEX_MAGIC, CollectionIndex, build_index, load_categories_json, load_corpus_jsonl,
 )
 from qexp.exposure import position_exposure
 from qexp.predictors import PREDICTORS
+from qexp.retrieval import Query
 from qexp.synthetic import SyntheticConfig, make_planted_skew_corpus
 
 from oracles import compensated_sum
@@ -282,6 +284,27 @@ class TestCorruptIndex:
         assert self._predict(workspace, path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "index.qx" in err
+
+
+def test_queries_file_stems_each_distinct_word_once(tmp_path, monkeypatch):
+    lines = [
+        ("q1", "Libraries of museums"), ("q2", "museum libraries"), ("q3", "Rational museums"),
+    ]
+    path = tmp_path / "queries.tsv"
+    path.write_text("".join(f"{qid}\t{text}\n" for qid, text in lines))
+    # the queries tokenized one by one, each with its own memo
+    expected = [Query.from_text(text, query_id=qid) for qid, text in lines]
+    stemmed = []
+    real_stem = qexp.text.stem
+
+    def counting_stem(word):
+        stemmed.append(word)
+        return real_stem(word)
+
+    monkeypatch.setattr(qexp.text, "stem", counting_stem)
+    assert load_queries_tsv(path) == expected
+    # the three queries hold four distinct words
+    assert sorted(stemmed) == ["libraries", "museum", "museums", "rational"]
 
 
 class TestRankAndExpand:

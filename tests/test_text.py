@@ -1,10 +1,26 @@
+import itertools
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qexp.porter import stem
 from qexp.text import STOPWORDS, tokenize
+
+from oracles import oracle_stem
+
+# every suffix a rule of steps 1a-5b tests, in step order, with the
+# endings step 1b restores an "e" after and the "ion" endings step 4 strips
+RULE_SUFFIXES = (
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y",
+    "ational", "tional", "enci", "anci", "izer", "abli", "alli", "entli",
+    "eli", "ousli", "ization", "ation", "ator", "alism", "iveness",
+    "fulness", "ousness", "aliti", "iviti", "biliti",
+    "icate", "ative", "alize", "iciti", "ical", "ful", "ness",
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "sion", "tion", "ou", "ism", "ate", "iti", "ous",
+    "ive", "ize", "e", "ll",
+)
 
 
 class TestPorter:
@@ -53,9 +69,48 @@ class TestPorter:
         assert stem("a") == "a"
         assert stem("") == ""
 
+    @pytest.mark.parametrize("word,expected", [
+        ("aéness", "aé"), ("naïveness", "naïv"), ("hopéful", "hopé"), ("oYing", "oY"),
+    ])
+    def test_non_ascii_and_uppercase_are_consonants(self, word, expected):
+        # "é" after a vowel closes a VC, so m("aé") = 1; "Y" is never a vowel
+        assert stem(word) == expected == oracle_stem(word)
+
     def test_digit_tokens_inert(self):
         for tok in ("t000", "topic001", "bg42"):
             assert stem(tok) == tok
+
+    @settings(max_examples=500)
+    @given(st.text())
+    def test_matches_oracle_on_any_string(self, word):
+        # uppercase, non-ASCII and punctuation are consonants in both
+        assert stem(word) == oracle_stem(word)
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet=string.ascii_lowercase + string.digits, max_size=20))
+    def test_matches_oracle_on_tokens(self, word):
+        assert stem(word) == oracle_stem(word)
+
+    @settings(max_examples=500)
+    @given(
+        st.text(alphabet=string.ascii_lowercase + "Yéï1-", max_size=6),
+        st.sampled_from(RULE_SUFFIXES),
+        st.sampled_from(("", "s", "ed", "ing")),
+    )
+    def test_matches_oracle_on_rule_suffixes(self, prefix, suffix, tail):
+        word = prefix + suffix + tail
+        assert stem(word) == oracle_stem(word)
+
+    def test_matches_oracle_on_every_short_prefix(self):
+        # y after a vowel or a consonant, doubled l/s/z, *o stems and m up
+        # to 2 all arise from this alphabet within four letters
+        words = [
+            "".join(letters) + suffix
+            for size in range(5)
+            for letters in itertools.product("aeylsz", repeat=size)
+            for suffix in ("",) + RULE_SUFFIXES
+        ]
+        assert [w for w in words if stem(w) != oracle_stem(w)] == []
 
     @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20))
     def test_stemming_never_grows_much(self, word):
@@ -74,6 +129,10 @@ class TestTokenize:
 
     def test_all_stopwords(self):
         assert tokenize("the of and") == []
+
+    def test_splits_at_every_non_ascii_alphanumeric(self):
+        # accented letters are separators, not letters of a token
+        assert tokenize("Café naïve") == ["caf", "na", "ve"]
 
     def test_case_and_punctuation(self):
         assert tokenize("Museum, Baroque; LIBRARY!") == ["museum", "baroqu", "librari"]
