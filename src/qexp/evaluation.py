@@ -121,7 +121,7 @@ class RunFileRanker:
         if entries is None:
             raise KeyError(f"run file has no ranking for query {query.query_id!r}")
         try:
-            ranking = Ranking(query.query_id, entries, len(entries))
+            ranking = Ranking(query.query_id, entries)
         except ValueError as exc:
             raise ValueError(f"{self.path}: query {query.query_id!r}: {exc}") from None
         return ranking.top(k)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -118,6 +120,13 @@ class ExposureHistogram:
     the group the same exposure. Exact mode enumerates all C(k, m)
     position subsets. Sampled mode draws subsets uniformly and scales
     tallies up to estimated counts, recording the sample size.
+
+    A sampled draw takes the same positions, in the same order, as
+    ``random.Random(seed).sample`` over the k weights, read from the
+    generator's 32-bit ``getrandbits`` words, and adds their weights left
+    to right from 0. So the histogram depends on that word stream, not on
+    the private ``_randbelow`` that ``random.sample`` calls. k must stay
+    below 2**32 (one word per draw), which k weights held in memory imply.
     """
 
     k: int
@@ -171,9 +180,7 @@ def achievable_exposure(
         out_bins = _bin_values(values, lo, hi)
         return ExposureHistogram(k, m, "exact", out_bins, n_subsets)
 
-    rng = random.Random(seed)
-    # sampling the weights draws the same positions as sampling range(k)
-    values = [float_sum(rng.sample(weights, m)) for _ in range(samples)]
+    values = _sampled_sums(weights, m, samples, seed)
     scale = n_subsets / samples
     tallies = _bin_values(values, lo, hi, force_equal_width=True)
     est = tuple((low, high, count * scale) for low, high, count in tallies)
@@ -221,6 +228,65 @@ def _skip_sums(weights: list[float], r: int, start: int = 0, total: float = 0) -
     runs = list(accumulate(weights[start : len(weights) - r], initial=total))
     for q in reversed(range(start, len(weights) - r + 1)):
         yield from _skip_sums(weights, r - 1, q + 1, runs[q - start])
+
+
+#: 32-bit generator words fetched per getrandbits call (64 KB)
+WORD_BLOCK = 1 << 14
+
+
+def _word_block(rng: random.Random) -> array:
+    """The generator's next WORD_BLOCK outputs, each as getrandbits(32) returns it.
+
+    getrandbits(32 * n) puts the i-th output at bits 32i..32i+31.
+    """
+    words = array("I", rng.getrandbits(32 * WORD_BLOCK).to_bytes(4 * WORD_BLOCK, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _sampled_sums(weights: list[float], m: int, samples: int, seed: int) -> list[float]:
+    """The weight sums of `samples` draws of m positions without replacement.
+
+    Each draw takes the positions that random.Random(seed).sample(weights,
+    m) takes, in its order, and adds their weights left to right from 0. It
+    replays sample's two branches on one stream of 32-bit words: a position
+    below n is the top n.bit_length() bits of the next word, drawn again
+    while those bits are n or more, as randbelow(n) does. Small
+    populations are drawn from a pool that swap-removes each pick, larger
+    ones from all k positions, drawing again on a position already picked.
+    """
+    word = chain.from_iterable(map(_word_block, repeat(random.Random(seed)))).__next__
+    k = len(weights)
+    setsize = 21  # sample's bound between its two branches
+    if m > 5:
+        setsize += 4 ** math.ceil(math.log(m * 3, 4))
+    values = []
+    if k <= setsize:
+        steps = [(n, 32 - n.bit_length(), n - 1) for n in range(k, k - m, -1)]
+        for _ in range(samples):
+            pool = weights[:]
+            total = 0
+            for n, shift, last in steps:
+                j = word() >> shift
+                while j >= n:
+                    j = word() >> shift
+                total += pool[j]
+                pool[j] = pool[last]
+            values.append(total)
+    else:
+        shift = 32 - k.bit_length()
+        for _ in range(samples):
+            picked = set()
+            total = 0
+            for _ in range(m):
+                j = word() >> shift
+                while j >= k or j in picked:
+                    j = word() >> shift
+                picked.add(j)
+                total += weights[j]
+            values.append(total)
+    return values
 
 
 def _bin_values(values, lo, hi, force_equal_width=False):

@@ -48,13 +48,8 @@ class Query:
 class Ranking:
     query_id: str | None
     entries: tuple[tuple[str, float], ...]  # (doc_id, score), best first
-    k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if len(self.entries) > self.k:
-            raise ValueError("ranking longer than its requested depth k")
         scores = [s for _, s in self.entries]
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError("ranking scores must be non-increasing")
@@ -67,7 +62,7 @@ class Ranking:
         return tuple(d for d, _ in self.entries)
 
     def top(self, k: int) -> "Ranking":
-        return Ranking(self.query_id, self.entries[:k], k)
+        return Ranking(self.query_id, self.entries[:k])
 
 
 BM25_K1 = 1.2
@@ -118,7 +113,7 @@ def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100
 
     scored = [(d, s) for d, s in scores.items() if s > 0.0]
     scored.sort(key=lambda ds: (-ds[1], ds[0]))
-    return Ranking(query.query_id, tuple(scored[:k]), k)
+    return Ranking(query.query_id, tuple(scored[:k]))
 
 
 # ------------------------------ TREC run files ------------------------------

@@ -6,10 +6,12 @@ stopword list the tokenizer oracle reads; it stems with its own rule-by-rule
 Porter transcription. The predictor oracle covers a single category
 described by a doc_id->group mapping. The ranking oracle scores every
 document on its own and keeps the implementation's arithmetic order, so
-its scores compare exactly.
+its scores compare exactly. The sampled-exposure oracle draws with
+random.sample itself.
 """
 
 import math
+import random
 import re
 import unicodedata
 from collections import Counter
@@ -423,17 +425,45 @@ def oracle_achievable_exposure(k, m, n_bins=200, max_distinct=10_000):
     if len(distinct) <= max_distinct:
         bins = tuple((v, v, float(c)) for v, c in sorted(distinct.items()))
         return bins, len(values)
-    lo = _add_left_to_right(weights[k - m :])
+    return _equal_width_bins(weights, m, values, n_bins), len(values)
+
+
+def _equal_width_bins(weights, m, values, n_bins):
+    """n_bins equal-width bins of values over [m lowest weights, m highest
+    weights], a value past either end counted in the end bin."""
+    lo = _add_left_to_right(weights[len(weights) - m :])
     hi = _add_left_to_right(weights[:m])
+    if hi == lo:
+        return ((lo, hi, float(len(values))),)
     width = (hi - lo) / n_bins
     counts = [0] * n_bins
     for v in values:
         i = min(int((v - lo) / width), n_bins - 1)
         counts[max(i, 0)] += 1
-    bins = tuple(
+    return tuple(
         (lo + i * width, lo + (i + 1) * width, float(c)) for i, c in enumerate(counts)
     )
-    return bins, len(values)
+
+
+def oracle_sampled_values(k, m, samples, seed):
+    """Sampled-mode exposure values: the weight sum of each of `samples`
+    draws of random.Random(seed).sample over positions 1..k's DCG weights,
+    added left to right from 0 in the order the draw took them."""
+    weights = [1.0 / math.log2(p + 1) for p in range(1, k + 1)]
+    rng = random.Random(seed)
+    return [_add_left_to_right(rng.sample(weights, m)) for _ in range(samples)]
+
+
+def oracle_sampled_histogram(k, m, samples, seed, n_bins=200):
+    """Sampled-mode bins: equal-width bins of oracle_sampled_values, each
+    count scaled by C(k, m) / samples."""
+    weights = [1.0 / math.log2(p + 1) for p in range(1, k + 1)]
+    values = oracle_sampled_values(k, m, samples, seed)
+    scale = math.comb(k, m) / samples
+    return tuple(
+        (low, high, count * scale)
+        for low, high, count in _equal_width_bins(weights, m, values, n_bins)
+    )
 
 
 def compensated_sum(values, start=0):

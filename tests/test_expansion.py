@@ -21,7 +21,7 @@ def feedback_index():
 
 
 def _ranking(entries):
-    return Ranking("q", tuple(entries), k=len(entries))
+    return Ranking("q", tuple(entries))
 
 
 FEEDBACK = [("f1", 10.0), ("f2", 5.0), ("f3", 0.0)]

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
+import qexp.exposure
 from qexp.exposure import (
     MAX_DISTINCT_VALUES,
     ExposureDistribution,
+    _sampled_sums,
     achievable_exposure,
     group_exposure,
     log_orderings,
@@ -19,7 +21,11 @@ from qexp.exposure import (
 )
 from qexp.retrieval import Ranking
 
-from oracles import oracle_achievable_exposure
+from oracles import (
+    oracle_achievable_exposure,
+    oracle_sampled_histogram,
+    oracle_sampled_values,
+)
 
 
 class TestPositionExposure:
@@ -49,10 +55,10 @@ def _two_group_index():
     return build_index(docs, [Category("c", ("a", "b"))])
 
 
-def _ranking(doc_ids, k=None):
+def _ranking(doc_ids):
     n = len(doc_ids)
     entries = tuple((d, float(n - i)) for i, d in enumerate(doc_ids))
-    return Ranking("q", entries, k or n)
+    return Ranking("q", entries)
 
 
 class TestGroupExposure:
@@ -246,6 +252,54 @@ class TestAchievableExposure:
         a = achievable_exposure(50, 4, "sampled", samples=2_000, seed=11)
         b = achievable_exposure(50, 4, "sampled", samples=2_000, seed=11)
         assert a == b
+
+
+def _bits(values):
+    # m=0 sums are the int 0 on both sides, so the type is compared too
+    return [(type(v), float(v).hex()) for v in values]
+
+
+class TestSampledSums:
+    @given(
+        st.integers(1, 130).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k))),
+        st.integers(1, 40),
+        st.integers(),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example((21, 5), 30, 0)  # the largest k that random.sample draws from a pool at m=5 ...
+    @example((22, 5), 30, 0)  # ... and the smallest it draws from a set
+    @example((85, 6), 30, 1)  # the same edge at m=6, where the set bound starts to grow
+    @example((86, 6), 30, 1)
+    @example((60, 0), 5, 7)
+    @example((1, 1), 5, 7)
+    @example((60, 60), 5, 7)
+    @example((130, 130), 5, 7)
+    def test_equal_to_random_sample_bit_for_bit(self, k_m, samples, seed):
+        k, m = k_m
+        weights = [position_exposure(p) for p in range(1, k + 1)]
+        got = _sampled_sums(weights, m, samples, seed)
+        assert _bits(got) == _bits(oracle_sampled_values(k, m, samples, seed))
+
+    @pytest.mark.parametrize(
+        "k, m, samples",
+        [
+            (60, 50, 1_000),  # pool branch, about 65k words
+            (100, 10, 2_000),  # set branch at the default k, about 24k words
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_histogram_past_one_word_block_equals_the_oracle(self, monkeypatch, k, m, samples, seed):
+        blocks = []
+        real = qexp.exposure._word_block
+
+        def counted(rng):
+            blocks.append(1)
+            return real(rng)
+
+        monkeypatch.setattr(qexp.exposure, "_word_block", counted)
+        hist = achievable_exposure(k, m, "sampled", samples=samples, seed=seed)
+        assert len(blocks) >= 2
+        assert hist.bins == oracle_sampled_histogram(k, m, samples, seed)
 
 
 class TestOrderings:
