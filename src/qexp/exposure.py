@@ -119,7 +119,9 @@ class ExposureHistogram:
     group's documents; permutations within a fixed position set all give
     the group the same exposure. Exact mode enumerates all C(k, m)
     position subsets. Sampled mode draws subsets uniformly and scales
-    tallies up to estimated counts, recording the sample size.
+    tallies up to estimated counts, recording the sample size. When m is
+    0 or k there is one subset, and both modes give the one bin of its sum
+    with a count of 1.0.
 
     A sampled draw takes the same positions, in the same order, as
     ``random.Random(seed).sample`` over the k weights, read from the
@@ -174,7 +176,11 @@ def achievable_exposure(
     n_subsets = math.comb(k, m)
     lo = float_sum(weights[k - m :])  # m lowest positions
     hi = float_sum(weights[:m])  # m highest positions
+    sample_size = samples if mode == "sampled" else None
 
+    if lo == hi:  # m is 0 or k: one subset, its sum counted once
+        bins = ((float(lo), float(hi), float(n_subsets)),)
+        return ExposureHistogram(k, m, mode, bins, n_subsets, sample_size)
     if mode == "exact":
         values = _subset_sums(weights, m)
         out_bins = _bin_values(values, lo, hi)
@@ -184,7 +190,7 @@ def achievable_exposure(
     scale = n_subsets / samples
     tallies = _bin_values(values, lo, hi, force_equal_width=True)
     est = tuple((low, high, count * scale) for low, high, count in tallies)
-    return ExposureHistogram(k, m, "sampled", est, n_subsets, sample_size=samples)
+    return ExposureHistogram(k, m, "sampled", est, n_subsets, sample_size)
 
 
 def _subset_sums(weights: list[float], m: int) -> list[float]:
@@ -300,8 +306,6 @@ def _bin_values(values, lo, hi, force_equal_width=False):
                 break
     if distinct:
         return tuple((v, v, float(c)) for v, c in sorted(distinct.items()))
-    if hi == lo:
-        return ((lo, hi, float(len(values))),)
     counts = [0] * HISTOGRAM_BINS
     width = (hi - lo) / HISTOGRAM_BINS
     # a value past either end (rounding at lo or hi) goes into the end bin

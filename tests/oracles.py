@@ -411,9 +411,12 @@ def oracle_achievable_exposure(k, m, n_bins=200, max_distinct=10_000):
     are filled one value at a time: one bin per distinct value rounded to 12
     places while there are at most max_distinct of them, else n_bins
     equal-width bins over [m lowest weights, m highest weights], with a
-    value past either end counted in the end bin.
+    value past either end counted in the end bin. At m = 0 or m = k the
+    one subset gives _one_subset_bins.
     """
     weights = [1.0 / math.log2(p + 1) for p in range(1, k + 1)]
+    if m in (0, k):
+        return _one_subset_bins(weights, m), 1
     values = [
         _add_left_to_right(weights[i] for i in subset)
         for subset in combinations(range(k), m)
@@ -433,8 +436,6 @@ def _equal_width_bins(weights, m, values, n_bins):
     weights], a value past either end counted in the end bin."""
     lo = _add_left_to_right(weights[len(weights) - m :])
     hi = _add_left_to_right(weights[:m])
-    if hi == lo:
-        return ((lo, hi, float(len(values))),)
     width = (hi - lo) / n_bins
     counts = [0] * n_bins
     for v in values:
@@ -443,6 +444,13 @@ def _equal_width_bins(weights, m, values, n_bins):
     return tuple(
         (lo + i * width, lo + (i + 1) * width, float(c)) for i, c in enumerate(counts)
     )
+
+
+def _one_subset_bins(weights, m):
+    """The histogram of m = 0 or m = k, where one subset takes no position
+    or all of them: one bin, its float bounds the subset's sum, count 1.0."""
+    total = float(_add_left_to_right(weights[:m]))
+    return ((total, total, 1.0),)
 
 
 def oracle_sampled_values(k, m, samples, seed):
@@ -456,8 +464,10 @@ def oracle_sampled_values(k, m, samples, seed):
 
 def oracle_sampled_histogram(k, m, samples, seed, n_bins=200):
     """Sampled-mode bins: equal-width bins of oracle_sampled_values, each
-    count scaled by C(k, m) / samples."""
+    count scaled by C(k, m) / samples; _one_subset_bins at m = 0 or m = k."""
     weights = [1.0 / math.log2(p + 1) for p in range(1, k + 1)]
+    if m in (0, k):
+        return _one_subset_bins(weights, m)
     values = oracle_sampled_values(k, m, samples, seed)
     scale = math.comb(k, m) / samples
     return tuple(

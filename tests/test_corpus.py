@@ -1,9 +1,13 @@
 import gzip
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +24,16 @@ from qexp.corpus import (
     build_index,
     load_categories_json,
     load_corpus_jsonl,
+    save_categories_json,
+    save_corpus_jsonl,
 )
+from qexp.evaluation import ModelRanker, QueryExpander, run_experiment
+from qexp.expansion import EXPANDERS
+from qexp.predictors import PREDICTORS, make_predictors
+from qexp.retrieval import RANKERS, Query
 from qexp.text import stem_memo, tokenize
 
-from conftest import random_labeled_corpus
+from conftest import random_labeled_corpus, stable_vocab
 from oracles import oracle_tokenize
 
 
@@ -40,6 +50,26 @@ def index_contents(idx):
             for t, stats in ((t, idx.term_stats(t)) for t in idx.vocabulary)
         ],
     )
+
+
+def unordered_contents(idx):
+    """index_contents with the terms and each posting list in sorted order."""
+    categories, docs, terms = index_contents(idx)
+    return categories, docs, sorted((t, df, cf, sorted(p)) for t, df, cf, p in terms)
+
+
+def report_files(index, queries, directory):
+    """jsd.csv, cv.csv and summary.json of every ranker and expander on index."""
+    report = run_experiment(
+        index, queries, None, [ModelRanker(name) for name in RANKERS],
+        [None, *(QueryExpander(name) for name in EXPANDERS)],
+        make_predictors(PREDICTORS, 3), 5,
+    )
+    directory.mkdir()
+    report.write_jsd_csv(directory / "jsd.csv")
+    report.write_cv_csv(directory / "cv.csv")
+    report.write_summary_json(directory / "summary.json")
+    return [(directory / name).read_bytes() for name in ("jsd.csv", "cv.csv", "summary.json")]
 
 
 class TestBuildIndex:
@@ -380,25 +410,73 @@ class TestPersistence:
             CollectionIndex.load(path)
         assert str(raised.value).startswith(f"{path}: corrupt index (")
 
-    def test_level_9_index_loads_equal_to_level_6(self, tmp_path):
-        docs, cats = random_labeled_corpus(random.Random(7), num_docs=30, num_categories=2)
-        idx = build_index(docs, cats)
-        new = tmp_path / "level6.qx"
-        idx.save(new)
+    def test_build_order_level_1_file_loads_like_a_sorted_level_6_one(self, tmp_path):
+        rng = random.Random(7)
+        docs, cats = random_labeled_corpus(rng, num_docs=40, vocab_size=12, num_categories=2)
+        rng.shuffle(docs)
+        built = build_index(docs, cats)
+        new = tmp_path / "new.qx"
+        built.save(new)
         header = INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION])
         data = new.read_bytes()
-        payload = gzip.decompress(data[len(header):])
-        assert data == header + gzip.compress(payload, compresslevel=6, mtime=0)
-        old = tmp_path / "level9.qx"  # gzip's default level, how earlier indexes were written
-        old.write_bytes(header + gzip.compress(payload, compresslevel=9, mtime=0))
-        assert old.read_bytes() != data
-        assert index_contents(CollectionIndex.load(old)) == index_contents(CollectionIndex.load(new))
+        body = gzip.decompress(data[len(header):])
+        assert data == header + gzip.compress(body, compresslevel=1, mtime=0)
+        payload = json.loads(body)
+        assert body == json.dumps(payload, separators=(",", ":")).encode()
+        assert list(payload["postings"]) == list(built.vocabulary) != sorted(built.vocabulary)
+        # how files were written before: sorted keys, default separators, level 6
+        old = tmp_path / "old.qx"
+        old.write_bytes(
+            header + gzip.compress(json.dumps(payload, sort_keys=True).encode(), compresslevel=6, mtime=0)
+        )
+        from_old, from_new = CollectionIndex.load(old), CollectionIndex.load(new)
+        assert index_contents(from_old) != index_contents(from_new)
+        assert unordered_contents(from_old) == unordered_contents(from_new) == unordered_contents(built)
+        vocab = stable_vocab(14)  # two terms the corpus never uses
+        queries = [
+            Query.from_text(" ".join(rng.choices(vocab, k=rng.randint(1, 4))), query_id=f"q{i}")
+            for i in range(8)
+        ]
+        assert report_files(from_old, queries, tmp_path / "old") == report_files(
+            from_new, queries, tmp_path / "new"
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    def test_load_keeps_the_build_order(self, tmp_path_factory, seed, num_categories):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(rng, num_docs=15, num_categories=num_categories)
+        rng.shuffle(docs)
+        built = build_index(docs, cats)
+        path = tmp_path_factory.mktemp("order") / "index.qx"
+        built.save(path)
+        assert index_contents(CollectionIndex.load(path)) == index_contents(built)
 
     def test_save_is_deterministic(self, tiny_index, tmp_path):
         p1, p2 = tmp_path / "a.qx", tmp_path / "b.qx"
         tiny_index.save(p1)
         tiny_index.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_qexp_index_writes_the_same_bytes_under_any_hash_seed(self, tmp_path):
+        rng = random.Random(5)
+        docs, cats = random_labeled_corpus(rng, num_docs=30, vocab_size=20, num_categories=2)
+        rng.shuffle(docs)
+        docs.append(Document("d999", " ".join(_WORDS), {c.name: c.groups[0] for c in cats}))
+        save_corpus_jsonl(tmp_path / "corpus.jsonl", docs)
+        save_categories_json(tmp_path / "categories.json", cats)
+        src = str(Path(qexp.text.__file__).parents[1])
+        written = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"index{hash_seed}.qx"
+            subprocess.run(
+                [sys.executable, "-m", "qexp.cli", "index", "--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--categories", str(tmp_path / "categories.json"), "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                check=True, capture_output=True, timeout=120,
+            )
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestFileLoading:

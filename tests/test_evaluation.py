@@ -468,7 +468,7 @@ class TestRunExperimentProperties:
         docs, cats = random_labeled_corpus(
             rng, num_docs=20, num_groups=rng.randint(2, 4), num_categories=2
         )
-        # save sorts each posting list by doc id; the build keeps the corpus order
+        # the shuffled corpus order is the build order, which save and load keep
         rng.shuffle(docs)
         built = build_index(docs, cats)
         path = tmp_path_factory.mktemp("equiv") / "index.qx"

@@ -179,6 +179,16 @@ class TestAchievableExposure:
         hist = achievable_exposure(3, 0)
         assert hist.bins == ((0.0, 0.0, 1.0),)
 
+    @pytest.mark.parametrize("k, m", [(5, 0), (5, 5), (60, 60)])
+    def test_one_subset_gives_the_same_float_bin_in_both_modes(self, k, m):
+        # 49 samples of the one subset, each counted 1/49, would add up to 0.9999999999999999
+        exact = achievable_exposure(k, m)
+        sampled = achievable_exposure(k, m, "sampled", samples=49)
+        assert exact.bins == sampled.bins == oracle_achievable_exposure(k, m)[0]
+        assert sampled.bins == oracle_sampled_histogram(k, m, 49, 0)
+        assert [type(v) for v in exact.bins[0] + sampled.bins[0]] == [float] * 6
+        assert (exact.sample_size, sampled.sample_size) == (None, 49)
+
     def test_budget_exceeded(self):
         with pytest.raises(ValueError, match="sampled"):
             achievable_exposure(100, 50, "exact")
