@@ -12,9 +12,8 @@ from __future__ import annotations
 import gzip
 import json
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .text import stem_memo, tokenize
 
@@ -37,23 +36,26 @@ def reject_repeats(what: str, names: Sequence[str]) -> None:
         raise ValueError(f"{what} repeats {', '.join(map(str, repeated))}")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     text: str
     labels: Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class Category:
+class _CategoryFields(NamedTuple):
     name: str
     groups: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.groups:
-            raise ValueError(f"category {self.name!r} has no groups")
-        if len(set(self.groups)) != len(self.groups):
-            raise ValueError(f"category {self.name!r} has duplicate group names")
+
+class Category(_CategoryFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, groups: tuple[str, ...]):
+        if not groups:
+            raise ValueError(f"category {name!r} has no groups")
+        if len(set(groups)) != len(groups):
+            raise ValueError(f"category {name!r} has duplicate group names")
+        return super().__new__(cls, name, groups)
 
 
 def check_categories(categories: Sequence[Category]) -> None:
@@ -66,19 +68,23 @@ def check_categories(categories: Sequence[Category]) -> None:
         raise CorpusError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class TermStats:
+class _TermStatsFields(NamedTuple):
     df: int
     cf: int
     # doc_id -> term frequency, in the order the documents were indexed;
     # save and load keep that order
     postings: Mapping[str, int]
 
-    def __post_init__(self):
-        if self.df != len(self.postings):
+
+class TermStats(_TermStatsFields):
+    __slots__ = ()
+
+    def __new__(cls, df: int, cf: int, postings: Mapping[str, int]):
+        if df != len(postings):
             raise ValueError("df must equal the number of postings")
-        if self.cf != sum(self.postings.values()):
+        if cf != sum(postings.values()):
             raise ValueError("cf must equal the sum of term frequencies")
+        return super().__new__(cls, df, cf, postings)
 
 
 _EMPTY_STATS = TermStats(0, 0, {})

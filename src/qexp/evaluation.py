@@ -14,8 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import CollectionIndex, reject_repeats
 from .exposure import ExposureDistribution, check_distribution, float_sum, realized_exposure
@@ -140,8 +139,7 @@ class QueryExpander:
         return self._fn(index, query, ranking)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     ranker: str
     expander: str  # "none" when no PRF is applied
     query_id: str
@@ -150,8 +148,7 @@ class Row:
     jsd: float
 
 
-@dataclass(frozen=True)
-class CvRow:
+class CvRow(NamedTuple):
     ranker: str
     expander: str
     query_id: str
@@ -167,8 +164,7 @@ def error_message(exc: BaseException) -> str:
     return str(exc)
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     ranker: str
     expander: str
     query_id: str
@@ -176,21 +172,22 @@ class Failure:
     error: str
 
 
-@dataclass
 class PredictionReport:
-    rows: list[Row]
-    cv_rows: list[CvRow]
-    failures: list[Failure]
-    # summary.json without its failures: k, alpha, comparisons, reference and
-    # pipelines -> categories -> {mean_jsd, significance}
-    summary: dict
+    def __init__(self, rows: list[Row], cv_rows: list[CvRow], failures: list[Failure],
+                 summary: dict):
+        self.rows = rows
+        self.cv_rows = cv_rows
+        self.failures = failures
+        # summary.json without its failures: k, alpha, comparisons, reference and
+        # pipelines -> categories -> {mean_jsd, significance}
+        self.summary = summary
 
     def write_jsd_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["ranker", "expander", "query_id", "category", "predictor", "jsd"])
-            for r in self.rows:
-                writer.writerow([r.ranker, r.expander, r.query_id, r.category, r.predictor, repr(r.jsd)])
+            # Row's fields are the columns in order, and csv writes a float as its repr
+            writer.writerow(Row._fields)
+            writer.writerows(self.rows)
 
     def write_cv_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -201,7 +198,7 @@ class PredictionReport:
 
     def write_summary_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            summary = {**self.summary, "failures": [asdict(f) for f in self.failures]}
+            summary = {**self.summary, "failures": [f._asdict() for f in self.failures]}
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
 

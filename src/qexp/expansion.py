@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import CollectionIndex
 from .exposure import float_sum
@@ -25,8 +24,7 @@ FB_TERMS = 10
 RM3_LAMBDA = 0.5
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     query: Query
     expanded: bool
 

@@ -12,11 +12,10 @@ import random
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import CollectionIndex
 from .retrieval import Ranking
@@ -60,19 +59,24 @@ def check_distribution(values: Sequence[float], what: str) -> None:
         raise ValueError(f"{what} must sum to 1")
 
 
-@dataclass(frozen=True)
-class ExposureDistribution:
-    """Per-group exposure shares aligned to the category's group order."""
-
+class _ExposureDistributionFields(NamedTuple):
     category: str
     groups: tuple[str, ...]
     values: tuple[float, ...]
-    degenerate: bool = False
+    degenerate: bool
 
-    def __post_init__(self):
-        if len(self.groups) != len(self.values):
+
+class ExposureDistribution(_ExposureDistributionFields):
+    """Per-group exposure shares aligned to the category's group order."""
+
+    __slots__ = ()
+
+    def __new__(cls, category: str, groups: tuple[str, ...], values: tuple[float, ...],
+                degenerate: bool = False):
+        if len(groups) != len(values):
             raise ValueError("one value per group required")
-        check_distribution(self.values, "exposure shares")
+        check_distribution(values, "exposure shares")
+        return super().__new__(cls, category, groups, values, degenerate)
 
 
 def normalize_exposure(
@@ -111,8 +115,7 @@ def realized_exposure(
 
 # ---------------------- achievable exposure analysis -----------------------
 
-@dataclass(frozen=True)
-class ExposureHistogram:
+class ExposureHistogram(NamedTuple):
     """How often each amount of group exposure is achievable.
 
     A "ranking" here is a choice of m positions out of 1..k for the

@@ -13,8 +13,7 @@ to realized exposure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import Category, CollectionIndex, reject_repeats
 from .exposure import ExposureDistribution, float_sum, normalize_exposure
@@ -30,8 +29,7 @@ CORI_DF_SCALE = 150.0
 CORI_BELIEF = 0.4
 
 
-@dataclass(frozen=True)
-class PredictorOutput:
+class PredictorOutput(NamedTuple):
     predictor: str
     category: str
     groups: tuple[str, ...]
@@ -49,8 +47,7 @@ class PredictorOutput:
         }
 
 
-@dataclass(frozen=True)
-class QueryGroupStats:
+class QueryGroupStats(NamedTuple):
     """Every count a predictor reads for one query in one category.
 
     ``postings[term][group]`` maps the group's documents containing the

@@ -8,24 +8,28 @@ retrieved, and ties are broken by ascending doc_id for reproducibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import CollectionIndex
 from .text import tokenize
 
 
-@dataclass(frozen=True)
-class Query:
+class _QueryFields(NamedTuple):
     terms: tuple[str, ...]
     weights: tuple[float, ...]
-    query_id: str | None = None
+    query_id: str | None
 
-    def __post_init__(self):
-        if len(self.terms) != len(self.weights):
+
+class Query(_QueryFields):
+    __slots__ = ()
+
+    def __new__(cls, terms: tuple[str, ...], weights: tuple[float, ...],
+                query_id: str | None = None):
+        if len(terms) != len(weights):
             raise ValueError("terms and weights must have the same length")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise ValueError("query weights must be nonnegative")
+        return super().__new__(cls, terms, weights, query_id)
 
     @classmethod
     def from_terms(cls, terms: Iterable[str], query_id: str | None = None) -> "Query":
@@ -44,18 +48,22 @@ class Query:
         return out
 
 
-@dataclass(frozen=True)
-class Ranking:
+class _RankingFields(NamedTuple):
     query_id: str | None
     entries: tuple[tuple[str, float], ...]  # (doc_id, score), best first
 
-    def __post_init__(self):
-        scores = [s for _, s in self.entries]
+
+class Ranking(_RankingFields):
+    __slots__ = ()
+
+    def __new__(cls, query_id: str | None, entries: tuple[tuple[str, float], ...]):
+        scores = [s for _, s in entries]
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError("ranking scores must be non-increasing")
-        ids = [d for d, _ in self.entries]
+        ids = [d for d, _ in entries]
         if len(set(ids)) != len(ids):
             raise ValueError("ranking contains duplicate doc_ids")
+        return super().__new__(cls, query_id, entries)
 
     @property
     def doc_ids(self) -> tuple[str, ...]:

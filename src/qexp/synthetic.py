@@ -13,14 +13,13 @@ are exactly what the generator planted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Category, Document
 from .retrieval import Query
 
 
-@dataclass(frozen=True)
-class SyntheticConfig:
+class SyntheticConfig(NamedTuple):
     seed: int = 7
     groups: tuple[str, ...] = ("dominant", "fringe1", "fringe2")
     category: str = "provenance"
