@@ -5,6 +5,9 @@ group) cell, the group's document and token counts. Per-group term
 statistics are derived on demand by splitting a term's postings by
 group label. Categories partition the corpus, so group statistics
 always sum back to the collection totals.
+
+An index file (format version 2) stores a document's id and labels; its
+length, the sum of its postings' tf, is recomputed on load.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .text import stem_memo, tokenize
 
 INDEX_MAGIC = b"QEXPIDX"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 # Docs missing a label fall into one of these groups when the category
 # defines it; otherwise the build rejects the document.
@@ -94,17 +97,17 @@ class CollectionIndex:
     """Read-only term statistics over a labeled corpus.
 
     Built once by :func:`build_index`; treated as immutable afterwards.
+    Document order is the key order of ``doc_labels`` (doc_id -> labels).
     A term's :class:`TermStats` and the per-document forward index are
     built on their first lookup and kept, each stored only once complete,
     so it is safe to share across concurrent readers: at worst two of them
     build the same thing twice, with equal results.
     """
 
-    def __init__(self, categories, doc_ids, doc_lengths, doc_labels, postings):
+    def __init__(self, categories, doc_labels, doc_lengths, postings):
         self._categories: dict[str, Category] = {c.name: c for c in categories}
-        self._doc_ids: tuple[str, ...] = tuple(doc_ids)
-        self._doc_lengths: dict[str, int] = dict(doc_lengths)
         self._doc_labels: dict[str, dict[str, str]] = doc_labels
+        self._doc_lengths: dict[str, int] = doc_lengths
         self._postings: dict[str, dict[str, int]] = postings
         self._term_stats: dict[str, TermStats] = {}
         self._doc_terms: dict[str, dict[str, int]] | None = None  # see doc_terms
@@ -112,16 +115,16 @@ class CollectionIndex:
         # per (category, group): document count, token count
         self._group_docs = {(c.name, g): 0 for c in categories for g in c.groups}
         self._group_tokens = dict(self._group_docs)
-        for doc_id in self._doc_ids:
+        for doc_id, labels in doc_labels.items():
             for cat in categories:
-                key = (cat.name, self._doc_labels[doc_id][cat.name])
+                key = (cat.name, labels[cat.name])
                 self._group_docs[key] += 1
                 self._group_tokens[key] += self._doc_lengths[doc_id]
 
     # ------------------------------- collection ----------------------------
     @property
     def num_docs(self) -> int:
-        return len(self._doc_ids)
+        return len(self._doc_labels)
 
     @property
     def total_tokens(self) -> int:
@@ -129,11 +132,11 @@ class CollectionIndex:
 
     @property
     def avg_doc_len(self) -> float:
-        return self._total_tokens / len(self._doc_ids)
+        return self._total_tokens / len(self._doc_labels)
 
     @property
     def doc_ids(self) -> tuple[str, ...]:
-        return self._doc_ids
+        return tuple(self._doc_labels)
 
     @property
     def vocabulary(self):
@@ -167,7 +170,7 @@ class CollectionIndex:
         """
         doc_terms = self._doc_terms
         if doc_terms is None:
-            doc_terms = {d: {} for d in self._doc_ids}
+            doc_terms = {d: {} for d in self._doc_labels}
             for term in sorted(self._postings):
                 for d, tf in self._postings[term].items():
                     doc_terms[d][term] = tf
@@ -225,20 +228,13 @@ class CollectionIndex:
             "categories": [
                 {"name": c.name, "groups": list(c.groups)} for c in self.categories
             ],
-            "docs": [
-                {
-                    "id": d,
-                    "length": self._doc_lengths[d],
-                    "labels": self._doc_labels[d],
-                }
-                for d in self._doc_ids
-            ],
+            "docs": [{"id": d, "labels": labels} for d, labels in self._doc_labels.items()],
             "postings": self._postings,
         }
         # Compact JSON in the index's own order, which is the build order and
         # so deterministic, at gzip level 1: half the write time of sorted
         # keys at level 6, for a file about a fifth larger. load reads any key
-        # order and any level, so files written the earlier way load unchanged.
+        # order and any level of format version 2.
         blob = gzip.compress(
             json.dumps(payload, separators=(",", ":")).encode("utf-8"), compresslevel=1, mtime=0
         )
@@ -272,37 +268,38 @@ class CollectionIndex:
             categories = [
                 Category(c["name"], tuple(c["groups"])) for c in payload["categories"]
             ]
-            doc_ids = [d["id"] for d in payload["docs"]]
-            doc_lengths = {d["id"]: d["length"] for d in payload["docs"]}
-            doc_labels = {d["id"]: dict(d["labels"]) for d in payload["docs"]}
+            docs = payload["docs"]
+            doc_labels = {d["id"]: dict(d["labels"]) for d in docs}
             postings = payload["postings"]
-            _check_payload(categories, doc_ids, doc_lengths, doc_labels, postings)
-            return cls(categories, doc_ids, doc_lengths, doc_labels, postings)
+            doc_lengths = _check_payload(categories, len(docs), doc_labels, postings)
+            return cls(categories, doc_labels, doc_lengths, postings)
         except KeyError as exc:
             raise CorpusError(f"{path}: corrupt index (missing field {exc})") from None
         except (TypeError, AttributeError, ValueError) as exc:
             raise CorpusError(f"{path}: corrupt index ({exc})") from None
 
 
-def _check_payload(categories, doc_ids, doc_lengths, doc_labels, postings) -> None:
-    """Reject a decoded index that build_index could not have written."""
-    if not doc_ids:
+def _check_payload(categories, num_docs, doc_labels, postings) -> dict[str, int]:
+    """Reject a decoded index that build_index could not have written.
+
+    Return each document's length: the sum of its postings' tf.
+    """
+    if not num_docs:
         raise ValueError("no documents")
     check_categories(categories)
-    if len(doc_labels) != len(doc_ids):
+    if len(doc_labels) != num_docs:
         raise ValueError("duplicate document ids")
     for doc_id, labels in doc_labels.items():
-        length = doc_lengths[doc_id]
-        if type(length) is not int or length < 0:
-            raise ValueError(f"document {doc_id!r} has length {length!r}, not an int >= 0")
+        _check_doc_id(doc_id)
         for cat in categories:
             if labels.get(cat.name) not in cat.groups:
                 raise ValueError(
                     f"document {doc_id!r} has no group of category {cat.name!r}"
                 )
-    # a document's length is its tokens, so its postings' tf must add up to it
     tokens = dict.fromkeys(doc_labels, 0)
     for term, plist in postings.items():
+        if not plist:
+            raise ValueError(f"term {term!r} has no postings")
         for doc_id, tf in plist.items():
             if doc_id not in tokens:
                 raise ValueError(f"term {term!r} has a posting for unknown document {doc_id!r}")
@@ -311,12 +308,15 @@ def _check_payload(categories, doc_ids, doc_lengths, doc_labels, postings) -> No
                     f"term {term!r} has tf {tf!r} for document {doc_id!r}, not an int >= 1"
                 )
             tokens[doc_id] += tf
-    for doc_id, total in tokens.items():
-        if total != doc_lengths[doc_id]:
-            raise ValueError(
-                f"document {doc_id!r} has length {doc_lengths[doc_id]!r}, "
-                f"but the tf of its postings add up to {total}"
-            )
+    return tokens
+
+
+def _check_doc_id(doc_id) -> None:
+    # an id is one field of a whitespace-separated TREC run file line
+    if not isinstance(doc_id, str):
+        raise CorpusError(f"doc_id {doc_id!r} is not a string")
+    if doc_id.split() != [doc_id]:
+        raise CorpusError(f"doc_id {doc_id!r} is empty or contains whitespace")
 
 
 def build_index(
@@ -335,17 +335,14 @@ def build_index(
         raise CorpusError("empty corpus")
     check_categories(categories)
 
-    doc_ids: list[str] = []
-    doc_lengths: dict[str, int] = {}
     doc_labels: dict[str, dict[str, str]] = {}
+    doc_lengths: dict[str, int] = {}
     postings: dict[str, dict[str, int]] = {}
 
     with stem_memo():  # one memo per build: each distinct word is stemmed once
         for doc in docs:
-            # an id is one field of a whitespace-separated TREC run file line
-            if doc.doc_id.split() != [doc.doc_id]:
-                raise CorpusError(f"doc_id {doc.doc_id!r} is empty or contains whitespace")
-            if doc.doc_id in doc_lengths:
+            _check_doc_id(doc.doc_id)
+            if doc.doc_id in doc_labels:
                 raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
             labels: dict[str, str] = {}
             for cat in categories:
@@ -363,16 +360,15 @@ def build_index(
                     )
                 labels[cat.name] = group
             terms = tokenizer(doc.text)
-            doc_ids.append(doc.doc_id)
-            doc_lengths[doc.doc_id] = len(terms)
             doc_labels[doc.doc_id] = labels
+            doc_lengths[doc.doc_id] = len(terms)
             counts: dict[str, int] = {}
             for t in terms:
                 counts[t] = counts.get(t, 0) + 1
             for t, tf in counts.items():
                 postings.setdefault(t, {})[doc.doc_id] = tf
 
-    return CollectionIndex(list(categories), doc_ids, doc_lengths, doc_labels, postings)
+    return CollectionIndex(list(categories), doc_labels, doc_lengths, postings)
 
 
 def _unknown_group(cat: Category) -> str | None:

@@ -285,6 +285,16 @@ class TestCorruptIndex:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "index.qx" in err
 
+    def test_version_1_index_exits_1(self, workspace, capsys):
+        path = workspace / "index.qx"
+        path.write_bytes(INDEX_MAGIC + bytes([1]) + path.read_bytes()[len(INDEX_MAGIC) + 1 :])
+        code = main([
+            "rank", "--index", str(path), "--queries", str(workspace / "queries.tsv"),
+            "--out", str(workspace / "run.trec"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: unsupported index format version 1\n"
+
 
 def test_queries_file_stems_each_distinct_word_once(tmp_path, monkeypatch):
     lines = [

@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qexp.text
 from qexp.corpus import (
@@ -31,7 +31,7 @@ from qexp.evaluation import ModelRanker, QueryExpander, run_experiment
 from qexp.expansion import EXPANDERS
 from qexp.predictors import PREDICTORS, make_predictors
 from qexp.retrieval import RANKERS, Query
-from qexp.text import stem_memo, tokenize
+from qexp.text import STOPWORDS, stem_memo, tokenize
 
 from conftest import random_labeled_corpus, stable_vocab
 from oracles import oracle_tokenize
@@ -331,14 +331,20 @@ class TestPersistence:
             assert loaded.term_stats(term) == tiny_index.term_stats(term)
             assert loaded.group_postings(term, "geo") == tiny_index.group_postings(term, "geo")
 
-    def test_version_byte_checked(self, tiny_index, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_byte_checked(self, tiny_index, version, tmp_path):
+        # a well-formed index as format version 1 wrote it: each doc with its length
         path = tmp_path / "index.qx"
         tiny_index.save(path)
-        raw = bytearray(path.read_bytes())
-        raw[7] = 99  # version byte follows the 7-byte magic
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CorpusError, match="version"):
+        payload = json.loads(gzip.decompress(path.read_bytes()[len(INDEX_MAGIC) + 1 :]))
+        for doc in payload["docs"]:
+            doc["length"] = tiny_index.doc_length(doc["id"])
+        path.write_bytes(
+            INDEX_MAGIC + bytes([version]) + gzip.compress(json.dumps(payload).encode())
+        )
+        with pytest.raises(CorpusError) as raised:
             CollectionIndex.load(path)
+        assert str(raised.value) == f"{path}: unsupported index format version {version}"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.qx"
@@ -381,15 +387,17 @@ class TestPersistence:
                  f"term 't000' has tf {tf!r} for document 'd1', not an int >= 1")
                 for tf in ("1", -4, 0, 1.5, 1.0, True, None)
             ],
+            # ids and terms build_index could not have written
             *[
-                ({"length": length}, {}, f"document 'd1' has length {length!r}, not an int >= 0")
-                for length in (-3, 1.5, "1", False)
+                ({"id": doc_id}, {"postings": {"t000": {doc_id: 1}}},
+                 f"doc_id {doc_id!r} is empty or contains whitespace")
+                for doc_id in ("a b", "", " ", "d1\t")
             ],
-            ({"length": 500}, {},
-             "document 'd1' has length 500, but the tf of its postings add up to 1"),
-            ({}, {"postings": {"t000": {"d1": 1}, "t001": {"d1": 2}}},
-             "document 'd1' has length 1, but the tf of its postings add up to 3"),
-            ({}, {"postings": {}}, "document 'd1' has length 1, but the tf of its postings add up to 0"),
+            *[
+                ({"id": doc_id}, {"postings": {}}, f"doc_id {doc_id!r} is not a string")
+                for doc_id in (5, None, True)
+            ],
+            ({}, {"postings": {"t000": {"d1": 1}, "ghost": {}}}, "term 'ghost' has no postings"),
             ({}, {"categories": []}, "no categories"),
             ({}, {"categories": [{"name": "geo", "groups": ["east", "west"]}] * 2},
              "the category list repeats geo"),
@@ -398,7 +406,7 @@ class TestPersistence:
     def test_inconsistent_payload(self, tmp_path, doc, changes, message):
         payload = {
             "categories": [{"name": "geo", "groups": ["east", "west"]}],
-            "docs": [{"id": "d1", "length": 1, "labels": {"geo": "east"}, **doc}],
+            "docs": [{"id": "d1", "labels": {"geo": "east"}, **doc}],
             "postings": {"t000": {"d1": 1}},
             **changes,
         }
@@ -419,10 +427,13 @@ class TestPersistence:
         built.save(new)
         header = INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION])
         data = new.read_bytes()
+        assert data[len(INDEX_MAGIC)] == 2
         body = gzip.decompress(data[len(header):])
         assert data == header + gzip.compress(body, compresslevel=1, mtime=0)
         payload = json.loads(body)
         assert body == json.dumps(payload, separators=(",", ":")).encode()
+        # format version 2: a doc's length is not stored, its postings give it
+        assert all(set(doc) == {"id", "labels"} for doc in payload["docs"])
         assert list(payload["postings"]) == list(built.vocabulary) != sorted(built.vocabulary)
         # how files were written before: sorted keys, default separators, level 6
         old = tmp_path / "old.qx"
@@ -451,6 +462,40 @@ class TestPersistence:
         path = tmp_path_factory.mktemp("order") / "index.qx"
         built.save(path)
         assert index_contents(CollectionIndex.load(path)) == index_contents(built)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["t000", "t001", "t002", "the", "of"]), max_size=6),
+                st.sampled_from(["east", "west"]),
+                st.sampled_from(["old", "new", "unk"]),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @example([(["the", "of"], "east", "old")])  # every document stopword-only: no postings
+    def test_loaded_lengths_equal_the_built_ones(self, tmp_path_factory, rows):
+        assert {"the", "of"} <= STOPWORDS
+        docs = [
+            Document(f"d{i}", " ".join(words), {"geo": geo, "era": era})
+            for i, (words, geo, era) in enumerate(rows)
+        ]
+        cats = [Category("geo", ("east", "west")), Category("era", ("old", "new", "unk"))]
+        built = build_index(docs, cats)
+        path = tmp_path_factory.mktemp("lengths") / "index.qx"
+        built.save(path)
+        loaded = CollectionIndex.load(path)
+        assert [(d, loaded.doc_length(d)) for d in loaded.doc_ids] == [
+            (d, built.doc_length(d)) for d in built.doc_ids
+        ]
+        assert (loaded.total_tokens, loaded.avg_doc_len) == (built.total_tokens, built.avg_doc_len)
+        for cat in cats:
+            for group in cat.groups:
+                assert loaded.group_token_count(cat.name, group) == built.group_token_count(
+                    cat.name, group
+                )
 
     def test_save_is_deterministic(self, tiny_index, tmp_path):
         p1, p2 = tmp_path / "a.qx", tmp_path / "b.qx"
