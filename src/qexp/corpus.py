@@ -225,9 +225,7 @@ class CollectionIndex:
     # ------------------------------ persistence ----------------------------
     def save(self, path) -> None:
         payload = {
-            "categories": [
-                {"name": c.name, "groups": list(c.groups)} for c in self.categories
-            ],
+            "categories": _categories_to_json(self.categories),
             "docs": [{"id": d, "labels": labels} for d, labels in self._doc_labels.items()],
             "postings": self._postings,
         }
@@ -265,11 +263,9 @@ class CollectionIndex:
         except (EOFError, OSError, zlib.error, ValueError) as exc:
             raise CorpusError(f"{path}: corrupt index ({exc})") from None
         try:
-            categories = [
-                Category(c["name"], tuple(c["groups"])) for c in payload["categories"]
-            ]
+            categories = _categories_from_json(payload["categories"])
             docs = payload["docs"]
-            doc_labels = {d["id"]: dict(d["labels"]) for d in docs}
+            doc_labels = {d["id"]: d["labels"] for d in docs}
             postings = payload["postings"]
             doc_lengths = _check_payload(categories, len(docs), doc_labels, postings)
             return cls(categories, doc_labels, doc_lengths, postings)
@@ -291,11 +287,17 @@ def _check_payload(categories, num_docs, doc_labels, postings) -> dict[str, int]
         raise ValueError("duplicate document ids")
     for doc_id, labels in doc_labels.items():
         _check_doc_id(doc_id)
+        if not isinstance(labels, dict):
+            raise ValueError(f"document {doc_id!r}: labels must be a JSON object")
         for cat in categories:
             if labels.get(cat.name) not in cat.groups:
                 raise ValueError(
                     f"document {doc_id!r} has no group of category {cat.name!r}"
                 )
+        if len(labels) > len(categories):  # every category has its label: the rest are unknown
+            known = {cat.name for cat in categories}
+            unknown = next(name for name in labels if name not in known)
+            raise ValueError(f"document {doc_id!r} has a label of unknown category {unknown!r}")
     tokens = dict.fromkeys(doc_labels, 0)
     for term, plist in postings.items():
         if not plist:
@@ -416,25 +418,33 @@ def load_categories_json(path) -> list[Category]:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: line {exc.lineno}: malformed JSON ({exc.msg})") from None
-    if not isinstance(data, list):
-        data = [data]
+    try:
+        return _categories_from_json(data if isinstance(data, list) else [data])
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+
+
+def _categories_from_json(objs) -> list[Category]:
+    """The one reader of category records, a categories file's and an index's."""
     cats = []
-    for obj in data:
+    for obj in objs:
         if not isinstance(obj, dict):
-            raise CorpusError(f"{path}: expected a category object, got {obj!r}")
+            raise CorpusError(f"expected a category object, got {obj!r}")
         try:
             name, groups = obj["name"], obj["groups"]
         except KeyError as exc:
-            raise CorpusError(f"{path}: category definition missing field {exc}")
+            raise CorpusError(f"category definition missing field {exc}") from None
         if not isinstance(name, str):
-            raise CorpusError(f"{path}: category name {name!r} is not a JSON string")
+            raise CorpusError(f"category name {name!r} is not a JSON string")
         if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
-            raise CorpusError(f"{path}: category {name!r}: groups must be a JSON list of strings")
-        try:
-            cats.append(Category(name, tuple(groups)))
-        except ValueError as exc:  # no groups, or a repeated group name
-            raise CorpusError(f"{path}: {exc}") from None
+            raise CorpusError(f"category {name!r}: groups must be a JSON list of strings")
+        cats.append(Category(name, tuple(groups)))  # rejects no groups or a repeated one
     return cats
+
+
+def _categories_to_json(categories: Iterable[Category]) -> list[dict]:
+    """The one writer of category records, the inverse of _categories_from_json."""
+    return [{"name": c.name, "groups": list(c.groups)} for c in categories]
 
 
 def save_corpus_jsonl(path, docs: Iterable[Document]) -> None:
@@ -450,7 +460,6 @@ def save_corpus_jsonl(path, docs: Iterable[Document]) -> None:
 
 
 def save_categories_json(path, categories: Iterable[Category]) -> None:
-    data = [{"name": c.name, "groups": list(c.groups)} for c in categories]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(_categories_to_json(categories), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -279,15 +279,6 @@ BASELINES = PREDICTORS[1:-1]  # the adapted QPP baselines: all but GEP and unifo
 PredictorFn = Callable[[CollectionIndex, Query, str], PredictorOutput]
 
 
-def _check(name: str, k: int, cori_belief: float) -> None:
-    if name not in _FORMULAS:
-        raise ValueError(f"unknown predictor {name!r} (choose from {PREDICTORS})")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 <= cori_belief <= 1.0:
-        raise ValueError("cori belief must lie in [0, 1]")
-
-
 def predict(
     name: str,
     index: CollectionIndex,
@@ -301,8 +292,7 @@ def predict(
     ``k`` is GEP's ranking depth and ``cori_belief`` CORI's b; every
     predictor ignores what it does not use, but both are checked.
     """
-    _check(name, k, cori_belief)
-    return _finish(name, query_group_stats(index, query, category), k, cori_belief)
+    return make_predictors([name], k, cori_belief)[name](index, query, category)
 
 
 def make_predictors(
@@ -312,18 +302,22 @@ def make_predictors(
 ) -> dict[str, PredictorFn]:
     """Bind predictor names to (index, query, category) callables.
 
-    Each callable gives what `predict` gives. The callables share the
-    last table they built: consecutive calls on the same index (the same
-    object), an equal query and the same category build it once, so a
-    caller that loops category, then predictor, builds one per (query,
-    category). The names (at least one, none repeated), ``k`` and
-    ``cori_belief`` are checked here, before any call.
+    The callables share the last table they built: consecutive calls on
+    the same index (the same object), an equal query and the same category
+    build it once, so a caller that loops category, then predictor, builds
+    one per (query, category). The names (at least one, none repeated),
+    ``k`` and ``cori_belief`` are checked here, before any call.
     """
     if not names:
         raise ValueError("at least one predictor is required")
     reject_repeats("the predictor list", names)
     for name in names:
-        _check(name, k, cori_belief)
+        if name not in _FORMULAS:
+            raise ValueError(f"unknown predictor {name!r} (choose from {PREDICTORS})")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not 0.0 <= cori_belief <= 1.0:
+        raise ValueError("cori belief must lie in [0, 1]")
     # (index, query, category, table) of the last build, replaced whole, so
     # concurrent callers never pair one key with another key's table
     memo = (None, None, None, None)

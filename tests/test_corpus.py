@@ -401,6 +401,18 @@ class TestPersistence:
             ({}, {"categories": []}, "no categories"),
             ({}, {"categories": [{"name": "geo", "groups": ["east", "west"]}] * 2},
              "the category list repeats geo"),
+            # categories are read as a categories file's are, labels as build_index wrote them
+            ({"labels": {"geo": 1}}, {"categories": [{"name": "geo", "groups": [1, 2.5]}]},
+             "category 'geo': groups must be a JSON list of strings"),
+            ({"labels": {"geo": "e"}}, {"categories": [{"name": "geo", "groups": "ew"}]},
+             "category 'geo': groups must be a JSON list of strings"),
+            ({"labels": {"geo": "e"}}, {"categories": [{"name": "geo", "groups": {"e": 1, "w": 2}}]},
+             "category 'geo': groups must be a JSON list of strings"),
+            ({"labels": {"7": "east"}}, {"categories": [{"name": 7, "groups": ["east", "west"]}]},
+             "category name 7 is not a JSON string"),
+            ({"labels": [["geo", "east"]]}, {}, "document 'd1': labels must be a JSON object"),
+            ({"labels": {"geo": "east", "extra": "zzz"}}, {},
+             "document 'd1' has a label of unknown category 'extra'"),
         ],
     )
     def test_inconsistent_payload(self, tmp_path, doc, changes, message):
@@ -496,6 +508,26 @@ class TestPersistence:
                 assert loaded.group_token_count(cat.name, group) == built.group_token_count(
                     cat.name, group
                 )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.text(min_size=1), st.lists(st.text(min_size=1), min_size=1, unique=True)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda cat: cat[0],
+        )
+    )
+    def test_categories_survive_both_files(self, tmp_path_factory, rows):
+        cats = [Category(name, tuple(groups)) for name, groups in rows]
+        tmp = tmp_path_factory.mktemp("categories")
+        save_categories_json(tmp / "categories.json", cats)
+        assert load_categories_json(tmp / "categories.json") == cats
+        doc = Document("d1", "t000", {c.name: c.groups[-1] for c in cats})
+        build_index([doc], cats).save(tmp / "index.qx")
+        loaded = CollectionIndex.load(tmp / "index.qx")
+        assert list(loaded.categories) == cats
+        assert [loaded.doc_group("d1", c.name) for c in cats] == [c.groups[-1] for c in cats]
 
     def test_save_is_deterministic(self, tiny_index, tmp_path):
         p1, p2 = tmp_path / "a.qx", tmp_path / "b.qx"
