@@ -12,7 +12,7 @@ import random
 import sys
 from array import array
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -142,7 +142,7 @@ class ExposureHistogram(NamedTuple):
     sample_size: int | None = None
 
 
-#: exact enumeration refuses to walk more position subsets than this
+#: exact mode walks no more position subsets than this: it bounds time only, not memory
 DEFAULT_SUBSET_BUDGET = 5_000_000
 #: distinct-value histograms switch to equal-width bins above this
 MAX_DISTINCT_VALUES = 10_000
@@ -185,19 +185,19 @@ def achievable_exposure(
         bins = ((float(lo), float(hi), float(n_subsets)),)
         return ExposureHistogram(k, m, mode, bins, n_subsets, sample_size)
     if mode == "exact":
-        values = _subset_sums(weights, m)
-        out_bins = _bin_values(values, lo, hi)
+        walk = partial(_subset_sums, weights, m)  # walked again past MAX_DISTINCT_VALUES
+        out_bins = _distinct_bins(walk()) or _equal_width_bins(walk(), lo, hi)
         return ExposureHistogram(k, m, "exact", out_bins, n_subsets)
 
     values = _sampled_sums(weights, m, samples, seed)
     scale = n_subsets / samples
-    tallies = _bin_values(values, lo, hi, force_equal_width=True)
+    tallies = _equal_width_bins(values, lo, hi)
     est = tuple((low, high, count * scale) for low, high, count in tallies)
     return ExposureHistogram(k, m, "sampled", est, n_subsets, sample_size)
 
 
-def _subset_sums(weights: list[float], m: int) -> list[float]:
-    """The weight sum of every m-subset of positions, in combinations() order.
+def _subset_sums(weights: list[float], m: int) -> Iterator[float]:
+    """Yield every m-subset's weight sum, 0 < m < k, in combinations() order; hold no list.
 
     Each sum is added left to right from 0, so it equals float_sum over the
     subset bit for bit, and a prefix that subsets share is added once.
@@ -207,11 +207,9 @@ def _subset_sums(weights: list[float], m: int) -> list[float]:
     m > 2(k-m).
     """
     k = len(weights)
-    if m == 0:
-        return [0]
     if 2 * (k - m) < m:
-        return list(_skip_sums(weights, k - m))
-    return [s + w for s, start in _prefix_sums(weights, m - 1) for w in weights[start:]]
+        return _skip_sums(weights, k - m)
+    return (s + w for s, start in _prefix_sums(weights, m - 1) for w in weights[start:])
 
 
 def _prefix_sums(
@@ -298,17 +296,19 @@ def _sampled_sums(weights: list[float], m: int, samples: int, seed: int) -> list
     return values
 
 
-def _bin_values(values, lo, hi, force_equal_width=False):
+def _distinct_bins(values: Iterable[float]) -> tuple | None:
+    """A bin per distinct value rounded to 12 places; None past MAX_DISTINCT_VALUES of them."""
     distinct: dict[float, int] = {}
-    if not force_equal_width:
-        for v in values:
-            key = round(v, 12)
-            distinct[key] = distinct.get(key, 0) + 1
-            if len(distinct) > MAX_DISTINCT_VALUES:
-                distinct = {}
-                break
-    if distinct:
-        return tuple((v, v, float(c)) for v, c in sorted(distinct.items()))
+    for v in values:
+        key = round(v, 12)
+        distinct[key] = distinct.get(key, 0) + 1
+        if len(distinct) > MAX_DISTINCT_VALUES:
+            return None
+    return tuple((v, v, float(c)) for v, c in sorted(distinct.items()))
+
+
+def _equal_width_bins(values: Iterable[float], lo: float, hi: float) -> tuple:
+    """HISTOGRAM_BINS (low, high, count) bins of equal width over [lo, hi]."""
     counts = [0] * HISTOGRAM_BINS
     width = (hi - lo) / HISTOGRAM_BINS
     # a value past either end (rounding at lo or hi) goes into the end bin

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -239,6 +240,40 @@ class TestAchievableExposure:
         hist = achievable_exposure(k, 4)
         assert len(hist.bins) == (200 if equal_width else math.comb(k, 4))
         assert all((low < high) == equal_width for low, high, _ in hist.bins)
+
+    @pytest.mark.parametrize("k, m", [(12, 3), (12, 10)])  # prefix and skip branches
+    @pytest.mark.parametrize("extra", [-1, 0, None])
+    def test_exact_walks_again_only_past_max_distinct(self, monkeypatch, k, m, extra):
+        # extra=None: a bound of 40, below C(k, m); otherwise the number of
+        # distinct sums plus extra, so extra=0 sits exactly at the bound
+        distinct = len(oracle_achievable_exposure(k, m, max_distinct=math.comb(k, m))[0])
+        bound = 40 if extra is None else distinct + extra
+        walks = []
+        real = qexp.exposure._subset_sums
+
+        def counted(weights, m):
+            walks.append(m)
+            return real(weights, m)
+
+        monkeypatch.setattr(qexp.exposure, "MAX_DISTINCT_VALUES", bound)
+        monkeypatch.setattr(qexp.exposure, "_subset_sums", counted)
+        hist = achievable_exposure(k, m)
+        assert hist.bins == oracle_achievable_exposure(k, m, max_distinct=bound)[0]
+        equal_width = distinct > bound
+        assert len(hist.bins) == (200 if equal_width else distinct)
+        assert walks == [m] * (2 if equal_width else 1)
+
+    def test_exact_memory_does_not_grow_with_the_subsets(self):
+        # C(40, 4) = 91,390 sums: held as a list of floats they take about 2.9 MB
+        achievable_exposure(6, 2)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            hist = achievable_exposure(40, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.subsets == 91_390
+        assert peak < 1 << 20
 
     def test_min_max_are_worst_and_best_positions(self):
         hist = achievable_exposure(10, 3)
