@@ -15,6 +15,7 @@ from __future__ import annotations
 import gzip
 import json
 import zlib
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -364,10 +365,7 @@ def build_index(
             terms = tokenizer(doc.text)
             doc_labels[doc.doc_id] = labels
             doc_lengths[doc.doc_id] = len(terms)
-            counts: dict[str, int] = {}
-            for t in terms:
-                counts[t] = counts.get(t, 0) + 1
-            for t, tf in counts.items():
+            for t, tf in Counter(terms).items():
                 postings.setdefault(t, {})[doc.doc_id] = tf
 
     return CollectionIndex(list(categories), doc_labels, doc_lengths, postings)

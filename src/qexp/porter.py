@@ -9,9 +9,12 @@ The conditions read the word's class string: one letter per character,
 "v" for a vowel and "c" for a consonant. a, e, i, o and u are vowels, y
 is a vowel after a consonant, and every other character (digits,
 uppercase, punctuation, non-ASCII) is a consonant, which leaves
-digit-bearing tokens untouched. A character's class depends only on the
-characters before it, so the class string of a stem is a prefix of the
-word's, and m in the pattern [C](VC)^m[V] is the count of "vc" in it.
+digit-bearing tokens untouched; an ASCII word is translated through a
+plain dict, the table str.translate reads fastest. A character's class
+depends only on the characters before it, so the class string of a stem
+is a prefix of the word's, m in [C](VC)^m[V] is the count of "vc" in it,
+and a rule's rewrite appends its replacement's class string, fixed
+because no replacement holds a y.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ class _ClassTable(dict):
 _CLASS = _ClassTable.fromkeys(range(128), "c")
 _CLASS.update({ord(ch): "v" for ch in "aeiou"})
 _CLASS[ord("y")] = "y"
+_ASCII_CLASS = dict(_CLASS)
 
 
 def _classes(word: str) -> str:
-    cv = word.translate(_CLASS)
+    cv = word.translate(_ASCII_CLASS if word.isascii() else _CLASS)
     i = cv.find("y")
     while i >= 0:
         # y is a consonant first or after a vowel, a vowel after a consonant
@@ -44,15 +48,15 @@ def _ends_cvc(w: str, cv: str, n: int) -> bool:
     return n >= 3 and cv[n - 3:n] == "cvc" and w[n - 1] not in "wxy"
 
 
-def _by_ending(table: dict[str, str]) -> dict[str, list[tuple[str, str]]]:
-    """Last two letters -> the (suffix, replacement) pairs so ending, longest first."""
-    index: dict[str, list[tuple[str, str]]] = {}
-    for suffix in sorted(table, key=len, reverse=True):
-        index.setdefault(suffix[-2:], []).append((suffix, table[suffix]))
+def _by_ending(table: dict[str, str], least_m: int) -> dict[str, list[tuple]]:
+    """Index suffix -> replacement rules by their last two letters, longest first."""
+    index: dict[str, list[tuple]] = {}
+    for suffix, repl in sorted(table.items(), key=lambda rule: len(rule[0]), reverse=True):
+        rule = (suffix, len(suffix), repl, _classes(repl), least_m, suffix == "ion")
+        index.setdefault(suffix[-2:], []).append(rule)
     return index
 
 
-# suffix -> replacement
 _STEP2 = {
     "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
     "izer": "ize", "abli": "able", "alli": "al", "entli": "ent",
@@ -68,8 +72,7 @@ _STEP4 = dict.fromkeys((
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 ), "")
-# each step's lookup table and the least m of a stem for its rules to fire
-_STEPS_2_TO_4 = ((_by_ending(_STEP2), 1), (_by_ending(_STEP3), 1), (_by_ending(_STEP4), 2))
+_STEPS_2_TO_4 = (_by_ending(_STEP2, 1), _by_ending(_STEP3, 1), _by_ending(_STEP4, 2))
 
 
 def stem(word: str) -> str:
@@ -79,20 +82,19 @@ def stem(word: str) -> str:
 
     # Step 1a
     w = word
-    if w.endswith(("sses", "ies")):
+    if w[-1] == "s" and w.endswith(("sses", "ies")):
         w = w[:-2]
-    elif w.endswith("s") and not w.endswith("ss"):
+    elif w[-1] == "s" and w[-2] != "s":
         w = w[:-1]
 
     # Step 1b
-    if w.endswith("eed"):
+    if w[-1] == "d" and w.endswith("eed"):
         if cv.count("vc", 0, len(w) - 3) > 0:
             w = w[:-1]
-    else:
-        cut = 2 if w.endswith("ed") else 3 if w.endswith("ing") else 0
-        if cut and "v" in cv[:len(w) - cut]:
-            w = w[:-cut]
-            n = len(w)
+    elif w.endswith(("ed", "ing")):
+        n = len(w) - (2 if w[-1] == "d" else 3)
+        if "v" in cv[:n]:
+            w = w[:n]
             # a *o stem never ends in a double consonant, so the rule order
             # "at/bl/iz, double consonant, m=1 and *o" needs no third branch
             if w.endswith(("at", "bl", "iz")) or (
@@ -104,24 +106,22 @@ def stem(word: str) -> str:
                 w = w[:-1]
 
     # Step 1c
-    if w.endswith("y") and "v" in cv[:len(w) - 1]:
+    if w[-1] == "y" and "v" in cv[:len(w) - 1]:
         w = w[:-1] + "i"
         cv = cv[:len(w) - 1] + "v"
 
     # Steps 2 and 3 (m > 0), step 4 (m > 1; "ion" needs a stem ending in s or t)
-    for table, least_m in _STEPS_2_TO_4:
-        for suffix, repl in table.get(w[-2:], ()):
+    for table in _STEPS_2_TO_4:
+        for suffix, size, repl, repl_cv, least_m, ion in table.get(w[-2:], ()):
             if w.endswith(suffix):
-                n = len(w) - len(suffix)
-                if cv.count("vc", 0, n) >= least_m and (
-                    suffix != "ion" or w.endswith(("sion", "tion"))
-                ):
+                n = len(w) - size
+                if cv.count("vc", 0, n) >= least_m and (not ion or w[n - 1] in "st"):
                     w = w[:n] + repl
-                    cv = _classes(w)
+                    cv = cv[:n] + repl_cv
                 break
 
     # Step 5a
-    if w.endswith("e"):
+    if w[-1] == "e":
         n = len(w) - 1
         m = cv.count("vc", 0, n)
         if m > 1 or (m == 1 and not _ends_cvc(w, cv, n)):

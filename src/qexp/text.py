@@ -31,10 +31,10 @@ STOPWORDS = _load_stopwords()
 
 
 class _StemMemo(dict):
-    """word -> stem; a word is stemmed on its first lookup only."""
+    """word -> stem, or None for a stopword; a word is stemmed on its first lookup only."""
 
-    def __missing__(self, word: str) -> str:
-        stemmed = self[word] = stem(word)
+    def __missing__(self, word: str) -> str | None:
+        stemmed = self[word] = None if word in STOPWORDS else stem(word)
         return stemmed
 
 
@@ -66,5 +66,5 @@ def tokenize(text: str) -> list[str]:
     memo = _ACTIVE_MEMO.get()
     if memo is None:
         memo = _StemMemo()
-    text = unicodedata.normalize("NFC", text).lower()
-    return [memo[tok] for tok in _TOKEN_RE.findall(text) if tok not in STOPWORDS]
+    words = _TOKEN_RE.findall(unicodedata.normalize("NFC", text).lower())
+    return [t for t in map(memo.__getitem__, words) if t is not None]

@@ -1,3 +1,4 @@
+import contextlib
 import gzip
 import json
 import os
@@ -286,6 +287,20 @@ class TestStemMemo:
         stem_calls.clear()
         assert tokenize("running") == tokenize("running") == ["run"]
         assert stem_calls == {"running": 2}
+
+    @pytest.mark.parametrize("in_block", [False, True], ids=["per-call", "in-block"])
+    def test_stopwords_are_dropped_by_raw_word(self, in_block):
+        # "ase" stems to the stopword "as" and is kept: the filter reads the
+        # raw word; the second call reads every word from a block's memo
+        with stem_memo() if in_block else contextlib.nullcontext():
+            assert tokenize("as ase the running") == ["as", "run"]
+            assert tokenize("as ase the running") == ["as", "run"]
+
+    def test_stopwords_never_reach_the_stemmer(self, stem_calls):
+        with stem_memo():
+            tokenize("the as ase the running")
+            tokenize("as the of running")
+        assert stem_calls == {"ase": 1, "running": 1}
 
     def test_memo_is_not_shared_with_another_thread(self, stem_calls):
         with stem_memo():

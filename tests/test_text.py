@@ -4,6 +4,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qexp import porter
 from qexp.porter import stem
 from qexp.text import STOPWORDS, tokenize
 
@@ -11,15 +12,20 @@ from oracles import oracle_stem
 
 # every suffix a rule of steps 1a-5b tests, in step order, with the
 # endings step 1b restores an "e" after and the "ion" endings step 4 strips
-RULE_SUFFIXES = (
-    "sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y",
+STEP_2_SUFFIXES = (
     "ational", "tional", "enci", "anci", "izer", "abli", "alli", "entli",
     "eli", "ousli", "ization", "ation", "ator", "alism", "iveness",
     "fulness", "ousness", "aliti", "iviti", "biliti",
+)
+STEP_3_4_SUFFIXES = (
     "icate", "ative", "alize", "iciti", "ical", "ful", "ness",
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "sion", "tion", "ou", "ism", "ate", "iti", "ous",
-    "ive", "ize", "e", "ll",
+    "ive", "ize",
+)
+RULE_SUFFIXES = (
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y",
+    *STEP_2_SUFFIXES, *STEP_3_4_SUFFIXES, "e", "ll",
 )
 
 
@@ -100,6 +106,33 @@ class TestPorter:
     def test_matches_oracle_on_rule_suffixes(self, prefix, suffix, tail):
         word = prefix + suffix + tail
         assert stem(word) == oracle_stem(word)
+
+    # A rewrite splices the stem's class string with its replacement's, and
+    # the next steps read the spliced string: chain a step-2 rewrite into
+    # steps 3-5.
+    @settings(max_examples=500)
+    @given(
+        st.text(alphabet=string.ascii_lowercase + "Yéï1-", max_size=6),
+        st.sampled_from(STEP_2_SUFFIXES),
+        st.sampled_from(STEP_3_4_SUFFIXES),
+        st.sampled_from(("", "s", "ed", "ing")),
+    )
+    def test_matches_oracle_on_chained_rewrites(self, prefix, step_2, step_3_4, tail):
+        word = prefix + step_2 + step_3_4 + tail
+        assert stem(word) == oracle_stem(word)
+
+    @pytest.mark.parametrize("word,expected", [
+        ("rationalizations", "ration"), ("generalizations", "gener"), ("relativeness", "rel"),
+    ])
+    def test_rewrites_chain_across_steps(self, word, expected):
+        assert stem(word) == expected == oracle_stem(word)
+
+    def test_no_step_2_to_4_replacement_holds_a_y(self):
+        # a replacement's class string is fixed only while it holds no y,
+        # whose class would depend on the stem before it
+        replacements = [*porter._STEP2.values(), *porter._STEP3.values(), *porter._STEP4.values()]
+        assert len(replacements) == 46
+        assert [r for r in replacements if "y" in r] == []
 
     def test_matches_oracle_on_every_short_prefix(self):
         # y after a vowel or a consonant, doubled l/s/z, *o stems and m up
