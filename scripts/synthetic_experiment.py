@@ -15,7 +15,7 @@ from pathlib import Path
 from qexp.cli import main as cli_main
 from qexp.corpus import save_categories_json, save_corpus_jsonl
 from qexp.predictors import PREDICTORS
-from qexp.synthetic import SyntheticConfig, make_planted_skew_corpus
+from qexp.synthetic import make_planted_skew_corpus
 
 
 def main() -> int:
@@ -28,12 +28,9 @@ def main() -> int:
     parser.add_argument("--out-dir", default="out/synthetic")
     args = parser.parse_args()
 
-    config = SyntheticConfig(
-        seed=args.seed,
-        docs_per_group=args.docs_per_group,
-        num_queries=args.num_queries,
+    docs, categories, queries = make_planted_skew_corpus(
+        args.seed, args.docs_per_group, args.num_queries
     )
-    docs, categories, queries = make_planted_skew_corpus(config)
     category = categories[0].name
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

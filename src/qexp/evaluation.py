@@ -110,9 +110,9 @@ class RunFileRanker:
     with the scores, a repeated document) fails alone when it is ranked.
     """
 
-    def __init__(self, path, name: str | None = None):
+    def __init__(self, path):
         self.path = path
-        self.name = name or f"runfile:{path}"
+        self.name = f"runfile:{path}"
         self._entries = read_run_file(path)
 
     def rank(self, index: CollectionIndex, query: Query, k: int) -> Ranking:

@@ -12,9 +12,16 @@ uppercase, punctuation, non-ASCII) is a consonant, which leaves
 digit-bearing tokens untouched; an ASCII word is translated through a
 plain dict, the table str.translate reads fastest. A character's class
 depends only on the characters before it, so the class string of a stem
-is a prefix of the word's, m in [C](VC)^m[V] is the count of "vc" in it,
-and a rule's rewrite appends its replacement's class string, fixed
-because no replacement holds a y.
+is a prefix of the word's, and m in [C](VC)^m[V] is the count of "vc" in
+it.
+
+The word's class string is computed once and never rewritten. That is
+exact: a deletion leaves a prefix, and every other rewrite keeps the
+classes that later conditions read. Step 1b's "e" stands where the
+vowel of "ed" or "ing" stood; step 1c's "i" ends the word, and no later
+step reads the last position of a word that ends in "i"; each step 2-4
+replacement's classes are those of the suffix's first letters, except
+biliti -> ble, whose stale "cv" against "cc" changes neither m nor *o.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ def _by_ending(table: dict[str, str], least_m: int) -> dict[str, list[tuple]]:
     """Index suffix -> replacement rules by their last two letters, longest first."""
     index: dict[str, list[tuple]] = {}
     for suffix, repl in sorted(table.items(), key=lambda rule: len(rule[0]), reverse=True):
-        rule = (suffix, len(suffix), repl, _classes(repl), least_m, suffix == "ion")
+        rule = (suffix, len(suffix), repl, least_m, suffix == "ion")
         index.setdefault(suffix[-2:], []).append(rule)
     return index
 
@@ -101,23 +108,20 @@ def stem(word: str) -> str:
                 cv.count("vc", 0, n) == 1 and _ends_cvc(w, cv, n)
             ):
                 w += "e"
-                cv = cv[:n] + "v"
             elif n >= 2 and w[-1] == w[-2] and cv[n - 1] == "c" and w[-1] not in "lsz":
                 w = w[:-1]
 
     # Step 1c
     if w[-1] == "y" and "v" in cv[:len(w) - 1]:
         w = w[:-1] + "i"
-        cv = cv[:len(w) - 1] + "v"
 
     # Steps 2 and 3 (m > 0), step 4 (m > 1; "ion" needs a stem ending in s or t)
     for table in _STEPS_2_TO_4:
-        for suffix, size, repl, repl_cv, least_m, ion in table.get(w[-2:], ()):
+        for suffix, size, repl, least_m, ion in table.get(w[-2:], ()):
             if w.endswith(suffix):
                 n = len(w) - size
                 if cv.count("vc", 0, n) >= least_m and (not ion or w[n - 1] in "st"):
                     w = w[:n] + repl
-                    cv = cv[:n] + repl_cv
                 break
 
     # Step 5a

@@ -31,17 +31,15 @@ CORI_BELIEF = 0.4
 
 class PredictorOutput(NamedTuple):
     predictor: str
-    category: str
-    groups: tuple[str, ...]
-    raw_scores: tuple[float, ...]
+    raw_scores: tuple[float, ...]  # one per group of distribution.groups
     distribution: ExposureDistribution
 
     def to_dict(self, query_id: str | None = None) -> dict:
         return {
             "query_id": query_id,
-            "category": self.category,
+            "category": self.distribution.category,
             "predictor": self.predictor,
-            "groups": list(self.groups),
+            "groups": list(self.distribution.groups),
             "distribution": list(self.distribution.values),
             "degenerate": self.distribution.degenerate,
         }
@@ -88,13 +86,7 @@ def _finish(name: str, stats: QueryGroupStats, k: int, cori_belief: float) -> Pr
     raw = _FORMULAS[name](stats, k, cori_belief)
     floored = {g: max(0.0, raw[g]) for g in category.groups}
     dist = normalize_exposure(category.name, category.groups, floored)
-    return PredictorOutput(
-        name,
-        category.name,
-        category.groups,
-        tuple(raw[g] for g in category.groups),
-        dist,
-    )
+    return PredictorOutput(name, tuple(raw[g] for g in category.groups), dist)
 
 
 # --------------------------------- GEP -------------------------------------

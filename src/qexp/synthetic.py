@@ -13,68 +13,52 @@ are exactly what the generator planted.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
 from .corpus import Category, Document
 from .retrieval import Query
 
-
-class SyntheticConfig(NamedTuple):
-    seed: int = 7
-    groups: tuple[str, ...] = ("dominant", "fringe1", "fringe2")
-    category: str = "provenance"
-    docs_per_group: int = 150
-    doc_len: int = 40
-    # large topic vocabulary keeps per-term document frequencies well below
-    # half the group size, the regime where tf-idf mass tracks group mass
-    topic_vocab: int = 120
-    background_vocab: int = 400
-    num_queries: int = 40
-    query_len: int = 3
-    # probability that a dominant-group token is a topic term vs background
-    dominant_topic_rate: float = 0.25
-    fringe_topic_rate: float = 0.01
-
-
-def topic_terms(config: SyntheticConfig = SyntheticConfig()) -> list[str]:
-    return [f"topic{i:03d}" for i in range(config.topic_vocab)]
+GROUPS = ("dominant", "fringe1", "fringe2")
+CATEGORY = "provenance"
+DOC_LEN = 40
+# a large topic vocabulary keeps per-term document frequencies well below
+# half the group size, the regime where tf-idf mass tracks group mass
+TOPICS = tuple(f"topic{i:03d}" for i in range(120))
+BACKGROUND_VOCAB = 400
+QUERY_LEN = 3
+# probability that a dominant-group token is a topic term vs background
+DOMINANT_TOPIC_RATE = 0.25
+FRINGE_TOPIC_RATE = 0.01
 
 
 def make_planted_skew_corpus(
-    config: SyntheticConfig = SyntheticConfig(),
+    seed: int = 7, docs_per_group: int = 150, num_queries: int = 40,
 ) -> tuple[list[Document], list[Category], list[Query]]:
     """Returns (documents, categories, queries) with one dominant group."""
-    rng = random.Random(config.seed)
-    topics = topic_terms(config)
-
+    rng = random.Random(seed)
     docs: list[Document] = []
-    for g_idx, group in enumerate(config.groups):
+    for g_idx, group in enumerate(GROUPS):
         # every group has its own background vocabulary, so feedback terms
         # drawn from one group's documents keep pointing at that group
-        background = [f"{group}bg{i:04d}" for i in range(config.background_vocab)]
-        topic_rate = (
-            config.dominant_topic_rate if g_idx == 0 else config.fringe_topic_rate
-        )
-        for d in range(config.docs_per_group):
+        background = [f"{group}bg{i:04d}" for i in range(BACKGROUND_VOCAB)]
+        topic_rate = DOMINANT_TOPIC_RATE if g_idx == 0 else FRINGE_TOPIC_RATE
+        for d in range(docs_per_group):
             tokens = []
-            for _ in range(config.doc_len):
+            for _ in range(DOC_LEN):
                 if rng.random() < topic_rate:
-                    tokens.append(rng.choice(topics))
+                    tokens.append(rng.choice(TOPICS))
                 else:
                     tokens.append(rng.choice(background))
             docs.append(
                 Document(
                     doc_id=f"{group}-{d:04d}",
                     text=" ".join(tokens),
-                    labels={config.category: group},
+                    labels={CATEGORY: group},
                 )
             )
 
-    categories = [Category(config.category, config.groups)]
+    categories = [Category(CATEGORY, GROUPS)]
     queries = [
-        Query.from_terms(
-            rng.sample(topics, config.query_len), query_id=f"q{i:03d}"
-        )
-        for i in range(config.num_queries)
+        Query.from_terms(rng.sample(TOPICS, QUERY_LEN), query_id=f"q{i:03d}")
+        for i in range(num_queries)
     ]
     return docs, categories, queries

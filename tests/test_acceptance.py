@@ -26,7 +26,7 @@ from qexp.exposure import achievable_exposure, log_orderings, position_exposure
 from qexp.predictors import BASELINES, make_predictors
 from qexp.retrieval import Query, rank
 from qexp.stats import student_t_two_sided_p
-from qexp.synthetic import SyntheticConfig, make_planted_skew_corpus, topic_terms
+from qexp.synthetic import TOPICS, make_planted_skew_corpus
 
 from conftest import stable_vocab
 from oracles import (
@@ -168,14 +168,13 @@ def test_criterion_6_ranking_correctness():
 
 
 def _skew_experiment(expanders):
-    config = SyntheticConfig()
-    docs, cats, queries = make_planted_skew_corpus(config)
+    docs, cats, queries = make_planted_skew_corpus()
     assert len(queries) >= 30
     idx = build_index(docs, cats)
     # the planted skew: the dominant group owns >= 80% of query-term mass
     cat = cats[0]
     mass = {g: 0 for g in cat.groups}
-    for t in topic_terms(config):
+    for t in TOPICS:
         for g, plist in idx.group_postings(t, cat.name).items():
             mass[g] += sum(plist.values())
     assert mass["dominant"] / sum(mass.values()) >= 0.80
@@ -220,9 +219,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     import json
 
     corpus = tmp_path / "corpus.jsonl"
-    docs, cats, queries = make_planted_skew_corpus(
-        SyntheticConfig(docs_per_group=40, num_queries=8)
-    )
+    docs, cats, queries = make_planted_skew_corpus(docs_per_group=40, num_queries=8)
     with open(corpus, "w") as fh:
         for d in docs:
             fh.write(json.dumps({"doc_id": d.doc_id, "text": d.text, "labels": dict(d.labels)}) + "\n")

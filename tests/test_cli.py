@@ -22,7 +22,7 @@ from qexp.corpus import (
 from qexp.exposure import position_exposure
 from qexp.predictors import PREDICTORS
 from qexp.retrieval import Query
-from qexp.synthetic import SyntheticConfig, make_planted_skew_corpus
+from qexp.synthetic import make_planted_skew_corpus
 
 from oracles import compensated_sum
 
@@ -679,9 +679,7 @@ class TestRunCommand:
     ):
         # the builtin sum of Python 3.12 and later compensates float rounding;
         # patched into every module that adds floats, it stands in for 3.12
-        docs, categories, queries = make_planted_skew_corpus(
-            SyntheticConfig(docs_per_group=20, num_queries=12)
-        )
+        docs, categories, queries = make_planted_skew_corpus(docs_per_group=20, num_queries=12)
         build_index(docs, categories).save(tmp_path / "index.qx")
         (tmp_path / "queries.tsv").write_text(
             "".join(f"{q.query_id}\t{' '.join(q.terms)}\n" for q in queries)

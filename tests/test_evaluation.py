@@ -227,7 +227,7 @@ class TestRunExperiment:
             from qexp.predictors import PredictorOutput
 
             dist = realized[query.query_id]
-            return PredictorOutput("identity", category, dist.groups, dist.values, dist)
+            return PredictorOutput("identity", dist.values, dist)
 
         report = run_experiment(
             idx, _queries(), None, [ranker], [None], {"identity": identity}, k=10
@@ -339,16 +339,16 @@ class TestRunExperiment:
         assert len(report.rows) == 2 * 3 * len(_queries())
 
         # a run file without the query fails it in each of its pipelines too
-        path = tmp_path / "ext.trec"
-        write_run_file(path, [ModelRanker("bm25").rank(idx, q, 10) for q in _queries()[:2]])
+        paths = [tmp_path / "a.trec", tmp_path / "b.trec"]
+        for path in paths:
+            write_run_file(path, [ModelRanker("bm25").rank(idx, q, 10) for q in _queries()[:2]])
         report = run_experiment(
-            idx, _queries(), None, [RunFileRanker(path, "a"), RunFileRanker(path, "b")],
+            idx, _queries(), None, [RunFileRanker(path) for path in paths],
             [None], make_predictors(["gep"], k=10), k=10,
         )
         message = "run file has no ranking for query 'q3'"
         assert report.failures == [
-            Failure("a", "none", "q3", "ranking", message),
-            Failure("b", "none", "q3", "ranking", message),
+            Failure(f"runfile:{path}", "none", "q3", "ranking", message) for path in paths
         ]
 
     def test_predictors_see_original_query(self):
@@ -387,7 +387,8 @@ class TestRunExperiment:
         rankings = [ranker.rank(idx, q, 10) for q in _queries()]
         path = tmp_path / "ext.trec"
         write_run_file(path, rankings, tag="ext")
-        external = RunFileRanker(path, name="ext")
+        external = RunFileRanker(path)
+        assert external.name == f"runfile:{path}"
         report = run_experiment(
             idx, _queries(), None, [external], [None],
             make_predictors(["gep"], k=10), k=10,

@@ -192,7 +192,7 @@ class TestBaselineValues:
         labels = {d: ("A" if d.startswith("a") else "B") for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["A", "B"])
         out = predict("avpmi", idx, Query.from_terms(["t000", "t001"]), "c")
-        scores = dict(zip(out.groups, out.raw_scores))
+        scores = dict(zip(out.distribution.groups, out.raw_scores))
         assert scores["A"] > scores["B"]
 
     def test_avpmi_single_term_falls_back_to_avidf(self, tiny_index):
@@ -246,7 +246,7 @@ class TestPredictProperties:
         for cat in cats:
             out = predict(name, idx, query, cat.name, k)
             values = out.distribution.values
-            assert out.groups == cat.groups
+            assert out.distribution.groups == cat.groups
             assert len(values) == len(out.raw_scores) == len(cat.groups)
             assert all(v >= 0.0 for v in values)
             assert abs(sum(values) - 1.0) <= 1e-9

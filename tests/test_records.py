@@ -14,7 +14,6 @@ from qexp.expansion import ExpansionResult
 from qexp.exposure import ExposureDistribution, ExposureHistogram
 from qexp.predictors import PredictorOutput, QueryGroupStats
 from qexp.retrieval import Query, Ranking
-from qexp.synthetic import SyntheticConfig
 
 _CATEGORY = Category("c", ("a", "b"))
 _DIST = ExposureDistribution("c", ("a", "b"), (0.25, 0.75))
@@ -28,14 +27,13 @@ RECORDS = [
     Ranking("q1", (("d1", 2.0), ("d2", 1.0))),
     _DIST,
     ExposureHistogram(3, 1, "exact", ((0.5, 1.0, 3.0),), 3),
-    PredictorOutput("gep", "c", ("a", "b"), (1.0, 3.0), _DIST),
+    PredictorOutput("gep", (1.0, 3.0), _DIST),
     QueryGroupStats(_CATEGORY, {"t": 1.0}, 2, {"t": 1}, {"a": 1, "b": 1}, {"a": 3, "b": 4},
                     {"t": {"a": {"d1": 1}, "b": {}}}),
     ExpansionResult(_QUERY, False),
     Row("bm25", "none", "q1", "c", "gep", 0.5),
     CvRow("bm25", "none", "q1", "c", 12.5, False),
     Failure("bm25", "none", "q1", "ranking", "boom"),
-    SyntheticConfig(),
 ]
 
 

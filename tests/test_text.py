@@ -107,9 +107,8 @@ class TestPorter:
         word = prefix + suffix + tail
         assert stem(word) == oracle_stem(word)
 
-    # A rewrite splices the stem's class string with its replacement's, and
-    # the next steps read the spliced string: chain a step-2 rewrite into
-    # steps 3-5.
+    # A rewrite leaves the word's class string as it was, and the next steps
+    # read it past the stem: chain a step-2 rewrite into steps 3-5.
     @settings(max_examples=500)
     @given(
         st.text(alphabet=string.ascii_lowercase + "Yéï1-", max_size=6),
@@ -123,16 +122,26 @@ class TestPorter:
 
     @pytest.mark.parametrize("word,expected", [
         ("rationalizations", "ration"), ("generalizations", "gener"), ("relativeness", "rel"),
+        # biliti -> ble leaves "cv" where the stem's classes are "cc"
+        ("mobiliti", "mobil"), ("feasibiliti", "feasibl"), ("ablebiliti", "ablebl"),
     ])
     def test_rewrites_chain_across_steps(self, word, expected):
         assert stem(word) == expected == oracle_stem(word)
 
-    def test_no_step_2_to_4_replacement_holds_a_y(self):
-        # a replacement's class string is fixed only while it holds no y,
-        # whose class would depend on the stem before it
-        replacements = [*porter._STEP2.values(), *porter._STEP3.values(), *porter._STEP4.values()]
-        assert len(replacements) == 46
-        assert [r for r in replacements if "y" in r] == []
+    def test_rewrites_keep_the_classes_later_steps_read(self):
+        # stem never rewrites a word's class string; that is exact only while
+        # a replacement's classes are those of the suffix's first letters,
+        # which holds without a y, whose class depends on the letter before it
+        rules = [*porter._STEP2.items(), *porter._STEP3.items(), *porter._STEP4.items()]
+        assert len(rules) == 46
+        assert [rule for rule in rules if "y" in "".join(rule)] == []
+        changed = [
+            (suffix, repl) for suffix, repl in rules
+            if porter._classes(repl) != porter._classes(suffix)[:len(repl)]
+        ]
+        assert changed == [("biliti", "ble")]
+        # step 1b's "e" stands where the removed "ed" or "ing" began
+        assert porter._classes("ed")[0] == porter._classes("ing")[0] == "v"
 
     def test_matches_oracle_on_every_short_prefix(self):
         # y after a vowel or a consonant, doubled l/s/z, *o stems and m up
