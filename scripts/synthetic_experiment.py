@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from qexp.cli import main as cli_main
-from qexp.corpus import save_categories_json, save_corpus_jsonl
+from qexp.corpus import save_categories_json, save_corpus_jsonl, write_lines
 from qexp.predictors import PREDICTORS
 from qexp.synthetic import make_planted_skew_corpus
 
@@ -36,9 +36,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_corpus_jsonl(out_dir / "corpus.jsonl", docs)
     save_categories_json(out_dir / "categories.json", categories)
-    with open(out_dir / "queries.tsv", "w", encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(f"{q.query_id}\t{' '.join(q.terms)}\n")
+    write_lines(out_dir / "queries.tsv", (f"{q.query_id}\t{' '.join(q.terms)}" for q in queries))
 
     if cli_main([
         "index", "--corpus", str(out_dir / "corpus.jsonl"),

@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 usage or validation error, 2 partial failure
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
@@ -23,6 +21,9 @@ from .corpus import (
     load_categories_json,
     load_corpus_jsonl,
     reject_repeats,
+    write_csv,
+    write_json,
+    write_jsonl,
 )
 from .evaluation import (
     ModelRanker, QueryExpander, RunFileRanker, check_experiment, error_message, run_experiment,
@@ -65,6 +66,11 @@ def load_queries_tsv(path) -> list[Query]:
 
 def _split_names(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
+
+
+def _category_names(value: str) -> list[str] | None:
+    # a list with no names also means every category, and config.json records it as null
+    return _split_names(value) or None
 
 
 def _split_ints(value: str) -> list[int]:
@@ -140,18 +146,17 @@ def cmd_predict(args) -> int:
     else:
         categories = [c.name for c in index.categories]
 
-    def query_lines(query):
+    def query_records(query):
         return [
-            json.dumps(predictor(index, query, category).to_dict(query.query_id), sort_keys=True)
-            + "\n"
+            predictor(index, query, category).to_dict(query.query_id)
             for category in categories
             for predictor in predictors.values()
         ]
 
-    lines = [line for per_query in _per_query(queries, query_lines) for line in per_query]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    print(f"wrote {len(lines)} predictions to {args.out}")
+    # every query is predicted before the file is opened: a failing one writes nothing
+    records = [record for per_query in _per_query(queries, query_records) for record in per_query]
+    write_jsonl(args.out, records)
+    print(f"wrote {len(records)} predictions to {args.out}")
     return 0
 
 
@@ -171,9 +176,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
-    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "config.json", config)
     report.write_jsd_csv(out_dir / "jsd.csv")
     report.write_cv_csv(out_dir / "cv.csv")
     report.write_summary_json(out_dir / "summary.json")
@@ -199,19 +202,12 @@ def cmd_analyze_exposure(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(out_dir / "histogram.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "m", "bin_low", "bin_high", "count"])
-        for hist in histograms:
-            for low, high, count in hist.bins:
-                writer.writerow([args.k, hist.m, repr(low), repr(high), repr(count)])
-
-    with open(out_dir / "orderings.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "log10_orderings", "exact_orderings"])
-        for k in range(1, args.k + 1):
-            exact = orderings(k) if k <= 20 else ""
-            writer.writerow([k, repr(log_orderings(k)), exact])
+    write_csv(out_dir / "histogram.csv", ["k", "m", "bin_low", "bin_high", "count"], (
+        (args.k, hist.m, low, high, count) for hist in histograms for low, high, count in hist.bins
+    ))
+    write_csv(out_dir / "orderings.csv", ["k", "log10_orderings", "exact_orderings"], (
+        (k, log_orderings(k), orderings(k) if k <= 20 else "") for k in range(1, args.k + 1)
+    ))
 
     print(f"wrote histogram.csv and orderings.csv to {out_dir}")
     return 0
@@ -254,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True, help="an index written by qexp index")
     p.add_argument("--queries", required=True)
     p.add_argument("--predictors", type=_split_names, default="gep")
-    p.add_argument("--category-names", type=_split_names, default=None,
+    p.add_argument("--category-names", type=_category_names, default=None,
                    help="comma-separated; default all")
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--out", required=True)
@@ -270,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expanders", type=_split_names, default="none",
                    help="comma-separated: none," + ",".join(EXPANDERS))
     p.add_argument("--predictors", type=_split_names, default="gep,scs,avidf,avictf,avpmi,cori")
-    # an empty list also means every category, and config.json records it as null
-    p.add_argument("--category-names", type=lambda v: _split_names(v) or None, default=None)
+    p.add_argument("--category-names", type=_category_names, default=None)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--cori-belief", type=float, default=CORI_BELIEF)
     p.add_argument("--out-dir", default="out")

@@ -12,6 +12,7 @@ length, the sum of its postings' tf, is recomputed on load.
 
 from __future__ import annotations
 
+import csv
 import gzip
 import json
 import zlib
@@ -446,18 +447,39 @@ def _categories_to_json(categories: Iterable[Category]) -> list[dict]:
 
 
 def save_corpus_jsonl(path, docs: Iterable[Document]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(
-                json.dumps(
-                    {"doc_id": doc.doc_id, "text": doc.text, "labels": dict(doc.labels)},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path, ({"doc_id": d.doc_id, "text": d.text, "labels": dict(d.labels)} for d in docs)
+    )
 
 
 def save_categories_json(path, categories: Iterable[Category]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_categories_to_json(categories), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, _categories_to_json(categories))
+
+
+# ------------------------------- file writing ------------------------------
+# Every text file the package writes goes through one of these four: UTF-8,
+# "\n" line ends with no newline translation, JSON keys sorted, and floats
+# written as their repr (json and csv both do).
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Each line followed by "\n"."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_json(path, obj) -> None:
+    """One JSON document, indented by 2, then a newline."""
+    write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
+
+
+def write_jsonl(path, objs: Iterable) -> None:
+    """JSON Lines: one JSON value per line."""
+    write_lines(path, (json.dumps(obj, sort_keys=True) for obj in objs))
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row; csv quotes only where needed."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

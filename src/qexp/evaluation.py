@@ -11,12 +11,10 @@ and paired t-tests with Bonferroni correction.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import CollectionIndex, reject_repeats
+from .corpus import CollectionIndex, reject_repeats, write_csv, write_json
 from .exposure import ExposureDistribution, check_distribution, float_sum, realized_exposure
 from .expansion import ExpansionResult, EXPANDERS
 from .predictors import PredictorFn, PredictorOutput
@@ -183,24 +181,14 @@ class PredictionReport:
         self.summary = summary
 
     def write_jsd_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            # Row's fields are the columns in order, and csv writes a float as its repr
-            writer.writerow(Row._fields)
-            writer.writerows(self.rows)
+        write_csv(path, Row._fields, self.rows)
 
     def write_cv_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["ranker", "expander", "query_id", "category", "cv_percent", "degenerate"])
-            for r in self.cv_rows:
-                writer.writerow([r.ranker, r.expander, r.query_id, r.category, repr(r.cv_percent), int(r.degenerate)])
+        # degenerate as 0/1; csv would write a bool as True/False
+        write_csv(path, CvRow._fields, ((*r[:-1], int(r.degenerate)) for r in self.cv_rows))
 
     def write_summary_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            summary = {**self.summary, "failures": [f._asdict() for f in self.failures]}
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {**self.summary, "failures": [f._asdict() for f in self.failures]})
 
 
 def check_experiment(

@@ -8,11 +8,10 @@ through unchanged with ``expanded=False``.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, NamedTuple
 
-from .corpus import CollectionIndex
+from .corpus import CollectionIndex, write_jsonl
 from .exposure import float_sum
 from .retrieval import Query, Ranking
 
@@ -148,12 +147,10 @@ def expand_klq(
     if not top:
         return ExpansionResult(query, expanded=False)
 
-    qtf = query.qtf()
-    q_total = float_sum(qtf.values())
+    ml = _ml_query_model(query)
     e_total = float_sum(w for _, w in top)
-    terms = list(qtf) + [t for t, _ in top]
-    weights = [0.5 * qtf[t] / q_total for t in qtf]
-    weights += [0.5 * w / e_total for _, w in top]
+    terms = list(ml) + [t for t, _ in top]
+    weights = [0.5 * p for p in ml.values()] + [0.5 * w / e_total for _, w in top]
     new_query = Query(tuple(terms), tuple(weights), query.query_id)
     return ExpansionResult(new_query, expanded=True)
 
@@ -166,17 +163,8 @@ EXPANDERS = {
 
 def write_queries_jsonl(path, results: Iterable[tuple[str, ExpansionResult]]) -> None:
     """Audit trail of expanded queries: {query_id, terms, weights, expanded}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for query_id, res in results:
-            fh.write(
-                json.dumps(
-                    {
-                        "query_id": query_id,
-                        "terms": list(res.query.terms),
-                        "weights": list(res.query.weights),
-                        "expanded": res.expanded,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {"query_id": query_id, "terms": list(res.query.terms),
+         "weights": list(res.query.weights), "expanded": res.expanded}
+        for query_id, res in results
+    ))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .corpus import CollectionIndex
+from .corpus import CollectionIndex, write_lines
 from .text import tokenize
 
 
@@ -128,11 +128,11 @@ def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100
 
 def write_run_file(path, rankings: Iterable[Ranking], tag: str = "qexp") -> None:
     """`qid Q0 docid rank score tag`, one line per retrieved document."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ranking in rankings:
-            qid = ranking.query_id or "0"
-            for pos, (doc_id, score) in enumerate(ranking.entries, start=1):
-                fh.write(f"{qid} Q0 {doc_id} {pos} {score:.6f} {tag}\n")
+    write_lines(path, (
+        f"{ranking.query_id or '0'} Q0 {doc_id} {pos} {score:.6f} {tag}"
+        for ranking in rankings
+        for pos, (doc_id, score) in enumerate(ranking.entries, start=1)
+    ))
 
 
 def read_run_file(path) -> dict[str, tuple[tuple[str, float], ...]]:

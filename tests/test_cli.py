@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import re
@@ -433,6 +434,17 @@ class TestPredictCommand:
         for r in rows:
             assert r["groups"] == ["A", "B"]
             assert sum(r["distribution"]) == pytest.approx(1.0)
+
+    def test_empty_category_names_predict_every_category(self, workspace):
+        def predict(name, *extra):
+            out = workspace / name
+            assert main([
+                "predict", "--index", str(workspace / "index.qx"),
+                "--queries", str(workspace / "queries.tsv"), "--out", str(out), *extra,
+            ]) == 0
+            return out.read_bytes()
+
+        assert predict("empty.jsonl", "--category-names", ",") == predict("all.jsonl")
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -897,3 +909,70 @@ class TestAnalyzeExposure:
         ])
         assert code == 1
         assert "sampled" in capsys.readouterr().err
+
+
+class TestOutputBytes:
+    # sha256 prefixes of every text file the CLI and the synthetic script
+    # write, on a small planted corpus; index.qx is left out, as its gzip
+    # bytes vary across zlib builds
+    DIGESTS = {
+        "exact/histogram.csv": "915b73b025d1c8fc",
+        "exact/orderings.csv": "742297bee05e3746",
+        "grid/config.json": "13b576007f471faa",
+        "grid/cv.csv": "f3debc273a71383e",
+        "grid/jsd.csv": "7e1c7d40603c2c1b",
+        "grid/summary.json": "2bcb2dd54ab8115c",
+        "klq.jsonl": "a56d492e9cab5b8b",
+        "pred.jsonl": "45dc07885060758c",
+        "rm3.jsonl": "65c6c3d73515e68b",
+        "sampled/histogram.csv": "03b25046abd61652",
+        "sampled/orderings.csv": "69f9c6bfe5f5cb09",
+        "syn/categories.json": "eeae86f0e241d592",
+        "syn/config.json": "14718d475921ec6c",
+        "syn/corpus.jsonl": "d9386cff414646c2",
+        "syn/cv.csv": "7750cf92a174f43b",
+        "syn/jsd.csv": "050b4b163660eeed",
+        "syn/queries.tsv": "98cd0b0172fa5929",
+        "syn/summary.json": "973eddc571bfba19",
+        "tfidf.trec": "e77978f4db0ad203",
+    }
+
+    def test_every_output_keeps_its_bytes(self, tmp_path, monkeypatch):
+        # relative paths, so that config.json does not name the temporary directory
+        monkeypatch.chdir(tmp_path)
+        script = Path(__file__).resolve().parents[1] / "scripts" / "synthetic_experiment.py"
+        monkeypatch.setattr(sys, "argv", [
+            str(script), "--docs-per-group", "20", "--num-queries", "6", "--k", "20",
+            "--out-dir", "syn",
+        ])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        # a query of unseen words retrieves nothing, and a stopword-only one fails
+        queries = Path("syn/queries.tsv").read_text() + "qoov\tzzz999\n"
+        Path("oov.tsv").write_text(queries)
+        Path("grid.tsv").write_text(queries + "qbad\tthe of and\n")
+        inputs = {"syn/index.qx", "oov.tsv", "grid.tsv"}
+        source = ["--index", "syn/index.qx", "--queries", "oov.tsv", "--k", "20"]
+        commands = [
+            ["predict", *source, "--predictors", ",".join(PREDICTORS), "--out", "pred.jsonl"],
+            ["expand", *source, "--method", "rm3", "--out", "rm3.jsonl"],
+            ["expand", *source, "--method", "klq", "--out", "klq.jsonl"],
+            ["rank", *source, "--model", "tfidf", "--out", "tfidf.trec"],
+            ["run", "--index", "syn/index.qx", "--queries", "grid.tsv", "--k", "20",
+             "--rankers", "bm25,tfidf", "--expanders", "none,rm3,klq",
+             "--predictors", ",".join(PREDICTORS), "--out-dir", "grid"],
+            ["analyze-exposure", "--k", "40", "--m", "0,1,2,3,4,38,39,40",
+             "--out-dir", "exact"],
+            ["analyze-exposure", "--k", "60", "--m", "10,25,50", "--mode", "sampled",
+             "--samples", "2000", "--seed", "3", "--out-dir", "sampled"],
+        ]
+        for argv in commands:
+            assert main(argv) == (2 if argv[0] == "run" else 0), argv
+
+        digests = {
+            name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in tmp_path.rglob("*")
+            if p.is_file() and (name := str(p.relative_to(tmp_path))) not in inputs
+        }
+        assert digests == self.DIGESTS
