@@ -20,6 +20,7 @@ from .corpus import (
     build_index,
     load_categories_json,
     load_corpus_jsonl,
+    read_lines,
     reject_repeats,
     write_csv,
     write_json,
@@ -30,7 +31,7 @@ from .evaluation import (
 )
 from .expansion import EXPANDERS, write_queries_jsonl
 from .exposure import achievable_exposure, check_achievable_args, log_orderings, orderings
-from .predictors import CORI_BELIEF, make_predictors
+from .predictors import CORI_BELIEF, PREDICTORS, make_predictors
 from .retrieval import RANKERS, Query, rank, write_run_file
 from .text import stem_memo
 
@@ -44,8 +45,8 @@ def load_queries_tsv(path) -> list[Query]:
     queries = []
     seen: set[str] = set()
     # one memo for the file, so each distinct word is stemmed once
-    with open(path, "r", encoding="utf-8") as fh, stem_memo():
-        for lineno, line in enumerate(fh, start=1):
+    with stem_memo():
+        for lineno, line in enumerate(read_lines(path), start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
@@ -101,7 +102,11 @@ def _per_query(queries: list[Query], fn) -> list:
 # ------------------------------- subcommands -------------------------------
 
 def cmd_index(args) -> int:
-    index = build_index(load_corpus_jsonl(args.corpus), load_categories_json(args.categories_file))
+    docs, categories = load_corpus_jsonl(args.corpus), load_categories_json(args.categories_file)
+    try:
+        index = build_index(docs, categories)
+    except CorpusError as exc:  # the categories were checked as they loaded: a document's error
+        raise CorpusError(f"{args.corpus}: {exc}") from None
     index.save(args.out)
     print(
         f"docs={index.num_docs} terms={len(index.vocabulary)} "
@@ -265,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="external TREC run file ranker")
     p.add_argument("--expanders", type=_split_names, default="none",
                    help="comma-separated: none," + ",".join(EXPANDERS))
-    p.add_argument("--predictors", type=_split_names, default="gep,scs,avidf,avictf,avpmi,cori")
+    p.add_argument("--predictors", type=_split_names,
+                   default=",".join(name for name in PREDICTORS if name != "uniform"))
     p.add_argument("--category-names", type=_category_names, default=None)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--cori-belief", type=float, default=CORI_BELIEF)

@@ -18,7 +18,7 @@ import json
 import zlib
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .text import stem_memo, tokenize
 
@@ -264,31 +264,39 @@ class CollectionIndex:
             payload = json.loads(gzip.decompress(data[len(INDEX_MAGIC) + 1 :]))
         except (EOFError, OSError, zlib.error, ValueError) as exc:
             raise CorpusError(f"{path}: corrupt index ({exc})") from None
+        except RecursionError:
+            raise CorpusError(f"{path}: corrupt index (JSON nested too deeply)") from None
         try:
-            categories = _categories_from_json(payload["categories"])
-            docs = payload["docs"]
-            doc_labels = {d["id"]: d["labels"] for d in docs}
-            postings = payload["postings"]
-            doc_lengths = _check_payload(categories, len(docs), doc_labels, postings)
-            return cls(categories, doc_labels, doc_lengths, postings)
+            return cls(*_index_fields(payload))
         except KeyError as exc:
             raise CorpusError(f"{path}: corrupt index (missing field {exc})") from None
-        except (TypeError, AttributeError, ValueError) as exc:
+        except ValueError as exc:
             raise CorpusError(f"{path}: corrupt index ({exc})") from None
 
 
-def _check_payload(categories, num_docs, doc_labels, postings) -> dict[str, int]:
-    """Reject a decoded index that build_index could not have written.
+def _index_fields(payload) -> tuple:
+    """A decoded index's categories, doc labels, doc lengths and postings.
 
-    Return each document's length: the sum of its postings' tf.
+    Rejects a payload build_index could not have written, checking each field's type first.
     """
-    if not num_docs:
+    if not isinstance(payload, dict):
+        raise ValueError("the payload must be a JSON object")
+    categories = _categories_from_json(payload["categories"])
+    docs, postings = payload["docs"], payload["postings"]
+    if not isinstance(docs, list) or not all(isinstance(d, dict) for d in docs):
+        raise ValueError("docs must be a JSON list of objects")
+    if not isinstance(postings, dict):
+        raise ValueError("postings must be a JSON object of objects")
+    if not docs:
         raise ValueError("no documents")
     check_categories(categories)
-    if len(doc_labels) != num_docs:
+    doc_labels = {}
+    for d in docs:
+        _check_doc_id(d["id"])  # before it is hashed as a key
+        doc_labels[d["id"]] = d["labels"]
+    if len(doc_labels) != len(docs):
         raise ValueError("duplicate document ids")
     for doc_id, labels in doc_labels.items():
-        _check_doc_id(doc_id)
         if not isinstance(labels, dict):
             raise ValueError(f"document {doc_id!r}: labels must be a JSON object")
         for cat in categories:
@@ -302,6 +310,8 @@ def _check_payload(categories, num_docs, doc_labels, postings) -> dict[str, int]
             raise ValueError(f"document {doc_id!r} has a label of unknown category {unknown!r}")
     tokens = dict.fromkeys(doc_labels, 0)
     for term, plist in postings.items():
+        if not isinstance(plist, dict):
+            raise ValueError(f"term {term!r}: postings must be a JSON object")
         if not plist:
             raise ValueError(f"term {term!r} has no postings")
         for doc_id, tf in plist.items():
@@ -312,7 +322,7 @@ def _check_payload(categories, num_docs, doc_labels, postings) -> dict[str, int]
                     f"term {term!r} has tf {tf!r} for document {doc_id!r}, not an int >= 1"
                 )
             tokens[doc_id] += tf
-    return tokens
+    return categories, doc_labels, tokens, postings
 
 
 def _check_doc_id(doc_id) -> None:
@@ -381,50 +391,77 @@ def _unknown_group(cat: Category) -> str | None:
 
 # ------------------------------- file loading ------------------------------
 
+def read_lines(path) -> Iterator[str]:
+    """A UTF-8 text file's lines, each line end read as "\\n"; every text input is read here.
+
+    Lines end at "\\n", "\\r\\n" or "\\r", not at a "\\u2028" in a JSON string as
+    with str.splitlines. A byte that is not UTF-8 raises CorpusError naming its line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        # text mode decodes in blocks: find the byte's line from the whole file
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise CorpusError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+        raise
+
+
 def load_corpus_jsonl(path) -> list[Document]:
     """One JSON object per line: {"doc_id": str, "text": str, "labels": {...}}."""
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})")
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
-            labels = obj.get("labels", {})
-            if not isinstance(labels, dict):
-                raise CorpusError(f"{path}: line {lineno}: labels must be a JSON object")
-            try:
-                doc_id, text = obj["doc_id"], obj["text"]
-            except KeyError as exc:
-                raise CorpusError(f"{path}: line {lineno}: missing field {exc}")
-            fields = [("doc_id", doc_id), ("text", text)]
-            fields += [(f"label {category!r}", group) for category, group in labels.items()]
-            for name, value in fields:
-                if not isinstance(value, str):
-                    raise CorpusError(f"{path}: line {lineno}: {name} must be a JSON string")
-            docs.append(Document(doc_id, text, dict(labels)))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from None
+        except RecursionError:
+            raise CorpusError(f"{path}: line {lineno}: malformed JSON (nested too deeply)") from None
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
+        labels = obj.get("labels", {})
+        if not isinstance(labels, dict):
+            raise CorpusError(f"{path}: line {lineno}: labels must be a JSON object")
+        try:
+            doc_id, text = obj["doc_id"], obj["text"]
+        except KeyError as exc:
+            raise CorpusError(f"{path}: line {lineno}: missing field {exc}")
+        fields = [("doc_id", doc_id), ("text", text)]
+        fields += [(f"label {category!r}", group) for category, group in labels.items()]
+        for name, value in fields:
+            if not isinstance(value, str):
+                raise CorpusError(f"{path}: line {lineno}: {name} must be a JSON string")
+        docs.append(Document(doc_id, text, dict(labels)))
     return docs
 
 
 def load_categories_json(path) -> list[Category]:
-    """A category object {name, groups[]} or a list of them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: line {exc.lineno}: malformed JSON ({exc.msg})") from None
+    """A category object {name, groups[]} or a list of them, checked as build_index checks."""
     try:
-        return _categories_from_json(data if isinstance(data, list) else [data])
+        data = json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: line {exc.lineno}: malformed JSON ({exc.msg})") from None
+    except RecursionError:
+        raise CorpusError(f"{path}: malformed JSON (nested too deeply)") from None
+    try:
+        categories = _categories_from_json(data if isinstance(data, list) else [data])
+        check_categories(categories)
     except ValueError as exc:
         raise CorpusError(f"{path}: {exc}") from None
+    return categories
 
 
 def _categories_from_json(objs) -> list[Category]:
     """The one reader of category records, a categories file's and an index's."""
+    if not isinstance(objs, list):
+        raise CorpusError("categories must be a JSON list")
     cats = []
     for obj in objs:
         if not isinstance(obj, dict):

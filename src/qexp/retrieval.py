@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .corpus import CollectionIndex, write_lines
+from .corpus import CollectionIndex, read_lines, write_lines
 from .text import tokenize
 
 
@@ -144,23 +144,20 @@ def read_run_file(path) -> dict[str, tuple[tuple[str, float], ...]]:
     the caller, so one bad query need not fail the others.
     """
     per_query: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 6 whitespace-separated fields"
-                )
-            qid, _, doc_id, pos, score, _ = parts
-            try:
-                position, value = int(pos), float(score)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: bad rank or score")
-            per_query.setdefault(qid, []).append((position, doc_id, value))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"{path}: line {lineno}: expected 6 whitespace-separated fields")
+        qid, _, doc_id, pos, score, _ = parts
+        try:
+            position, value = int(pos), float(score)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: bad rank or score")
+        per_query.setdefault(qid, []).append((position, doc_id, value))
     return {
         qid: tuple((doc_id, score) for _, doc_id, score in sorted(rows, key=lambda r: r[:2]))
         for qid, rows in per_query.items()

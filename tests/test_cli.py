@@ -1,6 +1,9 @@
 import argparse
+import contextlib
 import csv
+import gzip
 import hashlib
+import io
 import json
 import math
 import re
@@ -9,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qexp.cli
 import qexp.evaluation
@@ -18,18 +22,26 @@ import qexp.predictors
 import qexp.text
 from qexp.cli import load_queries_tsv, main
 from qexp.corpus import (
-    INDEX_MAGIC, CollectionIndex, build_index, load_categories_json, load_corpus_jsonl,
+    INDEX_FORMAT_VERSION, INDEX_MAGIC, CollectionIndex, CorpusError, build_index,
+    load_categories_json, load_corpus_jsonl,
 )
 from qexp.exposure import position_exposure
 from qexp.predictors import PREDICTORS
-from qexp.retrieval import Query
+from qexp.retrieval import Query, read_run_file
 from qexp.synthetic import make_planted_skew_corpus
 
 from oracles import compensated_sum
 
+DEEP_JSON = "[" * 100_000  # json.loads raises RecursionError on it
+
 
 @pytest.fixture
 def workspace(tmp_path):
+    return make_workspace(tmp_path)
+
+
+def make_workspace(tmp_path: Path) -> Path:
+    """A 10-doc corpus, its categories, 3 queries and the index, in ``tmp_path``."""
     corpus = tmp_path / "corpus.jsonl"
     lines = []
     # group A owns t000/t001, group B owns t004/t005; t003 is shared
@@ -225,6 +237,16 @@ class TestIndexCommand:
                 for field in ("doc_id", "text")
                 for value in (None, 7, ["d10"])
             ],
+            (DEEP_JSON, None, "corpus.jsonl: line 11: malformed JSON (nested too deeply)"),
+            (None, DEEP_JSON, "categories.json: malformed JSON (nested too deeply)"),
+            # build_index's checks, named by the file they come from
+            (None, "[]", "categories.json: no categories"),
+            (None, '[{"name": "c", "groups": ["A", "B"]}, {"name": "c", "groups": ["A"]}]',
+             "categories.json: the category list repeats c"),
+            ('{"doc_id": "d00", "text": "t000", "labels": {"c": "A"}}', None,
+             "corpus.jsonl: duplicate doc_id 'd00'"),
+            ('{"doc_id": "d10", "text": "t000", "labels": {"c": "z"}}', None,
+             "corpus.jsonl: doc 'd10': unknown group 'z' for category 'c'"),
         ],
     )
     def test_malformed_input_exits_1_naming_the_file(
@@ -243,6 +265,16 @@ class TestIndexCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {workspace}") and message in err
         assert not (workspace / "x.qx").exists()
+
+    def test_empty_corpus_exits_1_naming_the_file(self, workspace, capsys):
+        corpus = workspace / "corpus.jsonl"
+        corpus.write_text("\n")
+        code = main([
+            "index", "--corpus", str(corpus), "--categories", str(workspace / "categories.json"),
+            "--out", str(workspace / "x.qx"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {corpus}: empty corpus\n"
 
     def test_relabeling_changes_only_group_stats(self, workspace):
         relabeled = workspace / "relabel.jsonl"
@@ -295,6 +327,138 @@ class TestCorruptIndex:
         ])
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: unsupported index format version 1\n"
+
+
+# ------------------------- mutated input files -----------------------------
+# Each input kind: its file in the boundary workspace, the form of its
+# content ("document" for one JSON value, "lines" for JSON Lines, None for
+# whitespace-separated fields) and the command that reads it.
+INPUT_KINDS = {
+    "corpus": ("corpus.jsonl", "lines", ["index", "--corpus", "{mutated}",
+               "--categories", "{ws}/categories.json", "--out", "{ws}/out.qx"]),
+    "categories": ("categories.json", "document", ["index", "--corpus", "{ws}/corpus.jsonl",
+                   "--categories", "{mutated}", "--out", "{ws}/out.qx"]),
+    "queries": ("queries.tsv", None, ["rank", "--index", "{ws}/index.qx",
+                "--queries", "{mutated}", "--out", "{ws}/out.trec"]),
+    "index": ("index.qx", "document", ["rank", "--index", "{mutated}",
+              "--queries", "{ws}/queries.tsv", "--out", "{ws}/out.trec"]),
+    "run file": ("run.trec", None, ["run", "--index", "{ws}/index.qx",
+                 "--queries", "{ws}/queries.tsv", "--rankers", "", "--run-file", "{mutated}",
+                 "--out-dir", "{ws}/out"]),
+}
+WRONG_TYPES = [None, True, 0, 1.5, "x", [], {}, [0], {"x": 0}]
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]
+
+
+@pytest.fixture(scope="module")
+def boundary_workspace(tmp_path_factory):
+    ws = make_workspace(tmp_path_factory.mktemp("boundary"))
+    assert main(["rank", "--index", str(ws / "index.qx"), "--queries", str(ws / "queries.tsv"),
+                 "--out", str(ws / "run.trec")]) == 0
+    return ws
+
+
+def json_nodes(value, path=()):
+    """The path of every value inside a decoded JSON document, the root's included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from json_nodes(item, path + (key,))
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    copy = value.copy()
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def retyped(draw, text: bytes, form) -> bytes:
+    """The text with one JSON value (one field, if it is not JSON) replaced by a WRONG_TYPES one."""
+    if form == "lines":  # one line of the JSONL corpus
+        lines = text.split(b"\n")
+        i = draw(st.integers(0, len(lines) - 2))
+        return b"\n".join(lines[:i] + [retyped(draw, lines[i], "document")] + lines[i + 1:])
+    new = draw(st.sampled_from(WRONG_TYPES))
+    if form == "document":
+        doc = json.loads(text)
+        path = draw(st.sampled_from(list(json_nodes(doc))))
+        return json.dumps(replaced(doc, path, new)).encode()
+    fields = re.split(rb"(\s+)", text)  # fields at even positions, separators between
+    i = 2 * draw(st.integers(0, len(fields) // 2 - 1))
+    return b"".join(fields[:i] + [json.dumps(new).encode()] + fields[i + 1:])
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("name, read", [
+        ("corpus.jsonl", load_corpus_jsonl),
+        ("categories.json", load_categories_json),
+        ("queries.tsv", load_queries_tsv),
+        ("run.trec", read_run_file),
+    ])
+    def test_every_reader_names_the_line_of_a_non_utf8_byte(self, workspace, name, read):
+        path = workspace / name
+        if name == "run.trec":
+            path.write_text("q1 Q0 d00 1 2.5 bm25\n")
+        data = path.read_bytes().rstrip(b"\n") + b"\n"
+        path.write_bytes(data + b"\xff\n")
+        with pytest.raises(CorpusError) as raised:
+            read(path)
+        line = data.count(b"\n") + 1
+        assert str(raised.value) == f"{path}: line {line}: not UTF-8 (invalid start byte)"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exit_0_or_one_error_line_naming_the_file(self, boundary_workspace, data):
+        """A mutated input is valid, or rejected in one line that names its file.
+
+        The file is truncated, has one byte flipped, is replaced by deeply
+        nested JSON, has one value replaced by a value of another JSON type
+        (most often), or has bytes inserted that are not UTF-8. An index is
+        mutated inside its gzip payload.
+        """
+        ws = boundary_workspace
+        kind = data.draw(st.sampled_from(sorted(INPUT_KINDS)))
+        name, form, argv = INPUT_KINDS[kind]
+        content = (ws / name).read_bytes()
+        if kind == "index":
+            content = gzip.decompress(content[len(INDEX_MAGIC) + 1:])
+        mutation = data.draw(st.sampled_from(["truncate", "flip", "deep", "retype", "not utf-8"]))
+        if mutation == "truncate":
+            content = content[:data.draw(st.integers(0, len(content) - 1))]
+        elif mutation == "flip":
+            i, mask = data.draw(st.integers(0, len(content) - 1)), data.draw(st.integers(1, 255))
+            content = content[:i] + bytes([content[i] ^ mask]) + content[i + 1:]
+        elif mutation == "deep":
+            content = DEEP_JSON.encode()
+        elif mutation == "retype":
+            content = retyped(data.draw, content, form)
+        else:
+            i = data.draw(st.integers(0, len(content)))
+            content = content[:i] + data.draw(st.sampled_from(NOT_UTF8)) + content[i:]
+        mutated = ws / ("mutated-" + name)
+        if kind == "index":
+            content = INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION]) + gzip.compress(content)
+        mutated.write_bytes(content)
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(ws=ws, mutated=mutated) for arg in argv])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert err == ""
+            return
+        assert code == 1 or (code == 2 and kind == "run file"), (code, err)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            # categories that the documents do not fit are reported against the corpus
+            named = [mutated] + ([ws / "corpus.jsonl"] if kind == "categories" else [])
+            # a well-formed queries file may hold a query that cannot be ranked
+            assert any(str(path) in err for path in named) or (
+                kind == "queries" and err.startswith("error: query '")), err
 
 
 def test_queries_file_stems_each_distinct_word_once(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from qexp.corpus import (
     build_index,
     load_categories_json,
     load_corpus_jsonl,
+    read_lines,
     save_categories_json,
     save_corpus_jsonl,
 )
@@ -334,6 +335,24 @@ class TestForwardIndex:
                 idx.doc_terms("nope")
 
 
+class TestReadLines:
+    def test_lines_end_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("a\r\nb\rc\nd\u2028e\x85f".encode())
+        assert list(read_lines(path)) == ["a\n", "b\n", "c\n", "d\u2028e\x85f"]
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_bad_byte_past_the_first_block_names_its_line(self, tmp_path, end):
+        # 24 KB: text mode decodes 8 KB at a time, so its line count is behind
+        lines = [b"%059d" % i for i in range(400)]
+        lines[300] = lines[300][:30] + b"\xff" + lines[300][31:]
+        path = tmp_path / "f.txt"
+        path.write_bytes(end.join(lines))
+        with pytest.raises(CorpusError) as raised:
+            list(read_lines(path))
+        assert str(raised.value) == f"{path}: line 301: not UTF-8 (invalid start byte)"
+
+
 class TestPersistence:
     def test_round_trip(self, tiny_index, tmp_path):
         path = tmp_path / "index.qx"
@@ -383,6 +402,10 @@ class TestPersistence:
                 "no documents",
                 id="no-documents",
             ),
+            pytest.param(
+                gzip.compress(b"[" * 100_000), "JSON nested too deeply",
+                id="nested-too-deeply",
+            ),
         ],
     )
     def test_undecodable_body(self, tmp_path, body, message):
@@ -428,6 +451,15 @@ class TestPersistence:
             ({"labels": [["geo", "east"]]}, {}, "document 'd1': labels must be a JSON object"),
             ({"labels": {"geo": "east", "extra": "zzz"}}, {},
              "document 'd1' has a label of unknown category 'extra'"),
+            # fields of the wrong JSON type; changes that are no object replace the payload
+            ({}, [], "the payload must be a JSON object"),
+            ({}, None, "the payload must be a JSON object"),
+            ({}, {"docs": 5}, "docs must be a JSON list of objects"),
+            ({}, {"docs": [5]}, "docs must be a JSON list of objects"),
+            ({}, {"postings": []}, "postings must be a JSON object of objects"),
+            ({}, {"postings": {"t000": 5}}, "term 't000': postings must be a JSON object"),
+            ({}, {"categories": 5}, "categories must be a JSON list"),
+            ({"id": ["x"]}, {}, "doc_id ['x'] is not a string"),
         ],
     )
     def test_inconsistent_payload(self, tmp_path, doc, changes, message):
@@ -436,7 +468,7 @@ class TestPersistence:
             "docs": [{"id": "d1", "labels": {"geo": "east"}, **doc}],
             "postings": {"t000": {"d1": 1}},
             **changes,
-        }
+        } if isinstance(changes, dict) else changes
         path = tmp_path / "index.qx"
         path.write_bytes(
             INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION]) + gzip.compress(json.dumps(payload).encode())

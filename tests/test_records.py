@@ -67,3 +67,15 @@ def test_importing_qexp_does_not_import_dataclasses():
         timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_importing_qexp_loads_no_submodule():
+    # the package root exports nothing: every name is imported from its module
+    src = str(Path(qexp.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qexp; print(sorted(m for m in sys.modules if m.startswith('qexp.')))"],
+        env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
