@@ -262,8 +262,12 @@ class CollectionIndex:
             )
         try:
             payload = json.loads(gzip.decompress(data[len(INDEX_MAGIC) + 1 :]))
-        except (EOFError, OSError, zlib.error, ValueError) as exc:
+        except UnicodeDecodeError:
+            raise CorpusError(f"{path}: corrupt index (payload is not UTF-8)") from None
+        except (EOFError, OSError, zlib.error, json.JSONDecodeError) as exc:
             raise CorpusError(f"{path}: corrupt index ({exc})") from None
+        except ValueError:  # past Python's int string limit
+            raise CorpusError(f"{path}: corrupt index (integer too long)") from None
         except RecursionError:
             raise CorpusError(f"{path}: corrupt index (JSON nested too deeply)") from None
         try:
@@ -422,6 +426,8 @@ def load_corpus_jsonl(path) -> list[Document]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from None
+        except ValueError:  # past Python's int string limit
+            raise CorpusError(f"{path}: line {lineno}: malformed JSON (integer too long)") from None
         except RecursionError:
             raise CorpusError(f"{path}: line {lineno}: malformed JSON (nested too deeply)") from None
         if not isinstance(obj, dict):
@@ -444,10 +450,13 @@ def load_corpus_jsonl(path) -> list[Document]:
 
 def load_categories_json(path) -> list[Category]:
     """A category object {name, groups[]} or a list of them, checked as build_index checks."""
+    text = "".join(read_lines(path))
     try:
-        data = json.loads("".join(read_lines(path)))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: line {exc.lineno}: malformed JSON ({exc.msg})") from None
+    except ValueError:  # past Python's int string limit
+        raise CorpusError(f"{path}: malformed JSON (integer too long)") from None
     except RecursionError:
         raise CorpusError(f"{path}: malformed JSON (nested too deeply)") from None
     try:

@@ -11,10 +11,11 @@ import math
 import random
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import partial, reduce
-from itertools import accumulate, chain, repeat
-from operator import add
+from itertools import accumulate, chain, islice, repeat
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import CollectionIndex
@@ -142,12 +143,14 @@ class ExposureHistogram(NamedTuple):
     sample_size: int | None = None
 
 
-#: exact mode walks no more position subsets than this: it bounds time only, not memory
+#: exact mode counts no more position subsets than this: it bounds time only, not memory
 DEFAULT_SUBSET_BUDGET = 5_000_000
 #: distinct-value histograms switch to equal-width bins above this
 MAX_DISTINCT_VALUES = 10_000
 #: the number of equal-width bins
 HISTOGRAM_BINS = 200
+#: the most prefix sums exact mode holds at once while it counts equal-width bins
+PREFIX_BLOCK = 1 << 13
 
 
 def check_achievable_args(k: int, m: int, mode: str, *, samples: int) -> None:
@@ -185,13 +188,15 @@ def achievable_exposure(
         bins = ((float(lo), float(hi), float(n_subsets)),)
         return ExposureHistogram(k, m, mode, bins, n_subsets, sample_size)
     if mode == "exact":
-        walk = partial(_subset_sums, weights, m)  # walked again past MAX_DISTINCT_VALUES
-        out_bins = _distinct_bins(walk()) or _equal_width_bins(walk(), lo, hi)
+        out_bins = _distinct_bins(_subset_sums(weights, m))
+        if out_bins is None:
+            counts = _exact_bin_counts(weights, m, _bin_thresholds(lo, hi))
+            out_bins = _equal_width_bins(counts, lo, hi)
         return ExposureHistogram(k, m, "exact", out_bins, n_subsets)
 
     values = _sampled_sums(weights, m, samples, seed)
     scale = n_subsets / samples
-    tallies = _equal_width_bins(values, lo, hi)
+    tallies = _equal_width_bins(_bin_counts(values, _bin_thresholds(lo, hi)), lo, hi)
     est = tuple((low, high, count * scale) for low, high, count in tallies)
     return ExposureHistogram(k, m, "sampled", est, n_subsets, sample_size)
 
@@ -201,10 +206,11 @@ def _subset_sums(weights: list[float], m: int) -> Iterator[float]:
 
     Each sum is added left to right from 0, so it equals float_sum over the
     subset bit for bit, and a prefix that subsets share is added once.
-    Branching on the first m-1 positions takes about C(k, m-1) Python
-    steps; branching on the k-m positions left out takes about C(k, m),
-    each summing the subset's last run in C, and is cheaper once
-    m > 2(k-m).
+    Branching on the first m-1 positions takes one Python step per subset,
+    each a single addition; branching on the k-m positions left out also
+    takes about C(k, m), each summing the subset's last run in C, and is
+    cheaper once m > 2(k-m). Exact mode walks these sums for its distinct
+    values, and again for equal-width bins only on the second branch.
     """
     k = len(weights)
     if 2 * (k - m) < m:
@@ -307,13 +313,75 @@ def _distinct_bins(values: Iterable[float]) -> tuple | None:
     return tuple((v, v, float(c)) for v, c in sorted(distinct.items()))
 
 
-def _equal_width_bins(values: Iterable[float], lo: float, hi: float) -> tuple:
-    """HISTOGRAM_BINS (low, high, count) bins of equal width over [lo, hi]."""
-    counts = [0] * HISTOGRAM_BINS
+def _bin_thresholds(lo: float, hi: float) -> list[float]:
+    """The least float of each equal-width bin over [lo, hi], 0 <= lo < hi, but the first.
+
+    The bin of v is int((v - lo) / width), clamped to 0..HISTOGRAM_BINS-1,
+    so a value past either end (rounding at lo or hi) is in the end bin; it
+    never falls as v grows, so it is the number of thresholds at or below
+    v, bisect_right(thresholds, v). This table is the only copy of that rule.
+    With lo >= 0, as every exposure sum is, each threshold lies a few floats
+    from lo + b * width; below 0 the floats near one can be too many to step.
+    """
     width = (hi - lo) / HISTOGRAM_BINS
-    # a value past either end (rounding at lo or hi) goes into the end bin
-    for i, c in Counter(int((v - lo) / width) for v in values).items():
-        counts[min(max(i, 0), HISTOGRAM_BINS - 1)] += c
+    thresholds = []
+    for b in range(1, HISTOGRAM_BINS):
+        v = lo + b * width
+        while int((v - lo) / width) < b:
+            v = math.nextafter(v, math.inf)
+        while int((math.nextafter(v, -math.inf) - lo) / width) >= b:
+            v = math.nextafter(v, -math.inf)
+        thresholds.append(v)
+    return thresholds
+
+
+def _bin_counts(values: Iterable[float], thresholds: list[float]) -> list[int]:
+    """How many values fall into each bin, one bisection per value."""
+    tally = Counter(map(partial(bisect_right, thresholds), values))
+    return [tally[b] for b in range(HISTOGRAM_BINS)]
+
+
+def _exact_bin_counts(weights: list[float], m: int, thresholds: list[float]) -> list[int]:
+    """How many m-subset sums, 0 < m < k, fall into each bin.
+
+    Where _subset_sums branches on the positions left out, each sum is
+    counted as it is walked. Otherwise a subset's sum is s + w, s the sum
+    of its first m-1 positions as _prefix_sums yields it and w the weight of
+    its last position d, so it is added as in _subset_sums. For each d the
+    prefix sums that end before d are kept sorted, and s + w is
+    non-decreasing in s, so one bisection per threshold counts the sums
+    below it: about C(k, m-1) Python steps in place of C(k, m). At most
+    PREFIX_BLOCK prefix sums are held at once; counts add over the blocks.
+    """
+    k = len(weights)
+    if 2 * (k - m) < m:  # the branch _subset_sums takes on the positions left out
+        return _bin_counts(_subset_sums(weights, m), thresholds)
+    below = [0] * len(thresholds)  # per threshold, the sums below it
+    prefixes = _prefix_sums(weights, m - 1)
+    while True:
+        ending = [[] for _ in range(k)]  # ending[d]: the block's prefix sums with d next
+        for s, start in islice(prefixes, PREFIX_BLOCK):
+            ending[start].append(s)
+        if not any(ending):
+            break
+        sums: list[float] = []
+        for w, new in zip(weights, ending):
+            if new:
+                sums += new
+                sums.sort()
+            if sums:  # only thresholds between the least and the greatest s + w need a bisection
+                i = bisect_right(thresholds, sums[0] + w)
+                j = bisect_right(thresholds, sums[-1] + w)
+                count = partial(bisect_left, sums, key=w.__add__)
+                below[i:j] = map(add, below[i:j], map(count, thresholds[i:j]))
+                below[j:] = map(add, below[j:], repeat(len(sums)))
+    edges = [0, *below, math.comb(k, m)]
+    return list(map(sub, edges[1:], edges))
+
+
+def _equal_width_bins(counts: list[int], lo: float, hi: float) -> tuple:
+    """HISTOGRAM_BINS (low, high, count) bins of equal width over [lo, hi]."""
+    width = (hi - lo) / HISTOGRAM_BINS
     return tuple(
         (lo + i * width, lo + (i + 1) * width, float(c))
         for i, c in enumerate(counts)

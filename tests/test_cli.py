@@ -33,6 +33,7 @@ from qexp.synthetic import make_planted_skew_corpus
 from oracles import compensated_sum
 
 DEEP_JSON = "[" * 100_000  # json.loads raises RecursionError on it
+LONG_INT = "1" * 5_000  # past Python's int string limit: json.loads raises ValueError on it
 
 
 @pytest.fixture
@@ -239,6 +240,8 @@ class TestIndexCommand:
             ],
             (DEEP_JSON, None, "corpus.jsonl: line 11: malformed JSON (nested too deeply)"),
             (None, DEEP_JSON, "categories.json: malformed JSON (nested too deeply)"),
+            (LONG_INT, None, "corpus.jsonl: line 11: malformed JSON (integer too long)"),
+            (None, f"[{LONG_INT}]", "categories.json: malformed JSON (integer too long)"),
             # build_index's checks, named by the file they come from
             (None, "[]", "categories.json: no categories"),
             (None, '[{"name": "c", "groups": ["A", "B"]}, {"name": "c", "groups": ["A"]}]',
@@ -415,9 +418,10 @@ class TestMalformedInputFiles:
         """A mutated input is valid, or rejected in one line that names its file.
 
         The file is truncated, has one byte flipped, is replaced by deeply
-        nested JSON, has one value replaced by a value of another JSON type
-        (most often), or has bytes inserted that are not UTF-8. An index is
-        mutated inside its gzip payload.
+        nested JSON or by an integer too long for Python to parse, has one
+        value replaced by a value of another JSON type (most often), or has
+        bytes inserted that are not UTF-8. An index is mutated inside its
+        gzip payload.
         """
         ws = boundary_workspace
         kind = data.draw(st.sampled_from(sorted(INPUT_KINDS)))
@@ -425,7 +429,8 @@ class TestMalformedInputFiles:
         content = (ws / name).read_bytes()
         if kind == "index":
             content = gzip.decompress(content[len(INDEX_MAGIC) + 1:])
-        mutation = data.draw(st.sampled_from(["truncate", "flip", "deep", "retype", "not utf-8"]))
+        mutation = data.draw(st.sampled_from(
+            ["truncate", "flip", "deep", "long int", "retype", "not utf-8"]))
         if mutation == "truncate":
             content = content[:data.draw(st.integers(0, len(content) - 1))]
         elif mutation == "flip":
@@ -433,6 +438,8 @@ class TestMalformedInputFiles:
             content = content[:i] + bytes([content[i] ^ mask]) + content[i + 1:]
         elif mutation == "deep":
             content = DEEP_JSON.encode()
+        elif mutation == "long int":
+            content = LONG_INT.encode()
         elif mutation == "retype":
             content = retyped(data.draw, content, form)
         else:

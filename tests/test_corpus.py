@@ -460,6 +460,9 @@ class TestPersistence:
             ({}, {"postings": {"t000": 5}}, "term 't000': postings must be a JSON object"),
             ({}, {"categories": 5}, "categories must be a JSON list"),
             ({"id": ["x"]}, {}, "doc_id ['x'] is not a string"),
+            # changes given as bytes are the payload's bytes
+            ({}, b'{"docs": [{"id": "d\xff1"}]}', "(payload is not UTF-8)"),
+            ({}, b'{"docs": [' + b"1" * 5_000 + b"]}", "(integer too long)"),
         ],
     )
     def test_inconsistent_payload(self, tmp_path, doc, changes, message):
@@ -469,10 +472,9 @@ class TestPersistence:
             "postings": {"t000": {"d1": 1}},
             **changes,
         } if isinstance(changes, dict) else changes
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         path = tmp_path / "index.qx"
-        path.write_bytes(
-            INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION]) + gzip.compress(json.dumps(payload).encode())
-        )
+        path.write_bytes(INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION]) + gzip.compress(body))
         with pytest.raises(CorpusError, match=re.escape(message)) as raised:
             CollectionIndex.load(path)
         assert str(raised.value).startswith(f"{path}: corrupt index (")

@@ -4,13 +4,15 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
 import qexp.exposure
 from qexp.exposure import (
     MAX_DISTINCT_VALUES,
     ExposureDistribution,
+    _bin_thresholds,
+    _exact_bin_counts,
     _sampled_sums,
     achievable_exposure,
     group_exposure,
@@ -233,6 +235,70 @@ class TestAchievableExposure:
         assert hist.bins == bins
         assert hist.subsets == subsets
 
+    @given(
+        st.integers(1, 20).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.sampled_from([m for m in range(1, k + 1) if math.comb(k, m) <= 5_000]),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    @example((5, 1))
+    @example((24, 4))
+    @example((16, 10))  # the last m that counts by bisection ...
+    @example((16, 11))  # ... and the first that counts each sum
+    def test_equal_width_counts_in_any_prefix_block_equal_the_oracle(self, k_m):
+        # with no distinct-value bins allowed, every 0 < m < k takes equal-width bins
+        k, m = k_m
+        bins = oracle_achievable_exposure(k, m, max_distinct=0)[0]
+        for block in (1, 7, qexp.exposure.PREFIX_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qexp.exposure, "MAX_DISTINCT_VALUES", 0)
+                patch.setattr(qexp.exposure, "PREFIX_BLOCK", block)
+                assert achievable_exposure(k, m).bins == bins
+
+    @given(
+        st.lists(st.integers(0, 6), min_size=2, max_size=9).flatmap(
+            lambda ints: st.tuples(st.just(ints), st.integers(1, len(ints) - 1))
+        ),
+        st.lists(st.integers(0, 40), min_size=2, max_size=2, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exact_bin_counts_equal_per_value_bins_where_sums_tie_with_bounds(self, ints_m, ends):
+        # integer weights give exact sums that tie with each other and with
+        # bin boundaries; [lo, hi] need not cover them, so both ends clamp,
+        # and a weight of 0 puts sums below any lo > 0
+        ints, m = ints_m
+        weights = [float(v) for v in ints]
+        lo, hi = (v / 4 for v in sorted(ends))
+        width = (hi - lo) / 200
+        expected = [0] * 200
+        for subset in combinations(weights, m):
+            expected[min(max(int((math.fsum(subset) - lo) / width), 0), 199)] += 1
+        thresholds = _bin_thresholds(lo, hi)
+        for block in (1, 7, qexp.exposure.PREFIX_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qexp.exposure, "PREFIX_BLOCK", block)
+                assert _exact_bin_counts(weights, m, thresholds) == expected
+
+    @given(
+        st.floats(0, 1e3),
+        st.floats(0, 1e3).filter(lambda span: span > 0),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(0.6020599913279624, 2.5642760267770087)  # achievable_exposure's lo, hi at k=100, m=4
+    @example(1.0, math.nextafter(1.0, math.inf))  # every bin but the first starts at hi
+    def test_each_threshold_is_the_least_float_of_its_bin(self, lo, span):
+        hi = lo + span
+        width = (hi - lo) / 200
+        assume(width > 0)
+        thresholds = _bin_thresholds(lo, hi)
+        assert len(thresholds) == 199
+        for b, t in enumerate(thresholds, start=1):
+            assert int((t - lo) / width) >= b
+            assert int((math.nextafter(t, -math.inf) - lo) / width) < b
+
     @pytest.mark.parametrize("k, equal_width", [(23, False), (24, True)])
     def test_more_than_max_distinct_values_take_equal_width_bins(self, k, equal_width):
         # every m=4 sum is distinct here, so C(k, 4) decides the path
@@ -249,31 +315,48 @@ class TestAchievableExposure:
         distinct = len(oracle_achievable_exposure(k, m, max_distinct=math.comb(k, m))[0])
         bound = 40 if extra is None else distinct + extra
         walks = []
-        real = qexp.exposure._subset_sums
+        prefix_walks = []  # calls from outside _prefix_sums' own recursion
+        real_subset_sums = qexp.exposure._subset_sums
+        real_prefix_sums = qexp.exposure._prefix_sums
 
         def counted(weights, m):
             walks.append(m)
-            return real(weights, m)
+            return real_subset_sums(weights, m)
+
+        def counted_prefixes(weights, n, *rest):
+            if not rest:
+                prefix_walks.append(n)
+            return real_prefix_sums(weights, n, *rest)
 
         monkeypatch.setattr(qexp.exposure, "MAX_DISTINCT_VALUES", bound)
         monkeypatch.setattr(qexp.exposure, "_subset_sums", counted)
+        monkeypatch.setattr(qexp.exposure, "_prefix_sums", counted_prefixes)
         hist = achievable_exposure(k, m)
         assert hist.bins == oracle_achievable_exposure(k, m, max_distinct=bound)[0]
         equal_width = distinct > bound
         assert len(hist.bins) == (200 if equal_width else distinct)
-        assert walks == [m] * (2 if equal_width else 1)
+        if 2 * (k - m) < m:  # the skip branch counts each sum on a second walk
+            assert walks == [m] * (2 if equal_width else 1)
+            assert prefix_walks == []
+        else:  # the prefix branch walks the prefixes again, not the subsets
+            assert walks == [m]
+            assert prefix_walks == [m - 1] * (2 if equal_width else 1)
 
     def test_exact_memory_does_not_grow_with_the_subsets(self):
-        # C(40, 4) = 91,390 sums: held as a list of floats they take about 2.9 MB
         achievable_exposure(6, 2)  # imports and caches outside the trace
-        tracemalloc.start()
-        try:
-            hist = achievable_exposure(40, 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert hist.subsets == 91_390
-        assert peak < 1 << 20
+        for k, subsets in [
+            (40, 91_390),  # held as a list of floats these sums take about 2.9 MB
+            (60, 487_635),  # its C(59, 3) = 32,509 prefix sums fill more than one PREFIX_BLOCK
+        ]:
+            tracemalloc.start()
+            try:
+                hist = achievable_exposure(k, 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert hist.subsets == subsets
+            assert len(hist.bins) == 200
+            assert peak < 1 << 20
 
     def test_min_max_are_worst_and_best_positions(self):
         hist = achievable_exposure(10, 3)
