@@ -133,6 +133,9 @@ class ExposureHistogram(NamedTuple):
     to right from 0. So the histogram depends on that word stream, not on
     the private ``_randbelow`` that ``random.sample`` calls. k must stay
     below 2**32 (one word per draw), which k weights held in memory imply.
+    Below k=256 only the top byte of each word is read, and each step of a
+    draw maps it through a table. Sampled sums are binned as they are
+    drawn, so no list of them is held, whatever the sample size.
     """
 
     k: int
@@ -258,8 +261,20 @@ def _word_block(rng: random.Random) -> array:
     return words
 
 
-def _sampled_sums(weights: list[float], m: int, samples: int, seed: int) -> list[float]:
-    """The weight sums of `samples` draws of m positions without replacement.
+def _top_byte_block(rng: random.Random) -> bytes:
+    """The top byte of each of the generator's next WORD_BLOCK outputs, as _word_block reads them."""
+    return rng.getrandbits(32 * WORD_BLOCK).to_bytes(4 * WORD_BLOCK, "little")[3::4]
+
+
+def _draw_table(n: int) -> tuple[int | None, ...]:
+    """For each top byte b of a word, the position below n that randbelow(n) draws
+    from that word, or None where it draws again; n < 256."""
+    shift = 8 - n.bit_length()
+    return tuple(b >> shift if b >> shift < n else None for b in range(256))
+
+
+def _sampled_sums(weights: list[float], m: int, samples: int, seed: int) -> Iterator[float]:
+    """Yield the weight sums of `samples` draws of m positions without replacement; hold no list.
 
     Each draw takes the positions that random.Random(seed).sample(weights,
     m) takes, in its order, and adds their weights left to right from 0. It
@@ -268,13 +283,43 @@ def _sampled_sums(weights: list[float], m: int, samples: int, seed: int) -> list
     while those bits are n or more, as randbelow(n) does. Small
     populations are drawn from a pool that swap-removes each pick, larger
     ones from all k positions, drawing again on a position already picked.
+    Below k=256 those bits lie in the word's top byte, so only that byte is
+    read, and each step maps it through a table of the position it draws
+    (None: draw again); from k=256 on each whole word is shifted and compared.
     """
-    word = chain.from_iterable(map(_word_block, repeat(random.Random(seed)))).__next__
+    rng = random.Random(seed)
     k = len(weights)
     setsize = 21  # sample's bound between its two branches
     if m > 5:
         setsize += 4 ** math.ceil(math.log(m * 3, 4))
-    values = []
+    if k < 256:
+        byte = chain.from_iterable(map(_top_byte_block, repeat(rng))).__next__
+        if k <= setsize:
+            steps = [(_draw_table(n), n - 1) for n in range(k, k - m, -1)]
+            for _ in range(samples):
+                pool = weights[:]
+                total = 0
+                for table, last in steps:
+                    j = table[byte()]
+                    while j is None:
+                        j = table[byte()]
+                    total += pool[j]
+                    pool[j] = pool[last]
+                yield total
+        else:
+            table = _draw_table(k)
+            for _ in range(samples):
+                picked = set()
+                total = 0
+                for _ in range(m):
+                    j = table[byte()]
+                    while j is None or j in picked:
+                        j = table[byte()]
+                    picked.add(j)
+                    total += weights[j]
+                yield total
+        return
+    word = chain.from_iterable(map(_word_block, repeat(rng))).__next__
     if k <= setsize:
         steps = [(n, 32 - n.bit_length(), n - 1) for n in range(k, k - m, -1)]
         for _ in range(samples):
@@ -286,7 +331,7 @@ def _sampled_sums(weights: list[float], m: int, samples: int, seed: int) -> list
                     j = word() >> shift
                 total += pool[j]
                 pool[j] = pool[last]
-            values.append(total)
+            yield total
     else:
         shift = 32 - k.bit_length()
         for _ in range(samples):
@@ -298,8 +343,7 @@ def _sampled_sums(weights: list[float], m: int, samples: int, seed: int) -> list
                     j = word() >> shift
                 picked.add(j)
                 total += weights[j]
-            values.append(total)
-    return values
+            yield total
 
 
 def _distinct_bins(values: Iterable[float]) -> tuple | None:

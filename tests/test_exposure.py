@@ -402,6 +402,10 @@ class TestSampledSums:
     @example((1, 1), 5, 7)
     @example((60, 60), 5, 7)
     @example((130, 130), 5, 7)
+    @example((255, 22), 30, 2)  # sample draws from a pool up to k=277 at m=22: the last k read by top bytes ...
+    @example((256, 22), 30, 2)  # ... and the first read by whole words
+    @example((255, 21), 30, 3)  # the same edge where sample draws from a set (its bound is 85 at m=21)
+    @example((256, 21), 30, 3)
     def test_equal_to_random_sample_bit_for_bit(self, k_m, samples, seed):
         k, m = k_m
         weights = [position_exposure(p) for p in range(1, k + 1)]
@@ -409,25 +413,49 @@ class TestSampledSums:
         assert _bits(got) == _bits(oracle_sampled_values(k, m, samples, seed))
 
     @pytest.mark.parametrize(
-        "k, m, samples",
+        "k, m, samples, source",
         [
-            (60, 50, 1_000),  # pool branch, about 65k words
-            (100, 10, 2_000),  # set branch at the default k, about 24k words
+            (60, 50, 1_000, "_top_byte_block"),  # pool branch, about 65k words
+            (100, 10, 2_000, "_top_byte_block"),  # set branch at the default k, about 24k words
+            (255, 22, 1_000, "_top_byte_block"),  # pool branch, the last k read by top bytes, about 23k words
+            (256, 22, 1_000, "_word_block"),  # pool branch, the first k read by whole words, about 24k words
+            (1000, 10, 2_000, "_word_block"),  # set branch, about 21k words
         ],
     )
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_histogram_past_one_word_block_equals_the_oracle(self, monkeypatch, k, m, samples, seed):
-        blocks = []
-        real = qexp.exposure._word_block
+    def test_histogram_past_one_word_block_equals_the_oracle(
+        self, monkeypatch, k, m, samples, source, seed
+    ):
+        blocks = {"_top_byte_block": 0, "_word_block": 0}
 
-        def counted(rng):
-            blocks.append(1)
-            return real(rng)
+        def counted(name):
+            real = getattr(qexp.exposure, name)
 
-        monkeypatch.setattr(qexp.exposure, "_word_block", counted)
+            def block(rng):
+                blocks[name] += 1
+                return real(rng)
+
+            return block
+
+        for name in blocks:
+            monkeypatch.setattr(qexp.exposure, name, counted(name))
         hist = achievable_exposure(k, m, "sampled", samples=samples, seed=seed)
-        assert len(blocks) >= 2
+        assert blocks[source] >= 2
+        assert sum(blocks.values()) == blocks[source]
         assert hist.bins == oracle_sampled_histogram(k, m, samples, seed)
+
+    def test_sampled_memory_does_not_grow_with_the_samples(self):
+        achievable_exposure(60, 10, "sampled", samples=10)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            # held as a list of floats these sums take about 3.2 MB
+            hist = achievable_exposure(60, 10, "sampled", samples=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.sample_size == 100_000
+        assert len(hist.bins) == 200
+        assert peak < 1 << 20
 
 
 class TestOrderings:
