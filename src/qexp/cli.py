@@ -166,7 +166,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_run(args) -> int:
-    predictors = make_predictors(args.predictors, args.k, args.cori_belief)
+    # b by position: perfbench's traced make_predictors takes exactly three arguments
+    predictors = make_predictors(args.predictors, args.k, CORI_BELIEF)
     expanders = [None if name == "none" else QueryExpander(name) for name in args.expanders]
     rankers = [ModelRanker(name) for name in args.rankers]
     rankers += [RunFileRanker(path) for path in args.run_files]
@@ -274,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=",".join(name for name in PREDICTORS if name != "uniform"))
     p.add_argument("--category-names", type=_category_names, default=None)
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--cori-belief", type=float, default=CORI_BELIEF)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_run)
 

@@ -73,23 +73,12 @@ def check_categories(categories: Sequence[Category]) -> None:
         raise CorpusError(str(exc)) from None
 
 
-class _TermStatsFields(NamedTuple):
+class TermStats(NamedTuple):
     df: int
     cf: int
     # doc_id -> term frequency, in the order the documents were indexed;
     # save and load keep that order
     postings: Mapping[str, int]
-
-
-class TermStats(_TermStatsFields):
-    __slots__ = ()
-
-    def __new__(cls, df: int, cf: int, postings: Mapping[str, int]):
-        if df != len(postings):
-            raise ValueError("df must equal the number of postings")
-        if cf != sum(postings.values()):
-            raise ValueError("cf must equal the sum of term frequencies")
-        return super().__new__(cls, df, cf, postings)
 
 
 _EMPTY_STATS = TermStats(0, 0, {})
@@ -399,10 +388,11 @@ def read_lines(path) -> Iterator[str]:
     """A UTF-8 text file's lines, each line end read as "\\n"; every text input is read here.
 
     Lines end at "\\n", "\\r\\n" or "\\r", not at a "\\u2028" in a JSON string as
-    with str.splitlines. A byte that is not UTF-8 raises CorpusError naming its line.
+    with str.splitlines. A leading byte-order mark is skipped. A byte that is not
+    UTF-8 raises CorpusError naming its line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield from fh
     except UnicodeDecodeError:
         # text mode decodes in blocks: find the byte's line from the whole file

@@ -40,11 +40,11 @@ def jsd(p, e) -> float:
     check_distribution(ev, "distribution values")
     acc = 0.0
     for pi, ei in zip(pv, ev):
-        mi = 0.5 * (pi + ei)
+        # pi / m without forming m = (pi + ei) / 2, which is 0 when pi + ei is 5e-324
         if pi > 0.0:
-            acc += 0.5 * pi * math.log2(pi / mi)
+            acc += 0.5 * pi * math.log2(2.0 * pi / (pi + ei))
         if ei > 0.0:
-            acc += 0.5 * ei * math.log2(ei / mi)
+            acc += 0.5 * ei * math.log2(2.0 * ei / (pi + ei))
     return math.sqrt(max(acc, 0.0))
 
 

@@ -170,6 +170,12 @@ def check_achievable_args(k: int, m: int, mode: str, *, samples: int) -> None:
             f"exact mode needs C({k},{m})={n_subsets} subset evaluations, "
             f"over the budget of {DEFAULT_SUBSET_BUDGET}; use sampled mode"
         )
+    if mode == "sampled" and n_subsets > sys.float_info.max:
+        # sampled mode scales its counts by C(k, m) / samples, a float
+        raise ValueError(
+            f"sampled mode scales by C({k},{m}), which exceeds the largest float "
+            f"{sys.float_info.max!r}"
+        )
 
 
 def achievable_exposure(

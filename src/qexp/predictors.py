@@ -5,9 +5,9 @@ mean of its k largest tf-idf scores and dots that vector with a
 collection-level query vector. The baselines adapt classic query
 performance predictors (AvIDF, AvICTF, SCS, AvPMI) and the CORI
 resource-selection belief to per-group scoring. Every predictor is a
-formula giving raw group scores; `predict` floors them at zero and
-normalizes them to a distribution, so outputs are directly comparable
-to realized exposure.
+formula giving raw group scores; the callables of `make_predictors`
+floor them at zero and normalize them to a distribution, so outputs are
+directly comparable to realized exposure.
 """
 
 from __future__ import annotations
@@ -269,22 +269,6 @@ PREDICTORS = tuple(_FORMULAS)
 BASELINES = PREDICTORS[1:-1]  # the adapted QPP baselines: all but GEP and uniform
 
 PredictorFn = Callable[[CollectionIndex, Query, str], PredictorOutput]
-
-
-def predict(
-    name: str,
-    index: CollectionIndex,
-    query: Query,
-    category: str,
-    k: int = 100,
-    cori_belief: float = CORI_BELIEF,
-) -> PredictorOutput:
-    """The named predictor's exposure distribution over the category's groups.
-
-    ``k`` is GEP's ranking depth and ``cori_belief`` CORI's b; every
-    predictor ignores what it does not use, but both are checked.
-    """
-    return make_predictors([name], k, cori_belief)[name](index, query, category)
 
 
 def make_predictors(

@@ -8,6 +8,7 @@ import json
 import math
 import re
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -119,7 +120,7 @@ class TestOptionSurface:
         "predict": ["--index", "--queries", "--predictors", "--category-names", "--k", "--out"],
         "run": [
             "--index", "--queries", "--rankers", "--run-file", "--expanders", "--predictors",
-            "--category-names", "--k", "--cori-belief", "--out-dir",
+            "--category-names", "--k", "--out-dir",
         ],
         "analyze-exposure": ["--k", "--m", "--mode", "--samples", "--seed", "--out-dir"],
     }
@@ -136,7 +137,7 @@ class TestOptionSurface:
     def test_each_command_has_exactly_its_options(self):
         options = self.parser_options()
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 36
+        assert sum(map(len, options.values())) == 35
 
     def test_readme_names_only_options_some_command_has(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -153,7 +154,7 @@ class TestOptionSurface:
         ]) == 0
         config = json.loads((out_dir / "config.json").read_text())
         assert sorted(config) == [
-            "category_names", "cori_belief", "expanders", "index", "k",
+            "category_names", "expanders", "index", "k",
             "out_dir", "predictors", "queries", "rankers", "run_files",
         ]
 
@@ -411,6 +412,36 @@ class TestMalformedInputFiles:
             read(path)
         line = data.count(b"\n") + 1
         assert str(raised.value) == f"{path}: line {line}: not UTF-8 (invalid start byte)"
+
+    @pytest.mark.parametrize("name", ["corpus.jsonl", "categories.json", "queries.tsv", "run.trec"])
+    def test_a_leading_byte_order_mark_is_skipped(self, workspace, monkeypatch, name):
+        monkeypatch.chdir(workspace)
+        Path("run.trec").write_text(
+            "q1 Q0 d00 1 2.5 ext\nq1 Q0 d05 2 1.5 ext\nq2 Q0 d05 1 2.0 ext\nq3 Q0 d09 1 1.0 ext\n"
+        )
+
+        def outputs():
+            out = Path("out")
+            out.mkdir()
+            assert main([
+                "index", "--corpus", "corpus.jsonl", "--categories", "categories.json",
+                "--out", "out/index.qx",
+            ]) == 0
+            assert main([
+                "rank", "--index", "out/index.qx", "--queries", "queries.tsv", "--k", "5",
+                "--out", "out/ranked.trec",
+            ]) == 0
+            assert main([
+                "run", "--index", "out/index.qx", "--queries", "queries.tsv", "--rankers", "",
+                "--run-file", "run.trec", "--k", "5", "--out-dir", "out/exp",
+            ]) == 0
+            blobs = {str(p): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            shutil.rmtree(out)
+            return blobs
+
+        plain = outputs()
+        Path(name).write_bytes(b"\xef\xbb\xbf" + Path(name).read_bytes())
+        assert outputs() == plain
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -735,7 +766,6 @@ class TestRunCommand:
             (("--rankers", "", "--run-file", "{run}", "--run-file", "{run}"),
              "the ranker list repeats runfile:{run}"),
             (("--category-names", "c,c"), "the category list repeats c"),
-            (("--cori-belief", "1.5"), "cori belief must lie in [0, 1]"),
             (("--predictors", ""), "at least one predictor is required"),
             (("--predictors", "gep,avidf,gep"), "the predictor list repeats gep"),
             (("--rankers", "bm26"), "unknown ranker 'bm26'"),
@@ -1052,6 +1082,31 @@ class TestAnalyzeExposure:
         assert walks == []
         assert not (out_dir / "histogram.csv").exists()
 
+    def test_sampled_m_past_the_largest_float_exits_1_before_any_draw(
+        self, workspace, capsys, monkeypatch
+    ):
+        draws = []
+        real = qexp.exposure._sampled_sums
+
+        def counted(weights, m, samples, seed):
+            draws.append(m)
+            return real(weights, m, samples, seed)
+
+        monkeypatch.setattr(qexp.exposure, "_sampled_sums", counted)
+        out_dir = workspace / "exp"
+        # C(1030, 499) fits a float and C(1030, 500) does not
+        code = main([
+            "analyze-exposure", "--k", "1030", "--m", "499,500", "--mode", "sampled",
+            "--samples", "10", "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: sampled mode scales by C(1030,500), which exceeds the largest float "
+            f"{sys.float_info.max!r}\n"
+        )
+        assert draws == []
+        assert not (out_dir / "histogram.csv").exists()
+
     def test_outputs_do_not_depend_on_the_python_version(self, tmp_path, monkeypatch):
         # the builtin sum of Python 3.12 and later compensates float rounding;
         # patched into the module that adds exposure, it stands in for 3.12
@@ -1089,7 +1144,7 @@ class TestOutputBytes:
     DIGESTS = {
         "exact/histogram.csv": "915b73b025d1c8fc",
         "exact/orderings.csv": "742297bee05e3746",
-        "grid/config.json": "13b576007f471faa",
+        "grid/config.json": "2bea77f8bb59241d",
         "grid/cv.csv": "f3debc273a71383e",
         "grid/jsd.csv": "7e1c7d40603c2c1b",
         "grid/summary.json": "2bcb2dd54ab8115c",
@@ -1099,7 +1154,7 @@ class TestOutputBytes:
         "sampled/histogram.csv": "03b25046abd61652",
         "sampled/orderings.csv": "69f9c6bfe5f5cb09",
         "syn/categories.json": "eeae86f0e241d592",
-        "syn/config.json": "14718d475921ec6c",
+        "syn/config.json": "5b754e9590b25af0",
         "syn/corpus.jsonl": "d9386cff414646c2",
         "syn/cv.csv": "7750cf92a174f43b",
         "syn/jsd.csv": "050b4b163660eeed",

@@ -105,17 +105,6 @@ class TestBuildIndex:
             assert (stats.df, stats.cf, dict(stats.postings)) == (0, 0, {})
         assert set(tiny_index.vocabulary) == vocabulary
 
-    @pytest.mark.parametrize(
-        "df, cf, postings, message",
-        [
-            (2, 3, {"d1": 3}, "df must equal"),
-            (1, 2, {"d1": 3}, "cf must equal"),
-        ],
-    )
-    def test_inconsistent_term_stats_rejected(self, df, cf, postings, message):
-        with pytest.raises(ValueError, match=message):
-            TermStats(df, cf, postings)
-
     def test_group_df_partition(self, tiny_index):
         split = tiny_index.group_postings("t000", "geo")
         assert len(split["east"]) + len(split["west"]) == tiny_index.term_stats("t000").df == 3

@@ -76,6 +76,13 @@ class TestJSD:
         with pytest.raises(ValueError):
             jsd(p, e)
 
+    @pytest.mark.parametrize("p, e", [([5e-324, 1.0], [0.0, 1.0]), ([0.0, 1.0], [5e-324, 1.0])])
+    def test_subnormal_share(self, p, e):
+        # half of 5e-324 + 0.0 underflows to 0: no ratio may divide by it
+        d = jsd(p, e)
+        assert math.isfinite(d) and 0.0 <= d <= 1.0
+        assert jsd(e, p) == d
+
     def test_accepts_exposure_distributions(self):
         p = ExposureDistribution("c", ("a", "b"), (0.5, 0.5))
         e = ExposureDistribution("c", ("a", "b"), (1.0, 0.0))
@@ -357,9 +364,7 @@ class TestRunExperiment:
 
         def spy(index, query, category):
             seen.append(tuple(query.terms))
-            from qexp.predictors import predict
-
-            return predict("uniform", index, query, category)
+            return make_predictors(["uniform"])["uniform"](index, query, category)
 
         expander = QueryExpander("rm3")
         run_experiment(

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -195,6 +196,15 @@ class TestAchievableExposure:
     def test_budget_exceeded(self):
         with pytest.raises(ValueError, match="sampled"):
             achievable_exposure(100, 50, "exact")
+
+    def test_sampled_mode_rejects_a_subset_count_past_the_largest_float(self):
+        # C(1030, 499) is about 1.74e308; C(1030, 500) and C(1100, 550) exceed a float
+        assert math.comb(1030, 499) <= sys.float_info.max < math.comb(1030, 500)
+        hist = achievable_exposure(1030, 499, "sampled", samples=10)
+        assert math.isfinite(math.fsum(count for _, _, count in hist.bins))
+        for k, m in ((1030, 500), (1100, 550)):
+            with pytest.raises(ValueError, match=rf"^sampled mode scales by C\({k},{m}\), which"):
+                achievable_exposure(k, m, "sampled", samples=10)
 
     def test_invalid_m(self):
         with pytest.raises(ValueError):

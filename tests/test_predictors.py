@@ -17,7 +17,6 @@ from qexp.predictors import (
     gep_group_term_score,
     gep_query_vector,
     make_predictors,
-    predict,
     query_group_stats,
 )
 from qexp.retrieval import Query
@@ -126,18 +125,18 @@ class TestPredictGep:
         }
         labels = {d: ("A" if d.startswith("a") else "B") for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["A", "B"])
-        out = predict("gep", idx, Query.from_terms(["t000"]), "c", k=10)
+        out = make_predictors(["gep"], 10)["gep"](idx, Query.from_terms(["t000"]), "c")
         assert out.distribution.values == pytest.approx((1.0, 0.0))
         assert not out.distribution.degenerate
 
     def test_unseen_terms_degenerate_uniform(self, tiny_index):
-        out = predict("gep", tiny_index, Query.from_terms(["zz9"]), "geo", k=10)
+        out = make_predictors(["gep"], 10)["gep"](tiny_index, Query.from_terms(["zz9"]), "geo")
         assert out.distribution.values == (0.5, 0.5)
         assert out.distribution.degenerate
 
     def test_empty_query_rejected(self, tiny_index):
         with pytest.raises(ValueError):
-            predict("gep", tiny_index, Query.from_terms([]), "geo")
+            make_predictors(["gep"])["gep"](tiny_index, Query.from_terms([]), "geo")
 
 
 class TestBaselineValues:
@@ -148,14 +147,14 @@ class TestBaselineValues:
         doc_tokens["d1"] = ["t000"]
         labels = {d: "g" for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["g"])
-        out = predict("avidf", idx, Query.from_terms(["t000"]), "c")
+        out = make_predictors(["avidf"])["avidf"](idx, Query.from_terms(["t000"]), "c")
         assert out.raw_scores[0] == pytest.approx(2.0)
 
     def test_avidf_term_everywhere_floors_to_zero(self):
         doc_tokens = {f"d{i}": ["t000"] for i in range(4)}
         labels = {d: "g" for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["g"])
-        out = predict("avidf", idx, Query.from_terms(["t000"]), "c")
+        out = make_predictors(["avidf"])["avidf"](idx, Query.from_terms(["t000"]), "c")
         assert out.raw_scores[0] == pytest.approx(0.0)  # log2(1) pre-floor
 
     def test_cori_hand_value(self):
@@ -166,14 +165,14 @@ class TestBaselineValues:
         doc_tokens = {**a_tokens, **b_tokens}
         labels = {d: ("A" if d.startswith("a") else "B") for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["A", "B"])
-        out = predict("cori", idx, Query.from_terms(["t000"]), "c")
+        out = make_predictors(["cori"])["cori"](idx, Query.from_terms(["t000"]), "c")
         t_part = 5 / (5 + 50 + 150)
         i_part = math.log(2.5) / math.log(3.0)
         assert out.raw_scores[0] == pytest.approx(0.4 + 0.6 * t_part * i_part, abs=1e-9)
         assert out.raw_scores[0] == pytest.approx(0.41221, abs=1e-4)
 
     def test_cori_all_terms_unseen_degenerate(self, tiny_index):
-        out = predict("cori", tiny_index, Query.from_terms(["zz9"]), "geo")
+        out = make_predictors(["cori"])["cori"](tiny_index, Query.from_terms(["zz9"]), "geo")
         assert out.distribution.degenerate
         assert out.distribution.values == (0.5, 0.5)
 
@@ -191,14 +190,14 @@ class TestBaselineValues:
         }
         labels = {d: ("A" if d.startswith("a") else "B") for d in doc_tokens}
         idx = _index_from_tokens(doc_tokens, labels, ["A", "B"])
-        out = predict("avpmi", idx, Query.from_terms(["t000", "t001"]), "c")
+        out = make_predictors(["avpmi"])["avpmi"](idx, Query.from_terms(["t000", "t001"]), "c")
         scores = dict(zip(out.distribution.groups, out.raw_scores))
         assert scores["A"] > scores["B"]
 
     def test_avpmi_single_term_falls_back_to_avidf(self, tiny_index):
         q = Query.from_terms(["t000"])
-        pmi = predict("avpmi", tiny_index, q, "geo")
-        idf = predict("avidf", tiny_index, q, "geo")
+        pmi = make_predictors(["avpmi"])["avpmi"](tiny_index, q, "geo")
+        idf = make_predictors(["avidf"])["avidf"](tiny_index, q, "geo")
         assert pmi.predictor == "avpmi"
         assert pmi.raw_scores == idf.raw_scores
 
@@ -218,7 +217,8 @@ class TestBaselineValues:
             assert out.distribution.values == pytest.approx((0.5, 0.5)), name
 
     def test_uniform_predictor(self, tiny_index):
-        out = predict("uniform", tiny_index, Query.from_terms(["t000"]), "geo")
+        uniform = make_predictors(["uniform"])["uniform"]
+        out = uniform(tiny_index, Query.from_terms(["t000"]), "geo")
         assert out.distribution.values == (0.5, 0.5)
         assert not out.distribution.degenerate
 
@@ -244,7 +244,7 @@ class TestPredictProperties:
         query = Query.from_terms(rng.choices(stable_vocab(10), k=rng.randint(1, 4)))
         bound = make_predictors(PREDICTORS, k)[name]
         for cat in cats:
-            out = predict(name, idx, query, cat.name, k)
+            out = make_predictors([name], k)[name](idx, query, cat.name)
             values = out.distribution.values
             assert out.distribution.groups == cat.groups
             assert len(values) == len(out.raw_scores) == len(cat.groups)
@@ -262,13 +262,9 @@ class TestPredictProperties:
             ("gep", 10, -0.1, r"cori belief must lie in \[0, 1\]"),
         ],
     )
-    def test_bad_arguments_rejected_when_bound_and_called(
-        self, tiny_index, name, k, cori_belief, message
-    ):
+    def test_bad_arguments_rejected_when_bound(self, name, k, cori_belief, message):
         with pytest.raises(ValueError, match=message):
             make_predictors([name], k, cori_belief)
-        with pytest.raises(ValueError, match=message):
-            predict(name, tiny_index, Query.from_terms(["t000"]), "geo", k, cori_belief)
 
 
 class TestNormalizationProperties:
@@ -365,7 +361,7 @@ class TestSharedTable:
     )
     # the same query object on the other index, then in the other category
     @example(0, [("gep", 0, 0, "cat0"), ("gep", 1, 0, "cat0"), ("gep", 1, 0, "cat1")])
-    def test_interleaved_calls_match_predict(self, seed, calls):
+    def test_interleaved_calls_match_a_fresh_bundle(self, seed, calls):
         rng = random.Random(seed)
         indexes = [_two_category_index(seed), _two_category_index(seed + 1)]
         terms = [rng.choices(stable_vocab(10), k=rng.randint(1, 4)) for _ in range(3)]
@@ -376,7 +372,8 @@ class TestSharedTable:
         bundle = make_predictors(PREDICTORS, 3)
         for name, i, q, category in calls:
             got = bundle[name](indexes[i], queries[q], category)
-            assert got == predict(name, indexes[i], queries[q], category, 3), (name, i, q, category)
+            fresh = make_predictors([name], 3)[name]
+            assert got == fresh(indexes[i], queries[q], category), (name, i, q, category)
 
     def test_one_table_per_query_and_category(self, tmp_path, monkeypatch):
         num_queries = 5
@@ -416,8 +413,9 @@ class TestSharedTable:
         bundle = make_predictors(PREDICTORS, 5)
         builds = _CountBuilds()
         monkeypatch.setattr(qexp.predictors, "query_group_stats", builds)
-        assert bundle["gep"](index, query, "cat0") == predict("gep", index, query, "cat0", 5)
-        assert builds.calls == 2  # the bundle's table, then predict's own
+        fresh = make_predictors(["gep"], 5)["gep"]
+        assert bundle["gep"](index, query, "cat0") == fresh(index, query, "cat0")
+        assert builds.calls == 2  # the bundle's table, then the fresh bundle's
         for name in PREDICTORS:
             for _ in range(2):
                 with pytest.raises(ValueError, match="^cannot predict for an empty query$"):
@@ -426,8 +424,9 @@ class TestSharedTable:
                     bundle[name](index, query, "nope")
         builds.calls = 0
         for name in PREDICTORS:
-            assert bundle[name](index, query, "cat0") == predict(name, index, query, "cat0", 5)
-        assert builds.calls == len(PREDICTORS)  # only predict's: the bundle kept its table
+            fresh = make_predictors([name], 5)[name]
+            assert bundle[name](index, query, "cat0") == fresh(index, query, "cat0")
+        assert builds.calls == len(PREDICTORS)  # only the fresh bundles': the bundle kept its table
 
     def test_threads_sharing_one_bundle(self):
         index = _two_category_index(11, num_docs=40)
@@ -463,4 +462,4 @@ class TestSharedTable:
         assert sorted(results) == list(range(len(per_thread)))
         for outputs in results.values():
             for query, category, name, got in outputs:
-                assert got == predict(name, index, query, category, 5)
+                assert got == make_predictors([name], 5)[name](index, query, category)

@@ -48,11 +48,10 @@ def test_records_reject_assignment(record):
 
 @pytest.mark.parametrize("build", [
     lambda: Category(name="c", groups=()),
-    lambda: TermStats(df=1, cf=2, postings={"d1": 1}),
     lambda: Query(terms=("a",), weights=()),
     lambda: Ranking(query_id="q", entries=(("d1", 1.0), ("d2", 2.0))),
     lambda: ExposureDistribution(category="c", groups=("a",), values=(0.5,)),
-], ids=["Category", "TermStats", "Query", "Ranking", "ExposureDistribution"])
+], ids=["Category", "Query", "Ranking", "ExposureDistribution"])
 def test_validated_records_check_keyword_arguments(build):
     with pytest.raises(ValueError):
         build()
