@@ -25,6 +25,10 @@ from .text import stem_memo, tokenize
 INDEX_MAGIC = b"QEXPIDX"
 INDEX_FORMAT_VERSION = 2
 
+#: BM25's k1 and b, fixed; `CollectionIndex.bm25_norms` bakes them into its table
+BM25_K1 = 1.2
+BM25_B = 0.75
+
 # Docs missing a label fall into one of these groups when the category
 # defines it; otherwise the build rejects the document.
 _UNKNOWN_GROUP_NAMES = ("unknown", "unk")
@@ -89,10 +93,11 @@ class CollectionIndex:
 
     Built once by :func:`build_index`; treated as immutable afterwards.
     Document order is the key order of ``doc_labels`` (doc_id -> labels).
-    A term's :class:`TermStats` and the per-document forward index are
-    built on their first lookup and kept, each stored only once complete,
-    so it is safe to share across concurrent readers: at worst two of them
-    build the same thing twice, with equal results.
+    A term's :class:`TermStats`, the per-document forward index and the
+    BM25 length normalization table are built on their first lookup and
+    kept, each stored only once complete, so it is safe to share across
+    concurrent readers: at worst two of them build the same thing twice,
+    with equal results.
     """
 
     def __init__(self, categories, doc_labels, doc_lengths, postings):
@@ -102,6 +107,7 @@ class CollectionIndex:
         self._postings: dict[str, dict[str, int]] = postings
         self._term_stats: dict[str, TermStats] = {}
         self._doc_terms: dict[str, dict[str, int]] | None = None  # see doc_terms
+        self._bm25_norms: dict[str, float] | None = None  # see bm25_norms
         self._total_tokens = sum(self._doc_lengths.values())
         # per (category, group): document count, token count
         self._group_docs = {(c.name, g): 0 for c in categories for g in c.groups}
@@ -170,6 +176,19 @@ class CollectionIndex:
             return doc_terms[doc_id]
         except KeyError:
             raise KeyError(f"unknown document {doc_id!r}") from None
+
+    def bm25_norms(self) -> Mapping[str, float]:
+        """doc_id -> BM25_K1 * (1 - BM25_B + BM25_B * length / avg_doc_len).
+
+        BM25's length normalization, built on the first call and kept, so
+        a ranking reads one dict entry per posting instead of recomputing it.
+        """
+        norms = self._bm25_norms
+        if norms is None:
+            avgdl = self.avg_doc_len
+            norms = {d: BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl) for d, dl in self._doc_lengths.items()}
+            self._bm25_norms = norms  # assigned once, complete
+        return norms
 
     def doc_group(self, doc_id: str, category: str) -> str:
         try:

@@ -105,23 +105,25 @@ class RunFileRanker:
     """Serves rankings from an externally produced TREC run file.
 
     A query whose entries are not a valid ranking (ranks that disagree
-    with the scores, a repeated document) fails alone when it is ranked.
+    with the scores, a repeated rank or document) fails alone when it is
+    ranked.
     """
 
     def __init__(self, path):
         self.path = path
         self.name = f"runfile:{path}"
-        self._entries = read_run_file(path)
+        self._entries, self._repeated_ranks = read_run_file(path)
 
     def rank(self, index: CollectionIndex, query: Query, k: int) -> Ranking:
         entries = self._entries.get(query.query_id)
         if entries is None:
             raise KeyError(f"run file has no ranking for query {query.query_id!r}")
         try:
-            ranking = Ranking(query.query_id, entries)
+            if query.query_id in self._repeated_ranks:
+                raise ValueError(f"rank {self._repeated_ranks[query.query_id]} is repeated")
+            return Ranking(query.query_id, entries).top(k)
         except ValueError as exc:
             raise ValueError(f"{self.path}: query {query.query_id!r}: {exc}") from None
-        return ranking.top(k)
 
 
 class QueryExpander:

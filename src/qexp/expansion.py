@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .corpus import CollectionIndex, write_jsonl
 from .exposure import float_sum
-from .retrieval import Query, Ranking
+from .retrieval import Query, Ranking, top_k
 
 #: feedback documents read from the top of the first-pass ranking
 FB_DOCS = 3
@@ -53,8 +53,9 @@ def expand_rm3(
     w(t) = (1-RM3_LAMBDA) * P(t|Q) + RM3_LAMBDA * P_rm(t), with
     P_rm(t) proportional to sum over feedback docs of P(t|d) * prior(d),
     the prior being the doc's min-max-normalized retrieval score. Only
-    the top ``FB_TERMS`` relevance-model terms survive besides the
-    original query terms; weights are renormalized to sum to one.
+    the top ``FB_TERMS`` relevance-model terms (by `top_k`, ties by
+    ascending term) survive besides the original query terms; weights are
+    renormalized to sum to one.
     """
     if not query.terms:
         raise ValueError("cannot expand an empty query")
@@ -80,7 +81,7 @@ def expand_rm3(
         return ExpansionResult(query, expanded=False)
     rm = {t: w / mass for t, w in rm.items()}
 
-    top = sorted(rm.items(), key=lambda tw: (-tw[1], tw[0]))[:FB_TERMS]
+    top = top_k(rm, FB_TERMS)
     ml = _ml_query_model(query)
 
     kept: dict[str, float] = {}
@@ -115,7 +116,7 @@ def expand_klq(
 
     Candidate terms from the feedback set F are scored by
     P(t|F) * log2(P(t|F)/P(t|C)); the top ``FB_TERMS`` positive-weight
-    candidates are appended. Expansion terms receive the same total mass
+    candidates (by `top_k`, ties by ascending term) are appended. Expansion terms receive the same total mass
     as the original terms (1:1), whose relative weights are preserved.
     """
     if not query.terms:
@@ -133,17 +134,18 @@ def expand_klq(
             fb_cf[term] = fb_cf.get(term, 0) + tf
 
     original = set(query.terms)
+    total_tokens = index.total_tokens
     candidates: dict[str, float] = {}
     for term, cf_f in fb_cf.items():
         if term in original:
             continue
         p_f = cf_f / fb_tokens
-        p_c = index.term_stats(term).cf / index.total_tokens
+        p_c = index.term_stats(term).cf / total_tokens
         w = kl_term_weight(p_f, p_c)
         if w > 0.0:
             candidates[term] = w
 
-    top = sorted(candidates.items(), key=lambda tw: (-tw[1], tw[0]))[:FB_TERMS]
+    top = top_k(candidates, FB_TERMS)
     if not top:
         return ExpansionResult(query, expanded=False)
 

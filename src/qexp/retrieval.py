@@ -8,9 +8,11 @@ retrieved, and ties are broken by ascending doc_id for reproducibility.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterable, NamedTuple
 
-from .corpus import CollectionIndex, read_lines, write_lines
+# BM25_K1 and BM25_B live beside the index's norm table and stay importable from here
+from .corpus import BM25_B, BM25_K1, CollectionIndex, read_lines, write_lines
 from .text import tokenize
 
 
@@ -73,8 +75,8 @@ class Ranking(_RankingFields):
         return Ranking(self.query_id, self.entries[:k])
 
 
-BM25_K1 = 1.2
-BM25_B = 0.75
+_BM25_K1_PLUS_1 = BM25_K1 + 1.0
+_POSITIVE = (0.0).__lt__  # false for NaN
 
 RANKERS = ("bm25", "tfidf")
 
@@ -84,12 +86,35 @@ def bm25_idf(n: int, df: int) -> float:
     return max(0.0, math.log2((n - df + 0.5) / (df + 0.5)))
 
 
+def top_k(scores: dict[str, float], k: int) -> list[tuple[str, float]]:
+    """The k highest positive scores as (key, score), best first, ties by ascending key.
+
+    When more than k scores are positive, the cut-off is the k-th largest
+    of them, found by a float sort, and every key scoring at least that
+    survives, ties at the cut included. The survivors are sorted by key,
+    then stably by score from high to low, so equal scores keep ascending
+    key order and no Python function runs per item. A NaN score is never
+    selected.
+    """
+    values = scores.values()
+    keep = _POSITIVE
+    if len(values) > k:
+        ranked = sorted(filter(_POSITIVE, values), reverse=True)
+        if len(ranked) > k:
+            keep = ranked[k - 1].__le__
+    keys = sorted(compress(scores, map(keep, values)))
+    keys.sort(key=scores.__getitem__, reverse=True)
+    del keys[k:]
+    return list(zip(keys, map(scores.__getitem__, keys)))
+
+
 def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100) -> Ranking:
     """Top-k documents by score; zero-score documents are excluded.
 
     Scores accumulate term at a time: each weighted query term occurrence
     adds its contribution to every document in its postings. BM25 uses
-    `bm25_idf`, TF-IDF uses log2(N/df), both floored at zero.
+    `bm25_idf` and the index's length normalization table, TF-IDF uses
+    log2(N/df), both floored at zero. The top k are chosen by `top_k`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -99,8 +124,10 @@ def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100
         raise ValueError(f"unknown ranking model {model!r}")
 
     bm25 = model == "bm25"
-    n, avgdl = index.num_docs, index.avg_doc_len
+    n = index.num_docs
+    norms = index.bm25_norms() if bm25 else None
     scores: dict[str, float] = {}
+    get = scores.get
     for term, weight in zip(query.terms, query.weights):
         if weight == 0.0:
             continue
@@ -108,20 +135,15 @@ def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100
         if stats.df == 0:
             continue
         if bm25:
-            idf = bm25_idf(n, stats.df)
+            # weight * idf * tf * (k1+1) / (tf + norm), multiplied left to right
+            a = weight * bm25_idf(n, stats.df)
+            for doc_id, tf in stats.postings.items():
+                scores[doc_id] = get(doc_id, 0.0) + a * tf * _BM25_K1_PLUS_1 / (tf + norms[doc_id])
         else:
             idf = max(0.0, math.log2(n / stats.df))
-        for doc_id, tf in stats.postings.items():
-            if bm25:
-                norm = BM25_K1 * (1.0 - BM25_B + BM25_B * index.doc_length(doc_id) / avgdl)
-                contribution = weight * idf * tf * (BM25_K1 + 1.0) / (tf + norm)
-            else:
-                contribution = weight * tf * idf
-            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-
-    scored = [(d, s) for d, s in scores.items() if s > 0.0]
-    scored.sort(key=lambda ds: (-ds[1], ds[0]))
-    return Ranking(query.query_id, tuple(scored[:k]))
+            for doc_id, tf in stats.postings.items():
+                scores[doc_id] = get(doc_id, 0.0) + weight * tf * idf
+    return Ranking(query.query_id, tuple(top_k(scores, k)))
 
 
 # ------------------------------ TREC run files ------------------------------
@@ -135,13 +157,15 @@ def write_run_file(path, rankings: Iterable[Ranking], tag: str = "qexp") -> None
     ))
 
 
-def read_run_file(path) -> dict[str, tuple[tuple[str, float], ...]]:
+def read_run_file(path) -> tuple[dict[str, tuple[tuple[str, float], ...]], dict[str, int]]:
     """Parse a TREC run file into (doc_id, score) entries per query id.
 
     Entries are in rank order. Only the line format is checked here; a
-    malformed line, a non-finite score included, fails the whole file.
-    Whether a query's entries form a valid :class:`Ranking` is left to
-    the caller, so one bad query need not fail the others.
+    malformed line, a rank below 1 or a non-finite score included, fails
+    the whole file. Also returned: query id -> its first repeated rank,
+    for each query whose ranks repeat and so give no rank order. Whether
+    a query's entries form a valid :class:`Ranking` is left to the
+    caller, so one bad query need not fail the others.
     """
     per_query: dict[str, list[tuple[int, str, float]]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -154,11 +178,17 @@ def read_run_file(path) -> dict[str, tuple[tuple[str, float], ...]]:
         try:
             position, value = int(pos), float(score)
         except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
+            position, value = 0, math.nan
+        if position < 1 or not math.isfinite(value):
             raise ValueError(f"{path}: line {lineno}: bad rank or score")
         per_query.setdefault(qid, []).append((position, doc_id, value))
-    return {
-        qid: tuple((doc_id, score) for _, doc_id, score in sorted(rows, key=lambda r: r[:2]))
-        for qid, rows in per_query.items()
-    }
+    entries: dict[str, tuple[tuple[str, float], ...]] = {}
+    repeated: dict[str, int] = {}
+    for qid, rows in per_query.items():
+        rows.sort()  # by rank
+        entries[qid] = tuple((doc_id, score) for _, doc_id, score in rows)
+        ranks = [position for position, _, _ in rows]
+        repeats = [a for a, b in zip(ranks, ranks[1:]) if a == b]
+        if repeats:
+            repeated[qid] = repeats[0]
+    return entries, repeated

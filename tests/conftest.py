@@ -36,6 +36,22 @@ def random_labeled_corpus(
     return docs, categories
 
 
+def with_duplicates(rng: random.Random, docs):
+    """docs plus 1 to 3 copies of about half of them, shuffled.
+
+    A copy has its own doc_id (``c`` and a number, so it sorts apart from
+    its original) and the original's text and labels, so it scores the
+    same for every query: ties are the rule, not the exception.
+    """
+    out = list(docs)
+    for doc in docs:
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                out.append(Document(f"c{len(out):03d}", doc.text, doc.labels))
+    rng.shuffle(out)
+    return out
+
+
 @pytest.fixture
 def tiny_index():
     """4 docs, 2 groups, discriminative vocabulary."""

@@ -6,7 +6,9 @@ stopword list the tokenizer oracle reads; it stems with its own rule-by-rule
 Porter transcription. The predictor oracle covers a single category
 described by a doc_id->group mapping. The ranking oracle scores every
 document on its own and keeps the implementation's arithmetic order, so
-its scores compare exactly. The sampled-exposure oracle draws with
+its scores compare exactly. The expansion oracle counts terms from the
+feedback documents' tokens and adds in the implementation's order, so its
+weights compare exactly too. The sampled-exposure oracle draws with
 random.sample itself.
 """
 
@@ -25,6 +27,9 @@ CORI_DF_BASE = 50.0
 CORI_DF_SCALE = 150.0
 BM25_K1 = 1.2
 BM25_B = 0.75
+FB_DOCS = 3
+FB_TERMS = 10
+RM3_LAMBDA = 0.5
 
 
 def _docs_of_group(doc_tokens, labels, group):
@@ -393,6 +398,94 @@ def oracle_rank(doc_tokens, terms, weights, model, k):
             scored.append((d, score))
     scored.sort(key=lambda ds: (-ds[1], ds[0]))
     return scored[:k]
+
+
+# ----------------------------- expansion oracle -----------------------------
+
+def _top_terms(weights):
+    """The FB_TERMS largest positive weights as (term, weight), ties by term."""
+    positive = [(t, w) for t, w in weights.items() if w > 0.0]
+    return sorted(positive, key=lambda tw: (-tw[1], tw[0]))[:FB_TERMS]
+
+
+def oracle_expand(method, doc_tokens, query, ranking):
+    """RM3 or KLQ expansion straight from the feedback documents' tokens.
+
+    query is (terms, weights) and ranking a sequence of (doc_id, score),
+    best first; returns (terms, weights, expanded). Term counts come from
+    Counter over each document's tokens, with no index or memo. Every
+    float sum runs left to right in the implementation's order: a
+    document's terms in sorted order, documents in ranking order, selected
+    terms best first. An empty ranking, or feedback with no mass, returns
+    the query unchanged with expanded False.
+    """
+    terms, weights = tuple(query[0]), tuple(query[1])
+    unchanged = (terms, weights, False)
+    feedback = [
+        (score, Counter(doc_tokens[d]), len(doc_tokens[d])) for d, score in ranking[:FB_DOCS]
+    ]
+    if not feedback:
+        return unchanged
+
+    def query_model():
+        qtf = {}
+        for t, w in zip(terms, weights):
+            qtf[t] = qtf.get(t, 0.0) + w
+        q_total = _add_left_to_right(qtf.values())
+        return {t: w / q_total for t, w in qtf.items()}
+
+    if method == "rm3":
+        scores = [score for score, _, _ in feedback]
+        lo, hi = min(scores), max(scores)
+        priors = [(s - lo) / (hi - lo) if hi > lo else 1.0 for s in scores]
+        rm = {}
+        for (_, counts, length), prior in zip(feedback, priors):
+            if length == 0 or prior == 0.0:
+                continue
+            for t in sorted(counts):
+                rm[t] = rm.get(t, 0.0) + prior * counts[t] / length
+        mass = _add_left_to_right(rm.values())
+        if mass == 0.0:
+            return unchanged
+        rm = {t: w / mass for t, w in rm.items()}
+        kept = {
+            t: (1.0 - RM3_LAMBDA) * p + RM3_LAMBDA * rm.get(t, 0.0)
+            for t, p in query_model().items()
+        }
+        for t, w in _top_terms(rm):
+            if t not in kept and RM3_LAMBDA * w > 0.0:
+                kept[t] = RM3_LAMBDA * w
+        total = _add_left_to_right(kept.values())
+        return tuple(kept), tuple(w / total for w in kept.values()), True
+
+    if method == "klq":
+        fb_tokens = sum(length for _, _, length in feedback)
+        if fb_tokens == 0:
+            return unchanged
+        fb_cf = {}
+        for _, counts, _ in feedback:
+            for t in sorted(counts):
+                fb_cf[t] = fb_cf.get(t, 0) + counts[t]
+        cf = Counter(t for toks in doc_tokens.values() for t in toks)
+        total_tokens = sum(len(toks) for toks in doc_tokens.values())
+        kl = {}
+        for t, c in fb_cf.items():
+            if t in terms:
+                continue
+            p_f, p_c = c / fb_tokens, cf[t] / total_tokens
+            kl[t] = p_f * math.log2(p_f / p_c)
+        top = _top_terms(kl)
+        if not top:
+            return unchanged
+        ml = query_model()
+        e_total = _add_left_to_right(w for _, w in top)
+        return (
+            tuple(ml) + tuple(t for t, _ in top),
+            tuple(0.5 * p for p in ml.values()) + tuple(0.5 * w / e_total for _, w in top),
+            True,
+        )
+
+    raise ValueError(f"no oracle for expander {method!r}")
 
 
 # ------------------------- achievable exposure oracle -----------------------

@@ -803,7 +803,10 @@ class TestRunCommand:
         ])
 
     def test_bad_run_file_ranking_fails_only_its_query(self, workspace):
-        # q1's ranks disagree with its scores, q2 repeats a doc, q3 is valid
+        # q1's ranks disagree with its scores, q2 repeats a doc, q3 is valid,
+        # q4 repeats a rank (its scores would pass in either order)
+        with open(workspace / "queries.tsv", "a") as fh:
+            fh.write("q4\tt000 t003\n")
         run = workspace / "ext.trec"
         run.write_text(
             "q1 Q0 d00 1 1.0 ext\n"
@@ -812,15 +815,19 @@ class TestRunCommand:
             "q2 Q0 d05 2 1.0 ext\n"
             "q3 Q0 d00 1 2.0 ext\n"
             "q3 Q0 d05 2 1.0 ext\n"
+            "q4 Q0 d00 1 6.0 ext\n"
+            "q4 Q0 d01 2 5.0 ext\n"
+            "q4 Q0 d03 2 5.0 ext\n"
         )
         out_dir = workspace / "out"
         assert self._run_file_run(workspace, run, out_dir) == 2
         summary = json.loads((out_dir / "summary.json").read_text())
         failures = {f["query_id"]: f for f in summary["failures"]}
-        assert set(failures) == {"q1", "q2"}
+        assert set(failures) == {"q1", "q2", "q4"}
         for qid, failure in failures.items():
             assert failure["stage"] == "ranking"
             assert failure["error"].startswith(f"{run}: query {qid!r}: ")
+        assert failures["q4"]["error"] == f"{run}: query 'q4': rank 2 is repeated"
         with open(out_dir / "jsd.csv") as fh:
             assert {r["query_id"] for r in csv.DictReader(fh)} == {"q3"}
 
@@ -848,6 +855,9 @@ class TestRunCommand:
             # a NaN score would pass a ranking's non-increasing check
             ("q1 Q0 d00 2 nan ext\n", "bad rank or score"),
             ("q1 Q0 d00 2 -inf ext\n", "bad rank or score"),
+            # ranks start at 1: these sorted ahead of rank 1 instead of failing
+            ("q1 Q0 d00 0 7.0 ext\n", "bad rank or score"),
+            ("q1 Q0 d00 -2 7.0 ext\n", "bad rank or score"),
         ],
     )
     def test_malformed_run_file_line_exits_1(self, workspace, capsys, line, message):

@@ -1,11 +1,24 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
-from qexp.expansion import FB_DOCS, FB_TERMS, RM3_LAMBDA, expand_klq, expand_rm3, kl_term_weight
-from qexp.retrieval import Query, Ranking
+from qexp.expansion import (
+    EXPANDERS,
+    FB_DOCS,
+    FB_TERMS,
+    RM3_LAMBDA,
+    expand_klq,
+    expand_rm3,
+    kl_term_weight,
+)
+from qexp.retrieval import Query, Ranking, rank
+from qexp.text import tokenize
+
+from conftest import random_labeled_corpus, stable_vocab, with_duplicates
+from oracles import oracle_expand
 
 
 @pytest.fixture
@@ -27,16 +40,18 @@ def _ranking(entries):
 FEEDBACK = [("f1", 10.0), ("f2", 5.0), ("f3", 0.0)]
 
 
+# the top FB_DOCS documents hold more than FB_TERMS candidate terms
+WIDE_DOCUMENTS = [
+    Document("w1", "t000 t000 t000 t001 t001 t002 t003 t004 t005", {"c": "g"}),
+    Document("w2", "t006 t006 t007 t008 t009 t010 t011 t012", {"c": "g"}),
+    Document("w3", "t013 t014 t014 t015 t016", {"c": "g"}),
+    Document("w4", "t017 t017 t017 t017", {"c": "g"}),  # ranked past FB_DOCS
+    Document("x1", "t000 t006 t013 t017 t018 t018", {"c": "g"}),
+]
+
+
 def _wide_index():
-    # the top FB_DOCS documents hold more than FB_TERMS candidate terms
-    docs = [
-        Document("w1", "t000 t000 t000 t001 t001 t002 t003 t004 t005", {"c": "g"}),
-        Document("w2", "t006 t006 t007 t008 t009 t010 t011 t012", {"c": "g"}),
-        Document("w3", "t013 t014 t014 t015 t016", {"c": "g"}),
-        Document("w4", "t017 t017 t017 t017", {"c": "g"}),  # ranked past FB_DOCS
-        Document("x1", "t000 t006 t013 t017 t018 t018", {"c": "g"}),
-    ]
-    return build_index(docs, [Category("c", ("g",))])
+    return build_index(WIDE_DOCUMENTS, [Category("c", ("g",))])
 
 
 @pytest.fixture
@@ -203,3 +218,79 @@ class TestExpansionInvariants:
                 positive.add(term)
         assert len(positive) < FB_TERMS
         assert set(res.query.terms) == {"t005"} | positive
+
+
+class TestTiesAtTheLastTerm:
+    """Twelve candidate terms of equal weight compete for the FB_TERMS places.
+
+    The feedback documents are equally long and equally scored, and each
+    of their terms occurs once in them and once in the collection, so RM3
+    and KLQ weigh all twelve alike. The first document's terms come first
+    in the feedback but last by name: the places go by ascending term.
+    """
+
+    DOCS = [
+        Document("f1", "t010 t011 t012 t013 t014 t015", {"c": "g"}),
+        Document("f2", "t001 t002 t003 t004 t005 t006", {"c": "g"}),
+        Document("x1", "t030 t030 t030 t030", {"c": "g"}),
+    ]
+    WINNERS = ("t001", "t002", "t003", "t004", "t005", "t006", "t010", "t011", "t012", "t013")
+
+    @pytest.mark.parametrize("method", ["rm3", "klq"])
+    def test_places_go_by_ascending_term(self, method):
+        assert FB_TERMS == 10
+        idx = build_index(self.DOCS, [Category("c", ("g",))])
+        q = Query.from_terms(["t020"], query_id="q")
+        res = EXPANDERS[method](idx, q, _ranking([("f1", 2.0), ("f2", 2.0)]))
+        assert res.expanded
+        assert res.query.terms == ("t020",) + self.WINNERS
+        assert len(set(res.query.weights[1:])) == 1
+
+
+def _doc_tokens(docs):
+    return {d.doc_id: tokenize(d.text) for d in docs}
+
+
+class TestExpansionOracle:
+    """expand_rm3 and expand_klq against oracle_expand, which counts terms
+    from raw tokens. The oracle adds every float in the implementation's
+    order, so terms, their order and weights must be exactly equal: no
+    tolerance is needed."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["rm3", "klq"]),
+        st.sampled_from(["bm25", "tfidf"]),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=4),
+    )
+    def test_first_pass_feedback_matches_oracle(self, seed, method, model, weights):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(rng, num_docs=15, vocab_size=24, max_len=10)
+        docs = with_duplicates(rng, docs)
+        idx = build_index(docs, cats)
+        # t024-t027 are in no document
+        terms = tuple(rng.choice(stable_vocab(28)) for _ in weights)
+        query = Query(terms, tuple(weights), "q")
+        ranking = rank(idx, query, model, k=10)
+        res = EXPANDERS[method](idx, query, ranking)
+        got = (res.query.terms, res.query.weights, res.expanded)
+        assert got == oracle_expand(method, _doc_tokens(docs), query[:2], ranking.entries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from(WIDE_TERMS), min_size=1, max_size=5),
+        st.permutations(WIDE_DOCS),
+        st.integers(0, len(WIDE_DOCS)),
+        st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]), min_size=len(WIDE_DOCS),
+                 max_size=len(WIDE_DOCS)),
+    )
+    def test_any_feedback_matches_oracle(self, terms, docs, depth, scores):
+        wide_index = _wide_index()
+        entries = list(zip(docs[:depth], sorted(scores, reverse=True)))
+        query = Query.from_terms(terms, query_id="q")
+        doc_tokens = _doc_tokens(WIDE_DOCUMENTS)
+        for method in ("rm3", "klq"):
+            res = EXPANDERS[method](wide_index, query, _ranking(entries))
+            got = (res.query.terms, res.query.weights, res.expanded)
+            assert got == oracle_expand(method, doc_tokens, query[:2], entries)

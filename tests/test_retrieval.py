@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
-from qexp.retrieval import Query, Ranking, rank, read_run_file, write_run_file
+from qexp.retrieval import Query, Ranking, rank, read_run_file, top_k, write_run_file
 from qexp.text import tokenize
 
-from conftest import random_labeled_corpus, stable_vocab
+from conftest import random_labeled_corpus, stable_vocab, with_duplicates
 from oracles import oracle_rank
 
 
@@ -157,6 +157,90 @@ class TestRank:
             assert scores(idx2, q, model).get(target.doc_id, 0.0) >= before - 1e-12
 
 
+class TestTopK:
+    def test_ties_by_ascending_key_and_only_positive_scores(self):
+        scores = {"b": 1.0, "a": 1.0, "c": 2.0, "z": 0.0, "n": math.nan, "d": 1.0}
+        assert top_k(scores, 1) == [("c", 2.0)]
+        assert top_k(scores, 3) == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
+        assert top_k(scores, 10) == [("c", 2.0), ("a", 1.0), ("b", 1.0), ("d", 1.0)]
+        assert top_k({"a": 0.0, "b": math.nan}, 5) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # few distinct values, so most draws tie at the cut-off
+        st.dictionaries(
+            st.text("abcde", max_size=3), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), max_size=30
+        ),
+        st.integers(1, 35),
+    )
+    def test_matches_sorting_everything(self, scores, k):
+        ranked = sorted(
+            ((d, s) for d, s in scores.items() if s > 0.0), key=lambda ds: (-ds[1], ds[0])
+        )
+        assert top_k(scores, k) == ranked[:k]
+
+
+class TestRankTies:
+    # d5, d3 and d4 hold the same text, so they tie for positions 3-5
+    TIED_DOCS = [
+        Document(doc_id, text, {"c": "g"})
+        for doc_id, text in [
+            ("d1", "t009 t009 t000"),
+            ("d5", "t009 t001"),
+            ("d3", "t009 t001"),
+            ("d2", "t008 t002"),
+            ("d4", "t009 t001"),
+            ("d6", "t001 t002"),
+            ("d7", "t002 t003"),
+            ("d8", "t003 t004"),
+            ("d9", "t004 t005"),
+            ("d0", "t005 t006"),
+        ]
+    ]
+    QUERY = Query.from_terms(["t009", "t008"])
+
+    @pytest.mark.parametrize("model", ["bm25", "tfidf"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_cut_off_inside_around_and_past_a_tie(self, model, k):
+        idx = build_index(self.TIED_DOCS, [Category("c", ("g",))])
+        got = rank(idx, self.QUERY, model, k)
+        assert list(got.entries) == brute_force_rank(self.TIED_DOCS, self.QUERY, model, k)
+        assert got.doc_ids == ("d2", "d1", "d3", "d4", "d5")[:k]
+        assert len({s for d, s in got.entries if d in ("d3", "d4", "d5")}) <= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["bm25", "tfidf"]),
+        st.sampled_from([1, 2, 3, 5, 8, 100]),
+    )
+    def test_duplicated_documents_match_brute_force(self, seed, model, k):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(rng, num_docs=15, vocab_size=8, max_len=6)
+        docs = with_duplicates(rng, docs)
+        idx = build_index(docs, cats)
+        query = Query.from_terms(rng.sample(stable_vocab(8), rng.randint(1, 3)))
+        got = rank(idx, query, model, k)
+        assert list(got.entries) == brute_force_rank(docs, query, model, k)
+
+
+class TestPerIndexTables:
+    def test_ranking_another_index_in_between_changes_nothing(self):
+        # the same doc ids, another avgdl; a large vocabulary keeps bm25_idf
+        # positive, so BM25 ranks documents on both indexes
+        rng = random.Random(5)
+        docs_a, cats = random_labeled_corpus(rng, num_docs=20, vocab_size=30, max_len=4)
+        docs_b, _ = random_labeled_corpus(rng, num_docs=20, vocab_size=30, max_len=12)
+        idx_a, idx_b = build_index(docs_a, cats), build_index(docs_b, cats)
+        assert idx_a.avg_doc_len != idx_b.avg_doc_len
+        query = Query.from_terms(stable_vocab(5))
+        for model in ("bm25", "tfidf"):
+            for idx, docs in ((idx_a, docs_a), (idx_b, docs_b), (idx_a, docs_a)):
+                got = rank(idx, query, model, k=100)
+                assert len(got.entries) >= 3
+                assert list(got.entries) == brute_force_rank(docs, query, model, 100)
+
+
 class TestRankingType:
     def test_rejects_increasing_scores(self):
         with pytest.raises(ValueError):
@@ -177,11 +261,27 @@ class TestRunFiles:
         r2 = rank(tiny_index, Query.from_terms(["t003"], query_id="q2"), "tfidf", k=10)
         path = tmp_path / "run.trec"
         write_run_file(path, [r1, r2], tag="test")
-        loaded = read_run_file(path)
-        assert set(loaded) == {"q1", "q2"}
+        loaded, repeated = read_run_file(path)
+        assert set(loaded) == {"q1", "q2"} and repeated == {}
         assert tuple(d for d, _ in loaded["q1"]) == r1.doc_ids
         line = path.read_text().splitlines()[0].split()
         assert len(line) == 6 and line[1] == "Q0"
+
+    def test_repeated_rank_is_reported_per_query(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text(
+            "q1 Q0 dB 2 5.0 x\nq1 Q0 dA 1 6.0 x\nq1 Q0 dC 2 5.0 x\nq2 Q0 dA 2 1.0 x\n"
+        )
+        loaded, repeated = read_run_file(path)
+        assert repeated == {"q1": 2}
+        assert loaded == {"q1": (("dA", 6.0), ("dB", 5.0), ("dC", 5.0)), "q2": (("dA", 1.0),)}
+
+    @pytest.mark.parametrize("pos", ["0", "-2"])
+    def test_rank_below_1_fails_the_file(self, tmp_path, pos):
+        path = tmp_path / "run.trec"
+        path.write_text(f"q1 Q0 dA 1 6.0 x\nq1 Q0 dB {pos} 7.0 x\n")
+        with pytest.raises(ValueError, match="line 2: bad rank or score"):
+            read_run_file(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.trec"
