@@ -93,11 +93,11 @@ class CollectionIndex:
 
     Built once by :func:`build_index`; treated as immutable afterwards.
     Document order is the key order of ``doc_labels`` (doc_id -> labels).
-    A term's :class:`TermStats`, the per-document forward index and the
-    BM25 length normalization table are built on their first lookup and
-    kept, each stored only once complete, so it is safe to share across
-    concurrent readers: at worst two of them build the same thing twice,
-    with equal results.
+    A term's :class:`TermStats`, the per-document forward index, the BM25
+    length normalization table and each category's doc -> group table are
+    built on their first lookup and kept, each stored only once complete,
+    so it is safe to share across concurrent readers: at worst two of them
+    build the same thing twice, with equal results.
     """
 
     def __init__(self, categories, doc_labels, doc_lengths, postings):
@@ -108,6 +108,7 @@ class CollectionIndex:
         self._term_stats: dict[str, TermStats] = {}
         self._doc_terms: dict[str, dict[str, int]] | None = None  # see doc_terms
         self._bm25_norms: dict[str, float] | None = None  # see bm25_norms
+        self._doc_groups: dict[str, dict[str, str]] = {}  # see doc_groups
         self._total_tokens = sum(self._doc_lengths.values())
         # per (category, group): document count, token count
         self._group_docs = {(c.name, g): 0 for c in categories for g in c.groups}
@@ -190,13 +191,14 @@ class CollectionIndex:
             self._bm25_norms = norms  # assigned once, complete
         return norms
 
-    def doc_group(self, doc_id: str, category: str) -> str:
-        try:
-            return self._doc_labels[doc_id][category]
-        except KeyError:
-            # every document has a label of every category: name what is unknown
-            self.category(category)
-            raise KeyError(f"unknown document {doc_id!r}") from None
+    def doc_groups(self, category: str) -> Mapping[str, str]:
+        """doc_id -> group in the category; splitting by group reads one entry per doc."""
+        groups = self._doc_groups.get(category)
+        if groups is None:
+            self.category(category)  # name an unknown category
+            groups = {d: labels[category] for d, labels in self._doc_labels.items()}
+            self._doc_groups[category] = groups  # assigned once, complete
+        return groups
 
     def term_stats(self, term: str) -> TermStats:
         stats = self._term_stats.get(term)
@@ -228,8 +230,9 @@ class CollectionIndex:
         load keep.
         """
         split: dict[str, dict[str, int]] = {g: {} for g in self.category(category).groups}
+        doc_groups = self.doc_groups(category)
         for doc_id, tf in self._postings.get(term, {}).items():
-            split[self._doc_labels[doc_id][category]][doc_id] = tf
+            split[doc_groups[doc_id]][doc_id] = tf
         return split
 
     # ------------------------------ persistence ----------------------------

@@ -44,10 +44,14 @@ def group_exposure(
     category: str,
 ) -> dict[str, float]:
     """Raw exposure accumulated by each of the category's groups."""
-    cat = index.category(category)
-    totals = {g: 0.0 for g in cat.groups}
+    totals = {g: 0.0 for g in index.category(category).groups}
+    doc_groups = index.doc_groups(category)
     for pos, (doc_id, _) in enumerate(ranking.entries, start=1):
-        totals[index.doc_group(doc_id, category)] += position_exposure(pos)
+        try:
+            group = doc_groups[doc_id]
+        except KeyError:
+            raise KeyError(f"unknown document {doc_id!r}") from None
+        totals[group] += position_exposure(pos)
     return totals
 
 

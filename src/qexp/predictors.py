@@ -49,8 +49,9 @@ class QueryGroupStats(NamedTuple):
     """Every count a predictor reads for one query in one category.
 
     ``postings[term][group]`` maps the group's documents containing the
-    term to its frequency there, so a term's group df is the length and
-    its group cf the sum of that mapping.
+    term to its frequency there. The term's group df (the length of that
+    mapping) and group cf (the sum of its values) are counted once, here,
+    into ``df_g[term][group]`` and ``cf_g[term][group]``.
     """
 
     category: Category
@@ -59,6 +60,8 @@ class QueryGroupStats(NamedTuple):
     df: dict[str, int]           # collection df per distinct query term
     n_g: dict[str, int]          # documents per group
     tokens_g: dict[str, int]     # tokens per group
+    df_g: dict[str, dict[str, int]]  # group df per distinct query term
+    cf_g: dict[str, dict[str, int]]  # group cf per distinct query term
     postings: dict[str, dict[str, dict[str, int]]]
 
 
@@ -69,13 +72,16 @@ def query_group_stats(index: CollectionIndex, query: Query, category: str) -> Qu
     cat = index.category(category)
     qtf = query.qtf()
     postings = {term: index.group_postings(term, category) for term in qtf}
+    df_g = {term: {g: len(docs) for g, docs in split.items()} for term, split in postings.items()}
     return QueryGroupStats(
         category=cat,
         qtf=qtf,
         num_docs=index.num_docs,
-        df={term: sum(map(len, split.values())) for term, split in postings.items()},
+        df={term: sum(counts.values()) for term, counts in df_g.items()},
         n_g={g: index.group_doc_count(category, g) for g in cat.groups},
         tokens_g={g: index.group_token_count(category, g) for g in cat.groups},
+        df_g=df_g,
+        cf_g={term: {g: sum(d.values()) for g, d in split.items()} for term, split in postings.items()},
         postings=postings,
     )
 
@@ -133,9 +139,9 @@ def _gep(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]
 def _mean_log_ratio(
     stats: QueryGroupStats,
     sizes: Mapping[str, int],
-    count: Callable[[Mapping[str, int]], int],
+    counts: Mapping[str, Mapping[str, int]],
 ) -> dict[str, float]:
-    """Query-weighted mean of log2(sizes[g] / count(group postings)) per group.
+    """Query-weighted mean of log2(sizes[g] / counts[term][g]) per group.
 
     A zero count is smoothed to 0.5; a group of size zero scores 0.
     """
@@ -147,24 +153,20 @@ def _mean_log_ratio(
             continue
         acc = 0.0
         for term, w in stats.qtf.items():
-            c = count(stats.postings[term][group])
+            c = counts[term][group]
             acc += w * math.log2(size / (c if c > 0 else SMOOTH))
         raw[group] = acc / total
     return raw
 
 
-def _cf(plist: Mapping[str, int]) -> int:
-    return sum(plist.values())
-
-
 def _avidf(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """Mean log2(N_g / df_g) over query terms: average term specificity."""
-    return _mean_log_ratio(stats, stats.n_g, len)
+    return _mean_log_ratio(stats, stats.n_g, stats.df_g)
 
 
 def _avictf(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
     """Mean log2(tokens_g / cf_g) over query terms."""
-    return _mean_log_ratio(stats, stats.tokens_g, _cf)
+    return _mean_log_ratio(stats, stats.tokens_g, stats.cf_g)
 
 
 def _scs(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
@@ -180,7 +182,7 @@ def _scs(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]
             p_q = w / total
             if p_q == 0.0:
                 continue
-            cf_g = _cf(stats.postings[term][group])
+            cf_g = stats.cf_g[term][group]
             p_c = (cf_g if cf_g > 0 else SMOOTH) / tokens_g
             acc += p_q * math.log2(p_q / p_c)
         raw[group] = acc
@@ -196,21 +198,21 @@ def _avpmi(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, floa
     """
     terms = list(stats.qtf)
     if len(terms) < 2:  # AvIDF
-        return _mean_log_ratio(stats, stats.n_g, len)
+        return _mean_log_ratio(stats, stats.n_g, stats.df_g)
     pairs = [(terms[i], terms[j]) for i in range(len(terms)) for j in range(i + 1, len(terms))]
     raw = {}
     for group, n_g in stats.n_g.items():
         if n_g == 0:
             raw[group] = 0.0
             continue
+        p = {term: (stats.df_g[term][group] + SMOOTH) / n_g for term in terms}
         acc = 0.0
         for t1, t2 in pairs:
             docs1 = stats.postings[t1][group]
             docs2 = stats.postings[t2][group]
-            p1 = (len(docs1) + SMOOTH) / n_g
-            p2 = (len(docs2) + SMOOTH) / n_g
-            p12 = (len(docs1.keys() & docs2.keys()) + SMOOTH) / n_g
-            acc += math.log2(p12 / (p1 * p2))
+            both = len(docs1.keys() & docs2.keys()) if docs1 and docs2 else 0
+            p12 = (both + SMOOTH) / n_g
+            acc += math.log2(p12 / (p[t1] * p[t2]))
         raw[group] = acc / len(pairs)
     return raw
 
@@ -226,22 +228,22 @@ def _cori(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float
     """
     n_groups = len(stats.category.groups)
     mean_cw = sum(stats.tokens_g.values()) / n_groups
-    gf = {term: sum(1 for docs in split.values() if docs) for term, split in stats.postings.items()}
+    gf = {term: sum(1 for c in counts.values() if c) for term, counts in stats.df_g.items()}
+    # I once per term, in query order; a term in no group gets none and is skipped
+    i_parts = {t: math.log((n_groups + 0.5) / n) / math.log(n_groups + 1.0) for t, n in gf.items() if n}
 
     b = cori_belief
     raw = {}
     for group, tokens_g in stats.tokens_g.items():
         acc = 0.0
         weight = 0.0
-        for term, w in stats.qtf.items():
-            if gf[term] == 0:
-                continue  # term absent from every group
-            df_g = len(stats.postings[term][group])
+        for term, i_part in i_parts.items():
+            w = stats.qtf[term]
+            df_g = stats.df_g[term][group]
             if mean_cw > 0:
                 t_part = df_g / (df_g + CORI_DF_BASE + CORI_DF_SCALE * tokens_g / mean_cw)
             else:
                 t_part = 0.0
-            i_part = math.log((n_groups + 0.5) / gf[term]) / math.log(n_groups + 1.0)
             acc += w * (b + (1.0 - b) * t_part * i_part)
             weight += w
         raw[group] = acc / weight if weight > 0 else 0.0

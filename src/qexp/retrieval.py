@@ -29,8 +29,8 @@ class Query(_QueryFields):
                 query_id: str | None = None):
         if len(terms) != len(weights):
             raise ValueError("terms and weights must have the same length")
-        if any(w < 0 for w in weights):
-            raise ValueError("query weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in weights):  # false for NaN
+            raise ValueError("query weights must be finite and nonnegative")
         return super().__new__(cls, terms, weights, query_id)
 
     @classmethod

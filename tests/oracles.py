@@ -184,6 +184,9 @@ def oracle_raw_scores(name, doc_tokens, labels, groups, query_terms, k=100):
             raw[g] = acc / weight if weight > 0 else 0.0
         return raw
 
+    if name == "uniform":
+        return dict.fromkeys(groups, 1.0)
+
     raise ValueError(f"no oracle for predictor {name!r}")
 
 

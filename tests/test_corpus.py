@@ -44,7 +44,7 @@ def index_contents(idx):
     return (
         [(c.name, c.groups) for c in idx.categories],
         [
-            (d, idx.doc_length(d), [idx.doc_group(d, c.name) for c in idx.categories])
+            (d, idx.doc_length(d), [idx.doc_groups(c.name)[d] for c in idx.categories])
             for d in idx.doc_ids
         ],
         [
@@ -163,7 +163,7 @@ class TestBuildIndex:
     def test_missing_label_falls_into_unknown_group(self):
         docs = [Document("d9", "t000", {})]
         idx = build_index(docs, [Category("c", ("Unknown", "g"))])
-        assert idx.doc_group("d9", "c") == "Unknown"
+        assert idx.doc_groups("c")["d9"] == "Unknown"
 
     def test_unknown_group_label(self):
         docs = [Document("d9", "t000", {"c": "atlantis"})]
@@ -190,7 +190,7 @@ class TestInvariants:
                 split = idx.group_postings(term, cat.name)
                 assert list(split) == list(cat.groups)
                 for group, plist in split.items():
-                    assert all(idx.doc_group(d, cat.name) == group for d in plist)
+                    assert all(idx.doc_groups(cat.name)[d] == group for d in plist)
                     assert list(plist) == [d for d in postings if d in plist]
                 assert sum(len(p) for p in split.values()) == len(postings)
                 assert {d: tf for p in split.values() for d, tf in p.items()} == postings
@@ -203,6 +203,20 @@ class TestInvariants:
         idx = build_index(docs, cats)
         for cat in cats:
             assert sum(idx.group_doc_count(cat.name, g) for g in cat.groups) == idx.num_docs
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_doc_groups_table(self, seed):
+        docs, cats = random_labeled_corpus(random.Random(seed), num_categories=2)
+        idx = build_index(docs, cats)
+        for _ in range(2):  # an unknown category stores no table
+            with pytest.raises(KeyError) as error:
+                idx.doc_groups("nope")
+            assert error.value.args == ("unknown category 'nope'",)
+        for cat in cats:
+            table = idx.doc_groups(cat.name)
+            assert list(table.items()) == [(d.doc_id, d.labels[cat.name]) for d in docs]
+            assert idx.doc_groups(cat.name) is table  # built once per category
 
     def test_rebuild_determinism(self):
         rng = random.Random(3)
@@ -565,7 +579,7 @@ class TestPersistence:
         build_index([doc], cats).save(tmp / "index.qx")
         loaded = CollectionIndex.load(tmp / "index.qx")
         assert list(loaded.categories) == cats
-        assert [loaded.doc_group("d1", c.name) for c in cats] == [c.groups[-1] for c in cats]
+        assert [loaded.doc_groups(c.name)["d1"] for c in cats] == [c.groups[-1] for c in cats]
 
     def test_save_is_deterministic(self, tiny_index, tmp_path):
         p1, p2 = tmp_path / "a.qx", tmp_path / "b.qx"

@@ -20,6 +20,7 @@ from qexp.predictors import (
     query_group_stats,
 )
 from qexp.retrieval import Query
+from qexp.text import tokenize
 
 from conftest import random_labeled_corpus, stable_vocab
 from oracles import oracle_distribution, oracle_raw_scores
@@ -321,6 +322,49 @@ class TestOracleEquivalence:
                 assert out.raw_scores[idx_g] == pytest.approx(raw[g], abs=1e-9), name
             expected = oracle_distribution(raw, groups)
             assert list(out.distribution.values) == pytest.approx(expected, abs=1e-9), name
+
+
+class TestSparseTable:
+    """The table's group counts where most (term, group) cells are empty."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_counts_and_every_predictor_match_the_oracle(self, seed):
+        rng = random.Random(seed)
+        # few short documents over many groups and words: most cells are empty,
+        # and some groups hold no document at all
+        docs, (cat,) = random_labeled_corpus(
+            rng, num_docs=rng.randint(4, 16), num_groups=rng.randint(5, 12),
+            vocab_size=30, max_len=3,
+        )
+        idx = build_index(docs, [cat])
+        doc_tokens = {d.doc_id: tokenize(d.text) for d in docs}
+        labels = {d.doc_id: d.labels[cat.name] for d in docs}
+        vocab = stable_vocab(31)  # the last word is in no document
+        k = rng.choice([1, 3, 100])
+        bundle = make_predictors(PREDICTORS, k)
+        queries = [
+            [rng.choice(vocab)],  # AvPMI falls back to AvIDF
+            rng.choices(vocab, k=rng.randint(1, 5)) + [vocab[-1]],  # CORI skips the last term
+        ]
+        for terms in queries:
+            query = Query.from_terms(terms)
+            stats = query_group_stats(idx, query, cat.name)
+            for term in stats.qtf:
+                split = stats.postings[term]
+                assert stats.df_g[term] == {g: len(plist) for g, plist in split.items()}
+                assert stats.cf_g[term] == {g: sum(plist.values()) for g, plist in split.items()}
+                for g in cat.groups:
+                    in_g = [doc_tokens[d] for d in doc_tokens if labels[d] == g]
+                    assert stats.df_g[term][g] == sum(term in toks for toks in in_g)
+                    assert stats.cf_g[term][g] == sum(toks.count(term) for toks in in_g)
+                collection = idx.term_stats(term)
+                assert sum(stats.df_g[term].values()) == stats.df[term] == collection.df
+                assert sum(stats.cf_g[term].values()) == collection.cf
+            for name, predictor in bundle.items():
+                raw = oracle_raw_scores(name, doc_tokens, labels, cat.groups, terms, k)
+                got = predictor(idx, query, cat.name).raw_scores
+                assert got == pytest.approx([raw[g] for g in cat.groups], abs=1e-9), name
 
 
 def _two_category_index(seed, num_docs=16):

@@ -29,6 +29,7 @@ RECORDS = [
     ExposureHistogram(3, 1, "exact", ((0.5, 1.0, 3.0),), 3),
     PredictorOutput("gep", (1.0, 3.0), _DIST),
     QueryGroupStats(_CATEGORY, {"t": 1.0}, 2, {"t": 1}, {"a": 1, "b": 1}, {"a": 3, "b": 4},
+                    {"t": {"a": 1, "b": 0}}, {"t": {"a": 1, "b": 0}},
                     {"t": {"a": {"d1": 1}, "b": {}}}),
     ExpansionResult(_QUERY, False),
     Row("bm25", "none", "q1", "c", "gep", 0.5),

@@ -241,6 +241,22 @@ class TestPerIndexTables:
                 assert list(got.entries) == brute_force_rank(docs, query, model, 100)
 
 
+class TestQueryType:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_weights_that_are_not_finite_and_nonnegative(self, bad):
+        # a NaN weight dropped its term from rank and gave predictors NaN raw
+        # scores, which floored to a "degenerate" uniform prediction; an
+        # infinite one ranked documents at score inf
+        for weights in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="^query weights must be finite and nonnegative$"):
+                Query(("t000", "t001"), weights)
+
+    def test_accepts_zero_and_large_finite_weights(self, three_doc_index):
+        query = Query(("t000", "t003"), (0.0, 1e300))
+        ((doc_id, score),) = rank(three_doc_index, query, "tfidf", k=3).entries
+        assert doc_id == "dc" and math.isfinite(score)
+
+
 class TestRankingType:
     def test_rejects_increasing_scores(self):
         with pytest.raises(ValueError):
