@@ -92,37 +92,36 @@ class CollectionIndex:
     """Read-only term statistics over a labeled corpus.
 
     Built once by :func:`build_index`; treated as immutable afterwards.
-    Document order is the key order of ``doc_labels`` (doc_id -> labels).
-    A term's :class:`TermStats`, the per-document forward index, the BM25
-    length normalization table and each category's doc -> group table are
-    built on their first lookup and kept, each stored only once complete,
-    so it is safe to share across concurrent readers: at worst two of them
-    build the same thing twice, with equal results.
+    ``doc_groups`` (category -> {doc_id: group}, the only copy of the labels)
+    is in category and document order, ``doc_lengths`` in document order;
+    the group counts and BM25 norms are built from them here. A term's
+    :class:`TermStats` and the forward index are built on their first lookup
+    and kept, each stored only once complete, so concurrent readers at worst
+    build one twice, with equal results.
     """
 
-    def __init__(self, categories, doc_labels, doc_lengths, postings):
+    def __init__(self, categories, doc_groups, doc_lengths, postings):
         self._categories: dict[str, Category] = {c.name: c for c in categories}
-        self._doc_labels: dict[str, dict[str, str]] = doc_labels
+        self._doc_groups: dict[str, dict[str, str]] = doc_groups
         self._doc_lengths: dict[str, int] = doc_lengths
         self._postings: dict[str, dict[str, int]] = postings
         self._term_stats: dict[str, TermStats] = {}
         self._doc_terms: dict[str, dict[str, int]] | None = None  # see doc_terms
-        self._bm25_norms: dict[str, float] | None = None  # see bm25_norms
-        self._doc_groups: dict[str, dict[str, str]] = {}  # see doc_groups
-        self._total_tokens = sum(self._doc_lengths.values())
-        # per (category, group): document count, token count
-        self._group_docs = {(c.name, g): 0 for c in categories for g in c.groups}
-        self._group_tokens = dict(self._group_docs)
-        for doc_id, labels in doc_labels.items():
-            for cat in categories:
-                key = (cat.name, labels[cat.name])
-                self._group_docs[key] += 1
-                self._group_tokens[key] += self._doc_lengths[doc_id]
+        self._total_tokens = sum(doc_lengths.values())
+        avgdl = self.avg_doc_len or 1.0  # 0 when every document is stopwords only
+        self._bm25_norms = {d: BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl) for d, dl in doc_lengths.items()}
+        self._group_docs, self._group_tokens = {}, {}  # category -> group -> count
+        for cat in categories:
+            docs = self._group_docs[cat.name] = dict.fromkeys(cat.groups, 0)
+            tokens = self._group_tokens[cat.name] = dict(docs)
+            for doc_id, group in doc_groups[cat.name].items():
+                docs[group] += 1
+                tokens[group] += doc_lengths[doc_id]
 
     # ------------------------------- collection ----------------------------
     @property
     def num_docs(self) -> int:
-        return len(self._doc_labels)
+        return len(self._doc_lengths)
 
     @property
     def total_tokens(self) -> int:
@@ -130,11 +129,11 @@ class CollectionIndex:
 
     @property
     def avg_doc_len(self) -> float:
-        return self._total_tokens / len(self._doc_labels)
+        return self._total_tokens / len(self._doc_lengths)
 
     @property
     def doc_ids(self) -> tuple[str, ...]:
-        return tuple(self._doc_labels)
+        return tuple(self._doc_lengths)
 
     @property
     def vocabulary(self):
@@ -168,7 +167,7 @@ class CollectionIndex:
         """
         doc_terms = self._doc_terms
         if doc_terms is None:
-            doc_terms = {d: {} for d in self._doc_labels}
+            doc_terms = {d: {} for d in self._doc_lengths}
             for term in sorted(self._postings):
                 for d, tf in self._postings[term].items():
                     doc_terms[d][term] = tf
@@ -179,26 +178,15 @@ class CollectionIndex:
             raise KeyError(f"unknown document {doc_id!r}") from None
 
     def bm25_norms(self) -> Mapping[str, float]:
-        """doc_id -> BM25_K1 * (1 - BM25_B + BM25_B * length / avg_doc_len).
+        """doc_id -> BM25_K1 * (1 - BM25_B + BM25_B * length / avg_doc_len), built with the index.
 
-        BM25's length normalization, built on the first call and kept, so
-        a ranking reads one dict entry per posting instead of recomputing it.
+        An index with no tokens, whose avg_doc_len is 0, divides by 1 instead.
         """
-        norms = self._bm25_norms
-        if norms is None:
-            avgdl = self.avg_doc_len
-            norms = {d: BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl) for d, dl in self._doc_lengths.items()}
-            self._bm25_norms = norms  # assigned once, complete
-        return norms
+        return self._bm25_norms
 
     def doc_groups(self, category: str) -> Mapping[str, str]:
-        """doc_id -> group in the category; splitting by group reads one entry per doc."""
-        groups = self._doc_groups.get(category)
-        if groups is None:
-            self.category(category)  # name an unknown category
-            groups = {d: labels[category] for d, labels in self._doc_labels.items()}
-            self._doc_groups[category] = groups  # assigned once, complete
-        return groups
+        """doc_id -> group in the category, in document order; built with the index."""
+        return self._doc_groups[self.category(category).name]
 
     def term_stats(self, term: str) -> TermStats:
         stats = self._term_stats.get(term)
@@ -210,16 +198,16 @@ class CollectionIndex:
         return stats
 
     # --------------------------------- groups ------------------------------
-    def _group_key(self, category: str, group: str) -> tuple[str, str]:
+    def _group_count(self, counts, category: str, group: str) -> int:
         if group not in self.category(category).groups:
             raise KeyError(f"unknown group {group!r} in category {category!r}")
-        return (category, group)
+        return counts[category][group]
 
     def group_doc_count(self, category: str, group: str) -> int:
-        return self._group_docs[self._group_key(category, group)]
+        return self._group_count(self._group_docs, category, group)
 
     def group_token_count(self, category: str, group: str) -> int:
-        return self._group_tokens[self._group_key(category, group)]
+        return self._group_count(self._group_tokens, category, group)
 
     def group_postings(self, term: str, category: str) -> dict[str, dict[str, int]]:
         """The term's postings split by group: group -> {doc_id: tf}.
@@ -237,9 +225,11 @@ class CollectionIndex:
 
     # ------------------------------ persistence ----------------------------
     def save(self, path) -> None:
+        tables = self._doc_groups.items()  # each document's labels, in category order
+        docs = [{"id": d, "labels": {c: table[d] for c, table in tables}} for d in self._doc_lengths]
         payload = {
             "categories": _categories_to_json(self.categories),
-            "docs": [{"id": d, "labels": labels} for d, labels in self._doc_labels.items()],
+            "docs": docs,
             "postings": self._postings,
         }
         # Compact JSON in the index's own order, which is the build order and
@@ -290,7 +280,7 @@ class CollectionIndex:
 
 
 def _index_fields(payload) -> tuple:
-    """A decoded index's categories, doc labels, doc lengths and postings.
+    """A decoded index's categories, doc groups, doc lengths and postings.
 
     Rejects a payload build_index could not have written, checking each field's type first.
     """
@@ -305,25 +295,25 @@ def _index_fields(payload) -> tuple:
     if not docs:
         raise ValueError("no documents")
     check_categories(categories)
-    doc_labels = {}
+    doc_groups = {cat.name: {} for cat in categories}
+    tokens = {}
     for d in docs:
-        _check_doc_id(d["id"])  # before it is hashed as a key
-        doc_labels[d["id"]] = d["labels"]
-    if len(doc_labels) != len(docs):
-        raise ValueError("duplicate document ids")
-    for doc_id, labels in doc_labels.items():
+        doc_id, labels = d["id"], d["labels"]
+        _check_doc_id(doc_id)  # before it is hashed as a key
+        if doc_id in tokens:
+            raise ValueError("duplicate document ids")
+        tokens[doc_id] = 0
         if not isinstance(labels, dict):
             raise ValueError(f"document {doc_id!r}: labels must be a JSON object")
         for cat in categories:
-            if labels.get(cat.name) not in cat.groups:
-                raise ValueError(
-                    f"document {doc_id!r} has no group of category {cat.name!r}"
-                )
+            group = labels.get(cat.name)
+            if group not in cat.groups:
+                raise ValueError(f"document {doc_id!r} has no group of category {cat.name!r}")
+            doc_groups[cat.name][doc_id] = group
         if len(labels) > len(categories):  # every category has its label: the rest are unknown
             known = {cat.name for cat in categories}
             unknown = next(name for name in labels if name not in known)
             raise ValueError(f"document {doc_id!r} has a label of unknown category {unknown!r}")
-    tokens = dict.fromkeys(doc_labels, 0)
     for term, plist in postings.items():
         if not isinstance(plist, dict):
             raise ValueError(f"term {term!r}: postings must be a JSON object")
@@ -337,7 +327,7 @@ def _index_fields(payload) -> tuple:
                     f"term {term!r} has tf {tf!r} for document {doc_id!r}, not an int >= 1"
                 )
             tokens[doc_id] += tf
-    return categories, doc_labels, tokens, postings
+    return categories, doc_groups, tokens, postings
 
 
 def _check_doc_id(doc_id) -> None:
@@ -364,16 +354,15 @@ def build_index(
         raise CorpusError("empty corpus")
     check_categories(categories)
 
-    doc_labels: dict[str, dict[str, str]] = {}
+    doc_groups: dict[str, dict[str, str]] = {cat.name: {} for cat in categories}
     doc_lengths: dict[str, int] = {}
     postings: dict[str, dict[str, int]] = {}
 
     with stem_memo():  # one memo per build: each distinct word is stemmed once
         for doc in docs:
             _check_doc_id(doc.doc_id)
-            if doc.doc_id in doc_labels:
+            if doc.doc_id in doc_lengths:
                 raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
-            labels: dict[str, str] = {}
             for cat in categories:
                 group = doc.labels.get(cat.name)
                 if group is None:
@@ -387,14 +376,13 @@ def build_index(
                         f"doc {doc.doc_id!r}: unknown group {group!r} "
                         f"for category {cat.name!r}"
                     )
-                labels[cat.name] = group
+                doc_groups[cat.name][doc.doc_id] = group
             terms = tokenizer(doc.text)
-            doc_labels[doc.doc_id] = labels
             doc_lengths[doc.doc_id] = len(terms)
             for t, tf in Counter(terms).items():
                 postings.setdefault(t, {})[doc.doc_id] = tf
 
-    return CollectionIndex(list(categories), doc_labels, doc_lengths, postings)
+    return CollectionIndex(list(categories), doc_groups, doc_lengths, postings)
 
 
 def _unknown_group(cat: Category) -> str | None:

@@ -22,7 +22,7 @@ from .corpus import CollectionIndex
 from .retrieval import Ranking
 
 
-def float_sum(values: Iterable[float], start: float = 0) -> float:
+def float_sum(values: Iterable[float], start: float = 0.0) -> float:
     """Sum left to right from start, on every Python version.
 
     Since 3.12 the builtin sum compensates float rounding and would change a

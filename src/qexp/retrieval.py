@@ -114,7 +114,9 @@ def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100
     Scores accumulate term at a time: each weighted query term occurrence
     adds its contribution to every document in its postings. BM25 uses
     `bm25_idf` and the index's length normalization table, TF-IDF uses
-    log2(N/df), both floored at zero. The top k are chosen by `top_k`.
+    log2(N/df), both floored at zero. The top k are chosen by `top_k`. A
+    score past the float range raises ValueError: scores are nonnegative,
+    so an overflow is +inf and ranked first.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -143,7 +145,10 @@ def rank(index: CollectionIndex, query: Query, model: str = "bm25", k: int = 100
             idf = max(0.0, math.log2(n / stats.df))
             for doc_id, tf in stats.postings.items():
                 scores[doc_id] = get(doc_id, 0.0) + weight * tf * idf
-    return Ranking(query.query_id, tuple(top_k(scores, k)))
+    entries = top_k(scores, k)
+    if entries and entries[0][1] == math.inf:
+        raise ValueError(f"the score of document {entries[0][0]!r} overflows the float range")
+    return Ranking(query.query_id, tuple(entries))
 
 
 # ------------------------------ TREC run files ------------------------------

@@ -929,6 +929,47 @@ class TestRunCommand:
         assert outputs("compensated") == plain
 
 
+class TestStopwordOnlyCorpus:
+    """An index with no tokens: its average document length is 0."""
+
+    @pytest.fixture
+    def stopword_workspace(self, tmp_path):
+        rows = [("d1", "the of and", "A"), ("d2", "is a", "B")]
+        (tmp_path / "corpus.jsonl").write_text("".join(
+            json.dumps({"doc_id": d, "text": text, "labels": {"c": g}}) + "\n"
+            for d, text, g in rows
+        ))
+        (tmp_path / "categories.json").write_text('[{"name": "c", "groups": ["A", "B"]}]')
+        (tmp_path / "queries.tsv").write_text("q1\tt000\n")
+        assert main([
+            "index", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--categories", str(tmp_path / "categories.json"), "--out", str(tmp_path / "index.qx"),
+        ]) == 0
+        assert CollectionIndex.load(tmp_path / "index.qx").avg_doc_len == 0.0
+        return tmp_path
+
+    @pytest.mark.parametrize("model", ["bm25", "tfidf"])
+    def test_rank_writes_no_lines(self, stopword_workspace, capsys, model):
+        # BM25 divided by the average document length and raised ZeroDivisionError
+        out = stopword_workspace / "run.trec"
+        assert main([
+            "rank", "--index", str(stopword_workspace / "index.qx"),
+            "--queries", str(stopword_workspace / "queries.tsv"),
+            "--model", model, "--out", str(out),
+        ]) == 0
+        assert out.read_text() == ""
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_run_records_no_failures(self, stopword_workspace):
+        # every BM25 ranking was recorded as a failure and the run exited 2
+        out_dir = stopword_workspace / "out"
+        assert main([
+            "run", "--index", str(stopword_workspace / "index.qx"),
+            "--queries", str(stopword_workspace / "queries.tsv"), "--out-dir", str(out_dir),
+        ]) == 0
+        assert json.loads((out_dir / "summary.json").read_text())["failures"] == []
+
+
 class TestSyntheticScript:
     def test_script_prints_the_summary_it_wrote(self, tmp_path, capsys, monkeypatch):
         commands = []

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -302,6 +303,18 @@ class TestRunExperiment:
         assert len(report.failures) == 1
         assert report.failures[0].query_id == "qbad"
         assert len(report.rows) == 3  # the good queries still produced rows
+
+    def test_score_overflow_recorded_as_a_ranking_failure(self):
+        queries = _queries() + [Query(("t000",), (sys.float_info.max,), query_id="qbig")]
+        report = run_experiment(
+            _experiment_index(), queries, None, [ModelRanker(m) for m in RANKERS], [None],
+            make_predictors(["gep"], k=10), k=10,
+        )
+        assert [(f.ranker, f.query_id, f.stage) for f in report.failures] == [
+            (model, "qbig", "ranking") for model in RANKERS
+        ]
+        assert all(f.error.endswith("overflows the float range") for f in report.failures)
+        assert len(report.rows) == len(RANKERS) * 3
 
     @pytest.mark.parametrize("models", [("bm25", "tfidf"), ("bm25", "bm25")])
     def test_first_pass_ranked_once_per_ranker_and_query(self, models):

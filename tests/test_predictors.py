@@ -254,6 +254,13 @@ class TestPredictProperties:
             assert out.distribution.degenerate == all(max(0.0, r) == 0.0 for r in out.raw_scores)
             assert bound(idx, query, cat.name) == out
 
+    @pytest.mark.parametrize("name", PREDICTORS)
+    def test_raw_scores_are_floats_for_an_unindexed_query(self, name):
+        # GEP summed no terms from an int start and returned (0, 0)
+        idx = _index_from_tokens({"d1": ["t000"], "d2": ["t001"]}, {"d1": "a", "d2": "b"}, "ab")
+        out = make_predictors([name], 10)[name](idx, Query.from_terms(["zzz9"]), "c")
+        assert [type(r) for r in out.raw_scores] == [float, float]
+
     @pytest.mark.parametrize(
         "name, k, cori_belief, message",
         [

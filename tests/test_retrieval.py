@@ -1,11 +1,12 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
-from qexp.retrieval import Query, Ranking, rank, read_run_file, top_k, write_run_file
+from qexp.retrieval import RANKERS, Query, Ranking, rank, read_run_file, top_k, write_run_file
 from qexp.text import tokenize
 
 from conftest import random_labeled_corpus, stable_vocab, with_duplicates
@@ -255,6 +256,15 @@ class TestQueryType:
         query = Query(("t000", "t003"), (0.0, 1e300))
         ((doc_id, score),) = rank(three_doc_index, query, "tfidf", k=3).entries
         assert doc_id == "dc" and math.isfinite(score)
+
+    @pytest.mark.parametrize("model", RANKERS)
+    def test_score_overflow_rejected(self, three_doc_index, model):
+        # a finite weight whose product with tf and idf leaves the float range
+        # ranked dc at score inf
+        query = Query(("t000", "t003"), (0.0, sys.float_info.max))
+        message = "^the score of document 'dc' overflows the float range$"
+        with pytest.raises(ValueError, match=message):
+            rank(three_doc_index, query, model, k=3)
 
 
 class TestRankingType:
