@@ -198,16 +198,20 @@ class CollectionIndex:
         return stats
 
     # --------------------------------- groups ------------------------------
-    def _group_count(self, counts, category: str, group: str) -> int:
-        if group not in self.category(category).groups:
-            raise KeyError(f"unknown group {group!r} in category {category!r}")
-        return counts[category][group]
+    def group_doc_counts(self, category: str) -> Mapping[str, int]:
+        """group -> documents in the category, in group order; built with the index."""
+        return self._group_docs[self.category(category).name]
+
+    def group_token_counts(self, category: str) -> Mapping[str, int]:
+        """group -> tokens in the category, in group order; built with the index."""
+        return self._group_tokens[self.category(category).name]
 
     def group_doc_count(self, category: str, group: str) -> int:
-        return self._group_count(self._group_docs, category, group)
-
-    def group_token_count(self, category: str, group: str) -> int:
-        return self._group_count(self._group_tokens, category, group)
+        """Documents in one group; see :meth:`group_doc_counts`."""
+        counts = self.group_doc_counts(category)
+        if group not in counts:
+            raise KeyError(f"unknown group {group!r} in category {category!r}")
+        return counts[group]
 
     def group_postings(self, term: str, category: str) -> dict[str, dict[str, int]]:
         """The term's postings split by group: group -> {doc_id: tf}.

@@ -16,7 +16,7 @@ from collections import Counter
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import CollectionIndex
 from .retrieval import Ranking
@@ -86,26 +86,23 @@ class ExposureDistribution(_ExposureDistributionFields):
 
 def normalize_exposure(
     category_name: str,
-    groups: Sequence[str],
-    raw: Mapping[str, float],
+    groups: tuple[str, ...],
+    values: Sequence[float],
 ) -> ExposureDistribution:
-    """Divide raw per-group exposure by its sum.
+    """Divide raw per-group exposure, one value per group in group order, by its sum.
 
     An all-zero input yields the uniform distribution flagged as
     degenerate; negative inputs are rejected.
     """
-    values = [raw.get(g, 0.0) for g in groups]
-    if any(v < 0 for v in values):
+    if len(values) != len(groups):
+        raise ValueError("one value per group required")
+    if min(values) < 0.0:
         raise ValueError("raw exposure values must be nonnegative")
     total = float_sum(values)
     if total == 0.0:
         n = len(groups)
-        return ExposureDistribution(
-            category_name, tuple(groups), (1.0 / n,) * n, degenerate=True
-        )
-    return ExposureDistribution(
-        category_name, tuple(groups), tuple(v / total for v in values)
-    )
+        return ExposureDistribution(category_name, groups, (1.0 / n,) * n, degenerate=True)
+    return ExposureDistribution(category_name, groups, tuple([v / total for v in values]))
 
 
 def realized_exposure(
@@ -115,7 +112,7 @@ def realized_exposure(
 ) -> ExposureDistribution:
     cat = index.category(category)
     raw = group_exposure(ranking, index, category)
-    return normalize_exposure(category, cat.groups, raw)
+    return normalize_exposure(category, cat.groups, [raw[g] for g in cat.groups])
 
 
 # ---------------------- achievable exposure analysis -----------------------

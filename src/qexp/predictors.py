@@ -51,26 +51,32 @@ class QueryGroupStats(NamedTuple):
     ``postings[term][group]`` maps the group's documents containing the
     term to its frequency there. The term's group df (the length of that
     mapping) and group cf (the sum of its values) are counted once, here,
-    into ``df_g[term][group]`` and ``cf_g[term][group]``.
+    into ``df_g[term][group]`` and ``cf_g[term][group]``. ``n_g`` and
+    ``tokens_g`` are the index's own per-category mappings.
     """
 
     category: Category
     qtf: dict[str, float]        # weight per distinct query term, query order
     num_docs: int                # documents in the collection
     df: dict[str, int]           # collection df per distinct query term
-    n_g: dict[str, int]          # documents per group
-    tokens_g: dict[str, int]     # tokens per group
+    n_g: Mapping[str, int]       # documents per group, group order
+    tokens_g: Mapping[str, int]  # tokens per group, group order
     df_g: dict[str, dict[str, int]]  # group df per distinct query term
     cf_g: dict[str, dict[str, int]]  # group cf per distinct query term
     postings: dict[str, dict[str, dict[str, int]]]
 
 
 def query_group_stats(index: CollectionIndex, query: Query, category: str) -> QueryGroupStats:
-    """Collect the query's per-group counts; rejects an empty query."""
+    """Collect the query's per-group counts.
+
+    Rejects an empty query and one whose total weight overflows the float range.
+    """
     if not query.terms:
         raise ValueError("cannot predict for an empty query")
     cat = index.category(category)
     qtf = query.qtf()
+    if not math.isfinite(float_sum(qtf.values())):
+        raise ValueError("the total query weight overflows the float range")
     postings = {term: index.group_postings(term, category) for term in qtf}
     df_g = {term: {g: len(docs) for g, docs in split.items()} for term, split in postings.items()}
     return QueryGroupStats(
@@ -78,8 +84,8 @@ def query_group_stats(index: CollectionIndex, query: Query, category: str) -> Qu
         qtf=qtf,
         num_docs=index.num_docs,
         df={term: sum(counts.values()) for term, counts in df_g.items()},
-        n_g={g: index.group_doc_count(category, g) for g in cat.groups},
-        tokens_g={g: index.group_token_count(category, g) for g in cat.groups},
+        n_g=index.group_doc_counts(category),
+        tokens_g=index.group_token_counts(category),
         df_g=df_g,
         cf_g={term: {g: sum(d.values()) for g, d in split.items()} for term, split in postings.items()},
         postings=postings,
@@ -87,12 +93,17 @@ def query_group_stats(index: CollectionIndex, query: Query, category: str) -> Qu
 
 
 def _finish(name: str, stats: QueryGroupStats, k: int, cori_belief: float) -> PredictorOutput:
-    """Run the named formula, floor its scores at zero and normalize them."""
+    """Run the named formula, floor its scores at zero and normalize them.
+
+    Rejects scores whose sum is not finite, as a NaN or infinite score
+    makes it: the floor would turn a NaN into 0.
+    """
     category = stats.category
     raw = _FORMULAS[name](stats, k, cori_belief)
-    floored = {g: max(0.0, raw[g]) for g in category.groups}
-    dist = normalize_exposure(category.name, category.groups, floored)
-    return PredictorOutput(name, tuple(raw[g] for g in category.groups), dist)
+    if not math.isfinite(float_sum(raw)):
+        raise ValueError(f"{name} scores in category {category.name!r} overflow the float range")
+    dist = normalize_exposure(category.name, category.groups, [s if s > 0.0 else 0.0 for s in raw])
+    return PredictorOutput(name, tuple(raw), dist)
 
 
 # --------------------------------- GEP -------------------------------------
@@ -109,8 +120,10 @@ def gep_group_term_score(stats: QueryGroupStats, term: str, group: str, k: int) 
     if not plist:
         return 0.0
     idf = bm25_idf(stats.n_g[group], len(plist))
-    scores = sorted((tf * idf for tf in plist.values()), reverse=True)
-    return float_sum(scores[:k]) / k
+    # idf >= 0, so the largest tfs give the largest tf * idf, in the same order
+    tfs = sorted(plist.values(), reverse=True)
+    del tfs[k:]
+    return float_sum([tf * idf for tf in tfs]) / k
 
 
 def gep_query_vector(stats: QueryGroupStats) -> dict[str, float]:
@@ -121,16 +134,15 @@ def gep_query_vector(stats: QueryGroupStats) -> dict[str, float]:
     }
 
 
-def _gep(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
+def _gep(stats: QueryGroupStats, k: int, cori_belief: float) -> list[float]:
     """Dot product of each group's top-k tf-idf vector with the query vector."""
-    qvec = gep_query_vector(stats)
-    raw = {}
+    weighted = [(term, qw) for term, qw in gep_query_vector(stats).items() if qw != 0.0]
+    raw = []
     for group in stats.category.groups:
-        raw[group] = float_sum(
-            gep_group_term_score(stats, term, group, k) * qw
-            for term, qw in qvec.items()
-            if qw != 0.0
-        )
+        acc = 0.0
+        for term, qw in weighted:
+            acc += gep_group_term_score(stats, term, group, k) * qw
+        raw.append(acc)
     return raw
 
 
@@ -140,84 +152,84 @@ def _mean_log_ratio(
     stats: QueryGroupStats,
     sizes: Mapping[str, int],
     counts: Mapping[str, Mapping[str, int]],
-) -> dict[str, float]:
+) -> list[float]:
     """Query-weighted mean of log2(sizes[g] / counts[term][g]) per group.
 
     A zero count is smoothed to 0.5; a group of size zero scores 0.
     """
     total = float_sum(stats.qtf.values())
-    raw = {}
+    rows = [(w, counts[term]) for term, w in stats.qtf.items()]
+    raw = []
     for group, size in sizes.items():
         if size == 0 or total == 0.0:
-            raw[group] = 0.0
+            raw.append(0.0)
             continue
         acc = 0.0
-        for term, w in stats.qtf.items():
-            c = counts[term][group]
+        for w, row in rows:
+            c = row[group]
             acc += w * math.log2(size / (c if c > 0 else SMOOTH))
-        raw[group] = acc / total
+        raw.append(acc / total)
     return raw
 
 
-def _avidf(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
+def _avidf(stats: QueryGroupStats, k: int, cori_belief: float) -> list[float]:
     """Mean log2(N_g / df_g) over query terms: average term specificity."""
     return _mean_log_ratio(stats, stats.n_g, stats.df_g)
 
 
-def _avictf(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
+def _avictf(stats: QueryGroupStats, k: int, cori_belief: float) -> list[float]:
     """Mean log2(tokens_g / cf_g) over query terms."""
     return _mean_log_ratio(stats, stats.tokens_g, stats.cf_g)
 
 
-def _scs(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
+def _scs(stats: QueryGroupStats, k: int, cori_belief: float) -> list[float]:
     """KL of the query language model from each group's language model."""
     total = float_sum(stats.qtf.values())
-    raw = {}
+    if total == 0.0:
+        return [0.0] * len(stats.category.groups)
+    rows = [(p_q, stats.cf_g[term]) for term, w in stats.qtf.items() if (p_q := w / total) != 0.0]
+    raw = []
     for group, tokens_g in stats.tokens_g.items():
-        if tokens_g == 0 or total == 0.0:
-            raw[group] = 0.0
+        if tokens_g == 0:
+            raw.append(0.0)
             continue
         acc = 0.0
-        for term, w in stats.qtf.items():
-            p_q = w / total
-            if p_q == 0.0:
-                continue
-            cf_g = stats.cf_g[term][group]
+        for p_q, row in rows:
+            cf_g = row[group]
             p_c = (cf_g if cf_g > 0 else SMOOTH) / tokens_g
             acc += p_q * math.log2(p_q / p_c)
-        raw[group] = acc
+        raw.append(acc)
     return raw
 
 
-def _avpmi(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
+def _avpmi(stats: QueryGroupStats, k: int, cori_belief: float) -> list[float]:
     """Mean pointwise mutual information over unordered query-term pairs.
 
     Probabilities are smoothed document-occurrence fractions within the
     group (counts + 0.5), so never-co-occurring terms stay finite.
     Queries with fewer than two distinct terms fall back to AvIDF.
     """
-    terms = list(stats.qtf)
-    if len(terms) < 2:  # AvIDF
+    splits = [stats.postings[term] for term in stats.qtf]
+    n = len(splits)
+    if n < 2:  # AvIDF
         return _mean_log_ratio(stats, stats.n_g, stats.df_g)
-    pairs = [(terms[i], terms[j]) for i in range(len(terms)) for j in range(i + 1, len(terms))]
-    raw = {}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    raw = []
     for group, n_g in stats.n_g.items():
         if n_g == 0:
-            raw[group] = 0.0
+            raw.append(0.0)
             continue
-        p = {term: (stats.df_g[term][group] + SMOOTH) / n_g for term in terms}
+        docs = [split[group] for split in splits]
+        p = [(len(d) + SMOOTH) / n_g for d in docs]  # len(d) is the group df
         acc = 0.0
-        for t1, t2 in pairs:
-            docs1 = stats.postings[t1][group]
-            docs2 = stats.postings[t2][group]
-            both = len(docs1.keys() & docs2.keys()) if docs1 and docs2 else 0
-            p12 = (both + SMOOTH) / n_g
-            acc += math.log2(p12 / (p[t1] * p[t2]))
-        raw[group] = acc / len(pairs)
+        for i, j in pairs:
+            both = len(docs[i].keys() & docs[j].keys()) if docs[i] and docs[j] else 0
+            acc += math.log2(((both + SMOOTH) / n_g) / (p[i] * p[j]))
+        raw.append(acc / len(pairs))
     return raw
 
 
-def _cori(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
+def _cori(stats: QueryGroupStats, k: int, cori_belief: float) -> list[float]:
     """Mean CORI belief per group, treating each group as a collection.
 
     belief(t|g) = b + (1-b) * T * I with
@@ -227,38 +239,39 @@ def _cori(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float
     the output degenerates to uniform.
     """
     n_groups = len(stats.category.groups)
+    rows = []  # (qtf, group dfs, I) per term in some group, in query order
+    for term, counts in stats.df_g.items():
+        gf = sum(1 for c in counts.values() if c)
+        if gf:
+            i_part = math.log((n_groups + 0.5) / gf) / math.log(n_groups + 1.0)
+            rows.append((stats.qtf[term], counts, i_part))
+    if not rows:
+        return [0.0] * n_groups
+    # a term in some group makes the category's token count, and so mean_cw, positive
     mean_cw = sum(stats.tokens_g.values()) / n_groups
-    gf = {term: sum(1 for c in counts.values() if c) for term, counts in stats.df_g.items()}
-    # I once per term, in query order; a term in no group gets none and is skipped
-    i_parts = {t: math.log((n_groups + 0.5) / n) / math.log(n_groups + 1.0) for t, n in gf.items() if n}
-
+    weight = float_sum([w for w, _, _ in rows])
     b = cori_belief
-    raw = {}
+    raw = []
     for group, tokens_g in stats.tokens_g.items():
+        # df_g + CORI_DF_BASE + x adds x last, so x is computed once per group
+        x = CORI_DF_SCALE * tokens_g / mean_cw
         acc = 0.0
-        weight = 0.0
-        for term, i_part in i_parts.items():
-            w = stats.qtf[term]
-            df_g = stats.df_g[term][group]
-            if mean_cw > 0:
-                t_part = df_g / (df_g + CORI_DF_BASE + CORI_DF_SCALE * tokens_g / mean_cw)
-            else:
-                t_part = 0.0
-            acc += w * (b + (1.0 - b) * t_part * i_part)
-            weight += w
-        raw[group] = acc / weight if weight > 0 else 0.0
+        for w, counts, i_part in rows:
+            df_g = counts[group]
+            acc += w * (b + (1.0 - b) * (df_g / (df_g + CORI_DF_BASE + x)) * i_part)
+        raw.append(acc / weight if weight > 0 else 0.0)
     return raw
 
 
-def _uniform(stats: QueryGroupStats, k: int, cori_belief: float) -> dict[str, float]:
+def _uniform(stats: QueryGroupStats, k: int, cori_belief: float) -> list[float]:
     """Query-independent uniform prediction; a floor for real predictors."""
-    return dict.fromkeys(stats.category.groups, 1.0)
+    return [1.0] * len(stats.category.groups)
 
 
 # ------------------------------- registry ----------------------------------
 
-#: every predictor's raw group scores, by name; the only list of predictor names
-_FORMULAS: dict[str, Callable[[QueryGroupStats, int, float], dict[str, float]]] = {
+#: every predictor's raw scores in group order, by name; the only list of predictor names
+_FORMULAS: dict[str, Callable[[QueryGroupStats, int, float], list[float]]] = {
     "gep": _gep,
     "scs": _scs,
     "avidf": _avidf,

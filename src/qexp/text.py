@@ -57,14 +57,19 @@ def stem_memo():
 
 
 def tokenize(text: str) -> list[str]:
-    """NFC-normalize, lowercase, keep the runs of a-z and 0-9, drop stopwords, stem.
+    """Fold accents, lowercase, keep the runs of a-z and 0-9, drop stopwords, stem.
 
-    Every other character splits a token, accented letters too: "Café"
-    gives ["caf"]. Each distinct word is stemmed once per call, or once
-    per enclosing :func:`stem_memo` block.
+    Text that is not all ASCII is NFKD-normalized and its combining marks
+    dropped, so "Café naïve" gives ["cafe", "naiv"]. Every other character
+    splits a token, letters without a decomposition too: "ß", "æ", "ø",
+    "ł" and "đ" still split. Each distinct word is stemmed once per call,
+    or once per enclosing :func:`stem_memo` block.
     """
     memo = _ACTIVE_MEMO.get()
     if memo is None:
         memo = _StemMemo()
-    words = _TOKEN_RE.findall(unicodedata.normalize("NFC", text).lower())
+    if not text.isascii():
+        decomposed = unicodedata.normalize("NFKD", text)
+        text = "".join(c for c in decomposed if not unicodedata.combining(c))
+    words = _TOKEN_RE.findall(text.lower())
     return [t for t in map(memo.__getitem__, words) if t is not None]

@@ -4,12 +4,13 @@ Everything here works on raw token lists and plain arithmetic so the
 implementations under test share no code with the oracles, apart from the
 stopword list the tokenizer oracle reads; it stems with its own rule-by-rule
 Porter transcription. The predictor oracle covers a single category
-described by a doc_id->group mapping. The ranking oracle scores every
-document on its own and keeps the implementation's arithmetic order, so
-its scores compare exactly. The expansion oracle counts terms from the
-feedback documents' tokens and adds in the implementation's order, so its
-weights compare exactly too. The sampled-exposure oracle draws with
-random.sample itself.
+described by a doc_id->group mapping; it adds floats left to right in the
+implementation's order, so its scores and distributions compare exactly.
+The ranking oracle scores every document on its own and keeps the
+implementation's arithmetic order, so its scores compare exactly. The
+expansion oracle counts terms from the feedback documents' tokens and adds
+in the implementation's order, so its weights compare exactly too. The
+sampled-exposure oracle draws with random.sample itself.
 """
 
 import math
@@ -75,7 +76,7 @@ def oracle_raw_scores(name, doc_tokens, labels, groups, query_terms, k=100):
                     (doc_tokens[d].count(t) * idf_g for d in docs_g if t in doc_tokens[d]),
                     reverse=True,
                 )
-                e += qw * sum(tfidf[:k]) / k
+                e += qw * (_add_left_to_right(tfidf[:k]) / k)
             raw[g] = e
         return raw
 
@@ -87,7 +88,7 @@ def oracle_raw_scores(name, doc_tokens, labels, groups, query_terms, k=100):
             if n_g == 0:
                 raw[g] = 0.0
                 continue
-            acc = sum(
+            acc = _add_left_to_right(
                 c * math.log2(n_g / (_df_in(doc_tokens, docs_g, t) or SMOOTH))
                 for t, c in qtf.items()
             )
@@ -102,7 +103,7 @@ def oracle_raw_scores(name, doc_tokens, labels, groups, query_terms, k=100):
             if tokens_g == 0:
                 raw[g] = 0.0
                 continue
-            acc = sum(
+            acc = _add_left_to_right(
                 c * math.log2(tokens_g / (_cf_in(doc_tokens, docs_g, t) or SMOOTH))
                 for t, c in qtf.items()
             )
@@ -193,7 +194,7 @@ def oracle_raw_scores(name, doc_tokens, labels, groups, query_terms, k=100):
 def oracle_distribution(raw, groups):
     """Floor at zero then divide by the sum; uniform when all mass is zero."""
     floored = [max(0.0, raw[g]) for g in groups]
-    total = sum(floored)
+    total = _add_left_to_right(floored)
     if total == 0.0:
         return [1.0 / len(groups)] * len(groups)
     return [v / total for v in floored]
@@ -367,8 +368,11 @@ def oracle_tokenize(text):
 
     Shares the stopword list with the implementation (it is not what it
     checks) but stems with :func:`oracle_stem` and keeps no memo of any kind.
+    It folds every text, ASCII or not: decompose, then keep the characters
+    of canonical combining class 0.
     """
-    text = unicodedata.normalize("NFC", text).lower()
+    decomposed = unicodedata.normalize("NFKD", text)
+    text = "".join(ch for ch in decomposed if unicodedata.combining(ch) == 0).lower()
     return [oracle_stem(tok) for tok in re.findall(r"[a-z0-9]+", text) if tok not in STOPWORDS]
 
 

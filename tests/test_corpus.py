@@ -121,6 +121,8 @@ class TestBuildIndex:
     def test_unknown_group_rejected(self, tiny_index):
         with pytest.raises(KeyError, match="atlantis"):
             tiny_index.group_doc_count("geo", "atlantis")
+        with pytest.raises(KeyError, match="unknown category 'nope'"):
+            tiny_index.group_token_counts("nope")
         with pytest.raises(KeyError, match="nope"):
             tiny_index.group_postings("t000", "nope")
 
@@ -171,10 +173,9 @@ class TestBuildIndex:
             build_index(docs, [Category("c", ("g",))])
 
     def test_group_sizes(self, tiny_index):
-        assert tiny_index.group_doc_count("geo", "east") == 2
+        assert tiny_index.group_doc_counts("geo") == {"east": 2, "west": 2}
+        assert tiny_index.group_token_counts("geo") == {"east": 7, "west": 5}
         assert tiny_index.group_doc_count("geo", "west") == 2
-        assert tiny_index.group_token_count("geo", "east") == 7
-        assert tiny_index.group_token_count("geo", "west") == 5
 
 
 class TestInvariants:
@@ -202,7 +203,9 @@ class TestInvariants:
         docs, cats = random_labeled_corpus(rng)
         idx = build_index(docs, cats)
         for cat in cats:
-            assert sum(idx.group_doc_count(cat.name, g) for g in cat.groups) == idx.num_docs
+            counts = idx.group_doc_counts(cat.name)
+            assert list(counts) == list(cat.groups)
+            assert sum(counts.values()) == idx.num_docs
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -561,10 +564,7 @@ class TestPersistence:
         ]
         assert (loaded.total_tokens, loaded.avg_doc_len) == (built.total_tokens, built.avg_doc_len)
         for cat in cats:
-            for group in cat.groups:
-                assert loaded.group_token_count(cat.name, group) == built.group_token_count(
-                    cat.name, group
-                )
+            assert loaded.group_token_counts(cat.name) == built.group_token_counts(cat.name)
 
     @settings(max_examples=40, deadline=None)
     @given(

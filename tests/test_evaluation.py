@@ -316,6 +316,22 @@ class TestRunExperiment:
         assert all(f.error.endswith("overflows the float range") for f in report.failures)
         assert len(report.rows) == len(RANKERS) * 3
 
+    def test_weight_overflow_recorded_as_a_prediction_failure(self):
+        class UnweightedRanker(ModelRanker):
+            def rank(self, index, query, k):
+                return super().rank(index, Query.from_terms(query.terms, query.query_id), k)
+
+        big = Query(("t000", "t004"), (sys.float_info.max,) * 2, query_id="qbig")
+        report = run_experiment(
+            _experiment_index(), _queries() + [big], None, [UnweightedRanker("bm25")], [None],
+            make_predictors(PREDICTORS, k=10), k=10,
+        )
+        assert [(f.query_id, f.stage, f.error) for f in report.failures] == [
+            ("qbig", f"predict:{name}", "the total query weight overflows the float range")
+            for name in PREDICTORS
+        ]
+        assert len(report.rows) == 3 * len(PREDICTORS)
+
     @pytest.mark.parametrize("models", [("bm25", "tfidf"), ("bm25", "bm25")])
     def test_first_pass_ranked_once_per_ranker_and_query(self, models):
         idx = _experiment_index()

@@ -127,22 +127,27 @@ class TestGroupExposure:
 
 class TestNormalizeExposure:
     def test_symmetric(self):
-        d = normalize_exposure("c", ["a", "b"], {"a": 1.0, "b": 1.0})
+        d = normalize_exposure("c", ("a", "b"), [1.0, 1.0])
         assert d.values == (0.5, 0.5)
         assert not d.degenerate
 
     def test_single_mass(self):
-        d = normalize_exposure("c", ["a", "b", "x"], {"a": 1.38685})
+        d = normalize_exposure("c", ("a", "b", "x"), [1.38685, 0.0, 0.0])
         assert d.values == pytest.approx((1.0, 0.0, 0.0))
 
     def test_all_zero_uniform_degenerate(self):
-        d = normalize_exposure("c", ["a", "b"], {})
+        d = normalize_exposure("c", ("a", "b"), [0.0, 0.0])
         assert d.values == (0.5, 0.5)
         assert d.degenerate
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_exposure("c", ["a"], {"a": -0.1})
+        with pytest.raises(ValueError, match="nonnegative"):
+            normalize_exposure("c", ("a",), [-0.1])
+
+    @pytest.mark.parametrize("values", [[], [0.0], [1.0, 0.0, 0.0]])
+    def test_one_value_per_group(self, values):
+        with pytest.raises(ValueError, match="one value per group required"):
+            normalize_exposure("c", ("a", "b"), values)
 
     def test_realized_exposure(self):
         idx = _two_group_index()

@@ -172,9 +172,12 @@ class TestTokenize:
     def test_all_stopwords(self):
         assert tokenize("the of and") == []
 
-    def test_splits_at_every_non_ascii_alphanumeric(self):
-        # accented letters are separators, not letters of a token
-        assert tokenize("Café naïve") == ["caf", "na", "ve"]
+    def test_accents_folded(self):
+        assert tokenize("naïve résumé café cafe") == ["naiv", "resum", "cafe", "cafe"]
+        assert tokenize("Cafe\u0301 ＣＡＦÉ") == ["cafe", "cafe"]  # decomposed, full-width
+
+    def test_splits_at_letters_without_a_decomposition(self):
+        assert tokenize("straße æsir øre łódź đak") == ["stra", "e", "sir", "re", "odz", "ak"]
 
     def test_case_and_punctuation(self):
         assert tokenize("Museum, Baroque; LIBRARY!") == ["museum", "baroqu", "librari"]
