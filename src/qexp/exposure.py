@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 import random
 import sys
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import partial, reduce
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -129,14 +128,12 @@ class ExposureHistogram(NamedTuple):
     with a count of 1.0.
 
     A sampled draw takes the same positions, in the same order, as
-    ``random.Random(seed).sample`` over the k weights, read from the
-    generator's 32-bit ``getrandbits`` words, and adds their weights left
-    to right from 0. So the histogram depends on that word stream, not on
-    the private ``_randbelow`` that ``random.sample`` calls. k must stay
-    below 2**32 (one word per draw), which k weights held in memory imply.
-    Below k=256 only the top byte of each word is read, and each step of a
-    draw maps it through a table. Sampled sums are binned as they are
-    drawn, so no list of them is held, whatever the sample size.
+    ``random.Random(seed).sample`` over the k weights, each position below
+    n drawn by ``getrandbits(n.bit_length())`` until it is below n, and
+    adds their weights left to right from 0. So the histogram depends on
+    the generator's ``getrandbits``, not on the private ``_randbelow`` that
+    ``random.sample`` calls. Sampled sums are binned as they are drawn, so
+    no list of them is held, whatever the sample size.
     """
 
     k: int
@@ -253,101 +250,43 @@ def _skip_sums(weights: list[float], r: int, start: int = 0, total: float = 0) -
         yield from _skip_sums(weights, r - 1, q + 1, runs[q - start])
 
 
-#: 32-bit generator words fetched per getrandbits call (64 KB)
-WORD_BLOCK = 1 << 14
-
-
-def _word_block(rng: random.Random) -> array:
-    """The generator's next WORD_BLOCK outputs, each as getrandbits(32) returns it.
-
-    getrandbits(32 * n) puts the i-th output at bits 32i..32i+31.
-    """
-    words = array("I", rng.getrandbits(32 * WORD_BLOCK).to_bytes(4 * WORD_BLOCK, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
-
-
-def _top_byte_block(rng: random.Random) -> bytes:
-    """The top byte of each of the generator's next WORD_BLOCK outputs, as _word_block reads them."""
-    return rng.getrandbits(32 * WORD_BLOCK).to_bytes(4 * WORD_BLOCK, "little")[3::4]
-
-
-def _draw_table(n: int) -> tuple[int | None, ...]:
-    """For each top byte b of a word, the position below n that randbelow(n) draws
-    from that word, or None where it draws again; n < 256."""
-    shift = 8 - n.bit_length()
-    return tuple(b >> shift if b >> shift < n else None for b in range(256))
-
-
 def _sampled_sums(weights: list[float], m: int, samples: int, seed: int) -> Iterator[float]:
     """Yield the weight sums of `samples` draws of m positions without replacement; hold no list.
 
     Each draw takes the positions that random.Random(seed).sample(weights,
     m) takes, in its order, and adds their weights left to right from 0. It
-    replays sample's two branches on one stream of 32-bit words: a position
-    below n is the top n.bit_length() bits of the next word, drawn again
-    while those bits are n or more, as randbelow(n) does. Small
-    populations are drawn from a pool that swap-removes each pick, larger
-    ones from all k positions, drawing again on a position already picked.
-    Below k=256 those bits lie in the word's top byte, so only that byte is
-    read, and each step maps it through a table of the position it draws
-    (None: draw again); from k=256 on each whole word is shifted and compared.
+    replays sample's two branches with the generator's getrandbits: a
+    position below n is getrandbits(n.bit_length()), drawn again while it
+    is n or more, as randbelow(n) does. Small populations are drawn from a
+    pool that swap-removes each pick, larger ones from all k positions,
+    drawing again on a position already picked.
     """
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     k = len(weights)
     setsize = 21  # sample's bound between its two branches
     if m > 5:
         setsize += 4 ** math.ceil(math.log(m * 3, 4))
-    if k < 256:
-        byte = chain.from_iterable(map(_top_byte_block, repeat(rng))).__next__
-        if k <= setsize:
-            steps = [(_draw_table(n), n - 1) for n in range(k, k - m, -1)]
-            for _ in range(samples):
-                pool = weights[:]
-                total = 0
-                for table, last in steps:
-                    j = table[byte()]
-                    while j is None:
-                        j = table[byte()]
-                    total += pool[j]
-                    pool[j] = pool[last]
-                yield total
-        else:
-            table = _draw_table(k)
-            for _ in range(samples):
-                picked = set()
-                total = 0
-                for _ in range(m):
-                    j = table[byte()]
-                    while j is None or j in picked:
-                        j = table[byte()]
-                    picked.add(j)
-                    total += weights[j]
-                yield total
-        return
-    word = chain.from_iterable(map(_word_block, repeat(rng))).__next__
     if k <= setsize:
-        steps = [(n, 32 - n.bit_length(), n - 1) for n in range(k, k - m, -1)]
+        steps = [(n, n.bit_length(), n - 1) for n in range(k, k - m, -1)]
         for _ in range(samples):
             pool = weights[:]
             total = 0
-            for n, shift, last in steps:
-                j = word() >> shift
+            for n, bits, last in steps:
+                j = getrandbits(bits)
                 while j >= n:
-                    j = word() >> shift
+                    j = getrandbits(bits)
                 total += pool[j]
                 pool[j] = pool[last]
             yield total
     else:
-        shift = 32 - k.bit_length()
+        bits = k.bit_length()
         for _ in range(samples):
             picked = set()
             total = 0
             for _ in range(m):
-                j = word() >> shift
+                j = getrandbits(bits)
                 while j >= k or j in picked:
-                    j = word() >> shift
+                    j = getrandbits(bits)
                 picked.add(j)
                 total += weights[j]
             yield total

@@ -207,9 +207,10 @@ def _avpmi(stats: QueryGroupStats, k: int, cori_belief: float) -> list[float]:
 
     Probabilities are smoothed document-occurrence fractions within the
     group (counts + 0.5), so never-co-occurring terms stay finite.
-    Queries with fewer than two distinct terms fall back to AvIDF.
+    Terms of zero weight form no pairs; queries with fewer than two
+    distinct terms of nonzero weight fall back to AvIDF.
     """
-    splits = [stats.postings[term] for term in stats.qtf]
+    splits = [stats.postings[term] for term, w in stats.qtf.items() if w]
     n = len(splits)
     if n < 2:  # AvIDF
         return _mean_log_ratio(stats, stats.n_g, stats.df_g)

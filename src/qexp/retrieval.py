@@ -11,8 +11,7 @@ import math
 from itertools import compress
 from typing import Iterable, NamedTuple
 
-# BM25_K1 and BM25_B live beside the index's norm table and stay importable from here
-from .corpus import BM25_B, BM25_K1, CollectionIndex, read_lines, write_lines
+from .corpus import BM25_K1, CollectionIndex, read_lines, write_lines
 from .text import tokenize
 
 

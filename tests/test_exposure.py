@@ -415,10 +415,12 @@ class TestSampledSums:
     @example((1, 1), 5, 7)
     @example((60, 60), 5, 7)
     @example((130, 130), 5, 7)
-    @example((255, 22), 30, 2)  # sample draws from a pool up to k=277 at m=22: the last k read by top bytes ...
-    @example((256, 22), 30, 2)  # ... and the first read by whole words
+    @example((255, 22), 30, 2)  # sample draws from a pool up to k=277 at m=22: the last k of 8-bit draws ...
+    @example((256, 22), 30, 2)  # ... and the first of 9-bit draws
     @example((255, 21), 30, 3)  # the same edge where sample draws from a set (its bound is 85 at m=21)
     @example((256, 21), 30, 3)
+    @example((65535, 2), 30, 4)  # the 16-bit edge, on the set branch: the last k of 16-bit draws ...
+    @example((65536, 2), 30, 4)  # ... and the first of 17-bit draws
     def test_equal_to_random_sample_bit_for_bit(self, k_m, samples, seed):
         k, m = k_m
         weights = [position_exposure(p) for p in range(1, k + 1)]
@@ -426,35 +428,18 @@ class TestSampledSums:
         assert _bits(got) == _bits(oracle_sampled_values(k, m, samples, seed))
 
     @pytest.mark.parametrize(
-        "k, m, samples, source",
+        "k, m, samples",
         [
-            (60, 50, 1_000, "_top_byte_block"),  # pool branch, about 65k words
-            (100, 10, 2_000, "_top_byte_block"),  # set branch at the default k, about 24k words
-            (255, 22, 1_000, "_top_byte_block"),  # pool branch, the last k read by top bytes, about 23k words
-            (256, 22, 1_000, "_word_block"),  # pool branch, the first k read by whole words, about 24k words
-            (1000, 10, 2_000, "_word_block"),  # set branch, about 21k words
+            (60, 50, 1_000),  # pool branch
+            (100, 10, 2_000),  # set branch at the default k
+            (255, 22, 1_000),  # pool branch, the last k of 8-bit draws
+            (256, 22, 1_000),  # pool branch, the first k of 9-bit draws
+            (1000, 10, 2_000),  # set branch
         ],
     )
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_histogram_past_one_word_block_equals_the_oracle(
-        self, monkeypatch, k, m, samples, source, seed
-    ):
-        blocks = {"_top_byte_block": 0, "_word_block": 0}
-
-        def counted(name):
-            real = getattr(qexp.exposure, name)
-
-            def block(rng):
-                blocks[name] += 1
-                return real(rng)
-
-            return block
-
-        for name in blocks:
-            monkeypatch.setattr(qexp.exposure, name, counted(name))
+    def test_histogram_of_many_draws_equals_the_oracle(self, k, m, samples, seed):
         hist = achievable_exposure(k, m, "sampled", samples=samples, seed=seed)
-        assert blocks[source] >= 2
-        assert sum(blocks.values()) == blocks[source]
         assert hist.bins == oracle_sampled_histogram(k, m, samples, seed)
 
     def test_sampled_memory_does_not_grow_with_the_samples(self):

@@ -202,6 +202,14 @@ class TestBaselineValues:
         assert pmi.predictor == "avpmi"
         assert pmi.raw_scores == idf.raw_scores
 
+    @pytest.mark.parametrize("name", PREDICTORS)
+    def test_zero_weight_term_changes_no_raw_score(self, tiny_index, name):
+        # AvPMI must not pair t000 with the zero-weight t004
+        fn = make_predictors([name])[name]
+        weighted = fn(tiny_index, Query(("t000", "t004"), (1.0, 0.0)), "geo")
+        alone = fn(tiny_index, Query.from_terms(["t000"]), "geo")
+        assert weighted.raw_scores == alone.raw_scores
+
     def test_identical_groups_uniform(self):
         # two groups with identical document multisets
         doc_tokens = {}
