@@ -420,6 +420,21 @@ def read_lines(path) -> Iterator[str]:
         raise
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object of a JSON object's pairs; CorpusError if a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise CorpusError(f"a JSON object repeats the key {repeated!r}")
+    return obj
+
+
+# Decodes corpus lines and categories files. CollectionIndex.load keeps
+# json.loads: build_index cannot write a repeated key, and a hook on each of
+# an index's many objects would slow every load.
+_INPUT_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_corpus_jsonl(path) -> list[Document]:
     """One JSON object per line: {"doc_id": str, "text": str, "labels": {...}}."""
     docs = []
@@ -427,9 +442,11 @@ def load_corpus_jsonl(path) -> list[Document]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _INPUT_DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from None
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
         except ValueError:  # past Python's int string limit
             raise CorpusError(f"{path}: line {lineno}: malformed JSON (integer too long)") from None
         except RecursionError:
@@ -456,9 +473,11 @@ def load_categories_json(path) -> list[Category]:
     """A category object {name, groups[]} or a list of them, checked as build_index checks."""
     text = "".join(read_lines(path))
     try:
-        data = json.loads(text)
+        data = _INPUT_DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: line {exc.lineno}: malformed JSON ({exc.msg})") from None
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
     except ValueError:  # past Python's int string limit
         raise CorpusError(f"{path}: malformed JSON (integer too long)") from None
     except RecursionError:

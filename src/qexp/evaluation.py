@@ -253,11 +253,10 @@ def run_experiment(
         for expander in expanders
     ]
 
-    rows: list[Row] = []
-    cv_rows: list[CvRow] = []
     failures: list[Failure] = []
-    # (ranker, expander, category) -> predictor -> {query_id: jsd}, in query order
-    per_query: dict[tuple[str, str, str], dict[str, dict[str, float]]] = {}
+    # one (ranker, expander, query_id, category, realized, {predictor: jsd}) per
+    # realized exposure, in loop order: every report is built from these
+    records: list[tuple[str, str, str, str, ExposureDistribution, dict[str, float]]] = []
 
     predictions_cache: dict[tuple[str, str, str], PredictorOutput] = {}
     # (ranker, query_id) -> first-pass ranking, shared by every expander of
@@ -290,16 +289,7 @@ def run_experiment(
                         Failure(ranker.name, exp_name, qid, "exposure", error_message(exc))
                     )
                     continue
-                cv_rows.append(
-                    CvRow(
-                        ranker.name,
-                        exp_name,
-                        qid,
-                        category,
-                        coefficient_of_variation(realized.values),
-                        realized.degenerate,
-                    )
-                )
+                jsds: dict[str, float] = {}
                 for pname, predictor in predictors.items():
                     cache_key = (qid, category, pname)
                     try:
@@ -307,19 +297,18 @@ def run_experiment(
                         if prediction is None:
                             prediction = predictor(index, query, category)
                             predictions_cache[cache_key] = prediction
-                        distance = jsd(prediction.distribution, realized)
+                        jsds[pname] = jsd(prediction.distribution, realized)
                     except Exception as exc:
                         failures.append(
                             Failure(ranker.name, exp_name, qid, f"predict:{pname}", error_message(exc))
                         )
-                        continue
-                    rows.append(Row(ranker.name, exp_name, qid, category, pname, distance))
-                    per_query.setdefault((ranker.name, exp_name, category), {}).setdefault(
-                        pname, {}
-                    )[qid] = distance
+                records.append((ranker.name, exp_name, qid, category, realized, jsds))
 
-    rows.sort(key=lambda r: (r.ranker, r.expander, r.query_id, r.category, r.predictor))
-    cv_rows.sort(key=lambda r: (r.ranker, r.expander, r.query_id, r.category))
+    # the leading fields of a row are unique, so rows sort as tuples, with no key
+    rows = sorted(Row(*rec[:4], pname, d) for rec in records for pname, d in rec[5].items())
+    cv_rows = sorted(
+        CvRow(*rec[:4], coefficient_of_variation(rec[4].values), rec[4].degenerate) for rec in records
+    )
 
     others = [p for p in predictors if p != REFERENCE]
     m = max(1, len(others))
@@ -335,7 +324,8 @@ def run_experiment(
                 "expander": exp_name,
                 "categories": {
                     category: _score(
-                        per_query.get((ranker.name, exp_name, category), {}),
+                        [rec for rec in records
+                         if rec[:2] == (ranker.name, exp_name) and rec[3] == category],
                         baselines, m,
                     )
                     for category in category_names
@@ -347,8 +337,13 @@ def run_experiment(
     return PredictionReport(rows, cv_rows, failures, summary)
 
 
-def _score(jsds: Mapping[str, Mapping[str, float]], baselines, m) -> dict:
-    """Mean JSD per predictor, and the reference's paired t-test against each baseline."""
+def _score(records: Sequence[tuple], baselines, m) -> dict:
+    """Mean JSD per predictor over one pipeline's and category's records, which are in
+    query order, and the reference's paired t-test against each baseline."""
+    jsds: dict[str, dict[str, float]] = {}
+    for _, _, qid, _, _, distances in records:
+        for pname, distance in distances.items():
+            jsds.setdefault(pname, {})[qid] = distance
     ref = jsds.get(REFERENCE, {})
     significance = {}
     for baseline in baselines:

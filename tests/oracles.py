@@ -10,7 +10,9 @@ The ranking oracle scores every document on its own and keeps the
 implementation's arithmetic order, so its scores compare exactly. The
 expansion oracle counts terms from the feedback documents' tokens and adds
 in the implementation's order, so its weights compare exactly too. The
-sampled-exposure oracle draws with random.sample itself.
+experiment oracle composes these with no memo, so every number of the
+experiment reports compares exactly. The sampled-exposure oracle draws with
+random.sample itself.
 """
 
 import math
@@ -493,6 +495,112 @@ def oracle_expand(method, doc_tokens, query, ranking):
         )
 
     raise ValueError(f"no oracle for expander {method!r}")
+
+
+# ----------------------------- experiment oracle ----------------------------
+
+def oracle_experiment(doc_tokens, labels, categories, queries, rankers, expanders,
+                      predictors, k):
+    """Every number of run_experiment's reports, one pipeline, query and category at a time.
+
+    doc_tokens maps doc_id -> tokens and labels doc_id -> {category: group};
+    categories is a list of (name, groups), queries a list of (query_id,
+    terms) with every term of weight 1. Each pipeline ranks its own first
+    pass with oracle_rank, expands it with oracle_expand (expander "none"
+    keeps it) and ranks the expanded query again; realized exposure adds
+    each group's 1/log2(p+1) over that final ranking; each predictor scores
+    the original terms with oracle_raw_scores and oracle_distribution.
+    Nothing is kept from one pipeline, query, category or predictor to the
+    next. Every float is added in the implementation's order: JSD both
+    halves of each group's term in group order, means in query order, t
+    statistics in query-id order.
+
+    Returns (jsd_rows, cv_rows, failures, scores): jsd_rows maps (ranker,
+    expander, query_id, category, predictor) to the JSD; cv_rows maps
+    (ranker, expander, query_id, category) to (cv_percent, degenerate);
+    failures lists (ranker, expander, query_id, stage) in loop order, where
+    an empty query fails its "ranking"; scores maps (ranker, expander,
+    category) to (mean JSD per predictor, the paired t statistic of "gep"
+    against each other predictor), a t of None where fewer than two
+    queries pair up or their differences do not vary.
+    """
+    jsd_rows, cv_rows, failures = {}, {}, []
+    group_of = {c: {d: doc_labels[c] for d, doc_labels in labels.items()} for c, _ in categories}
+    for ranker in rankers:
+        for expander in expanders:
+            for qid, terms in queries:
+                if not terms:
+                    failures.append((ranker, expander, qid, "ranking"))
+                    continue
+                ranking = oracle_rank(doc_tokens, terms, [1.0] * len(terms), ranker, k)
+                if expander != "none":
+                    exp_terms, exp_weights, _ = oracle_expand(
+                        expander, doc_tokens, (terms, [1.0] * len(terms)), ranking
+                    )
+                    ranking = oracle_rank(doc_tokens, exp_terms, exp_weights, ranker, k)
+                for category, groups in categories:
+                    exposure = dict.fromkeys(groups, 0.0)
+                    for p, (d, _) in enumerate(ranking, start=1):
+                        exposure[group_of[category][d]] += 1.0 / math.log2(p + 1)
+                    realized = oracle_distribution(exposure, groups)
+                    key = (ranker, expander, qid, category)
+                    cv_rows[key] = (_oracle_cv(realized), not any(exposure.values()))
+                    for name in predictors:
+                        raw = oracle_raw_scores(name, doc_tokens, group_of[category], groups,
+                                                terms, k)
+                        jsd_rows[key + (name,)] = _oracle_jsd(oracle_distribution(raw, groups),
+                                                              realized)
+    scores = {}
+    for ranker in rankers:
+        for expander in expanders:
+            for category, _ in categories:
+                per_query = {
+                    name: {qid: jsd_rows[(ranker, expander, qid, category, name)]
+                           for qid, _ in queries
+                           if (ranker, expander, qid, category, name) in jsd_rows}
+                    for name in predictors
+                }
+                means = {
+                    name: _add_left_to_right(jsds.values()) / len(jsds)
+                    for name, jsds in per_query.items() if jsds
+                }
+                ts = {name: _oracle_paired_t(per_query["gep"], per_query[name])
+                      for name in predictors if name != "gep"}
+                scores[(ranker, expander, category)] = (means, ts)
+    return jsd_rows, cv_rows, failures, scores
+
+
+def _oracle_jsd(p, e):
+    """sqrt(KL(p || m) / 2 + KL(e || m) / 2) with m = (p + e) / 2, base 2, 0 log 0 = 0.
+
+    p / m rounds to the implementation's 2p / (p + e) unless p + e is subnormal.
+    """
+    acc = 0.0
+    for pi, ei in zip(p, e):
+        mi = (pi + ei) / 2
+        if pi > 0.0:
+            acc += 0.5 * pi * math.log2(pi / mi)
+        if ei > 0.0:
+            acc += 0.5 * ei * math.log2(ei / mi)
+    return math.sqrt(max(acc, 0.0))
+
+
+def _oracle_cv(values):
+    """Population standard deviation over mean, in percent."""
+    mean = _add_left_to_right(values) / len(values)
+    var = _add_left_to_right((v - mean) ** 2 for v in values) / len(values)
+    return math.sqrt(var) / mean * 100.0
+
+
+def _oracle_paired_t(a, b):
+    """Student's paired t of a - b over the query ids both hold, in id order."""
+    shared = sorted(set(a) & set(b))
+    if len(shared) < 2:
+        return None
+    diffs = [a[q] - b[q] for q in shared]
+    mean = _add_left_to_right(diffs) / len(diffs)
+    var = _add_left_to_right((d - mean) ** 2 for d in diffs) / (len(diffs) - 1)
+    return None if var == 0.0 else mean / math.sqrt(var / len(diffs))
 
 
 # ------------------------- achievable exposure oracle -----------------------

@@ -6,10 +6,12 @@ import hashlib
 import io
 import json
 import math
+import operator
 import re
 import runpy
 import shutil
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -251,6 +253,13 @@ class TestIndexCommand:
              "corpus.jsonl: duplicate doc_id 'd00'"),
             ('{"doc_id": "d10", "text": "t000", "labels": {"c": "z"}}', None,
              "corpus.jsonl: doc 'd10': unknown group 'z' for category 'c'"),
+            # json.loads would keep the last of a repeated key's values
+            ('{"doc_id": "d10", "text": "t000", "labels": {"c": "A", "c": "B"}}', None,
+             "corpus.jsonl: line 11: a JSON object repeats the key 'c'"),
+            ('{"doc_id": "d10", "doc_id": "d11", "text": "t000", "labels": {"c": "A"}}', None,
+             "corpus.jsonl: line 11: a JSON object repeats the key 'doc_id'"),
+            (None, '{"name": "c", "groups": ["A"], "groups": ["A", "B"]}',
+             "categories.json: a JSON object repeats the key 'groups'"),
         ],
     )
     def test_malformed_input_exits_1_naming_the_file(
@@ -379,6 +388,26 @@ def replaced(value, path, new):
     return copy
 
 
+def with_repeated_key(draw, text: bytes, form) -> bytes:
+    """The text with one key of one JSON object written a second time, with a WRONG_TYPES
+    value or its own."""
+    if form == "lines":  # one line of the JSONL corpus
+        lines = text.split(b"\n")
+        i = draw(st.integers(0, len(lines) - 2))
+        return b"\n".join(lines[:i] + [with_repeated_key(draw, lines[i], "document")]
+                          + lines[i + 1:])
+    doc = json.loads(text)
+    objects = {path: node for path in json_nodes(doc)
+               if isinstance(node := reduce(operator.getitem, path, doc), dict) and node}
+    path = draw(st.sampled_from(list(objects)))
+    obj = objects[path]
+    key = draw(st.sampled_from(list(obj)))
+    value = draw(st.sampled_from(WRONG_TYPES + [obj[key]]))
+    repeated = f"{json.dumps(obj)[:-1]}, {json.dumps(key)}: {json.dumps(value)}}}"
+    mark = "\0repeated"  # no input holds a NUL
+    return json.dumps(replaced(doc, path, mark)).replace(json.dumps(mark), repeated).encode()
+
+
 def retyped(draw, text: bytes, form) -> bytes:
     """The text with one JSON value (one field, if it is not JSON) replaced by a WRONG_TYPES one."""
     if form == "lines":  # one line of the JSONL corpus
@@ -450,9 +479,11 @@ class TestMalformedInputFiles:
 
         The file is truncated, has one byte flipped, is replaced by deeply
         nested JSON or by an integer too long for Python to parse, has one
-        value replaced by a value of another JSON type (most often), or has
-        bytes inserted that are not UTF-8. An index is mutated inside its
-        gzip payload.
+        value replaced by a value of another JSON type (most often), has
+        bytes inserted that are not UTF-8, or (a JSON file) has one key of
+        one object repeated. An index is mutated inside its gzip payload.
+        A corpus or categories file with a repeated key is rejected; an
+        index is not checked for one, as build_index cannot write it.
         """
         ws = boundary_workspace
         kind = data.draw(st.sampled_from(sorted(INPUT_KINDS)))
@@ -461,7 +492,8 @@ class TestMalformedInputFiles:
         if kind == "index":
             content = gzip.decompress(content[len(INDEX_MAGIC) + 1:])
         mutation = data.draw(st.sampled_from(
-            ["truncate", "flip", "deep", "long int", "retype", "not utf-8"]))
+            ["truncate", "flip", "deep", "long int", "retype", "not utf-8"]
+            + (["repeat a key"] if form else [])))
         if mutation == "truncate":
             content = content[:data.draw(st.integers(0, len(content) - 1))]
         elif mutation == "flip":
@@ -473,6 +505,8 @@ class TestMalformedInputFiles:
             content = LONG_INT.encode()
         elif mutation == "retype":
             content = retyped(data.draw, content, form)
+        elif mutation == "repeat a key":
+            content = with_repeated_key(data.draw, content, form)
         else:
             i = data.draw(st.integers(0, len(content)))
             content = content[:i] + data.draw(st.sampled_from(NOT_UTF8)) + content[i:]
@@ -486,6 +520,8 @@ class TestMalformedInputFiles:
             code = main([arg.format(ws=ws, mutated=mutated) for arg in argv])
         out, err = out.getvalue(), err.getvalue()
         assert "Traceback" not in out + err
+        if mutation == "repeat a key" and kind != "index":
+            assert code == 1 and "repeats the key" in err, (code, err)
         if code == 0:
             assert err == ""
             return

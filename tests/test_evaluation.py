@@ -26,7 +26,7 @@ from qexp.retrieval import RANKERS, Query, rank, write_run_file
 from qexp.stats import betainc, student_t_two_sided_p
 
 from conftest import random_labeled_corpus, stable_vocab
-from oracles import t_two_sided_p_by_quadrature
+from oracles import oracle_experiment, oracle_tokenize, t_two_sided_p_by_quadrature
 
 
 def random_distribution(rng, n):
@@ -555,3 +555,45 @@ class TestRunExperimentProperties:
             assert [f for f in grid.failures if f.expander == name] == alone.failures
             pipelines = [p for p in grid.summary["pipelines"] if p["expander"] == name]
             assert json.dumps(pipelines) == json.dumps(alone.summary["pipelines"])
+
+
+class TestExperimentOracle:
+    """run_experiment against oracle_experiment, which ranks, expands, measures
+    and predicts every pipeline, query and category from raw tokens, with no
+    memo. The oracle adds every float in the implementation's order, so
+    every jsd.csv and cv.csv value, mean JSD and t statistic compares with
+    ==: no tolerance is needed. The p-values are left to TestPairedT, whose
+    quadrature oracle is itself approximate."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 2), st.sampled_from([2, 3, 5]))
+    def test_reports_equal_the_oracle(self, seed, num_categories, k):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(rng, num_docs=16, num_categories=num_categories)
+        vocab = stable_vocab(9)  # the last word is in no document
+        texts = [" ".join(rng.choices(vocab[:8], k=rng.randint(1, 4))) for _ in range(5)]
+        texts += [vocab[8], "the of and"]  # an unseen word, then only stopwords
+        queries = [Query.from_text(text, query_id=f"q{i}") for i, text in enumerate(texts)]
+        report = run_experiment(
+            build_index(docs, cats), queries, None, [ModelRanker(m) for m in RANKERS],
+            [None, *(QueryExpander(e) for e in EXPANDERS)], make_predictors(PREDICTORS, k), k,
+        )
+        jsd_rows, cv_rows, failures, scores = oracle_experiment(
+            {d.doc_id: oracle_tokenize(d.text) for d in docs},
+            {d.doc_id: d.labels for d in docs},
+            [(c.name, c.groups) for c in cats],
+            [(f"q{i}", oracle_tokenize(text)) for i, text in enumerate(texts)],
+            RANKERS, ("none", *EXPANDERS), PREDICTORS, k,
+        )
+        assert [(f.ranker, f.expander, f.query_id, f.stage) for f in report.failures] == failures
+        assert len(report.rows) == len(jsd_rows) and len(report.cv_rows) == len(cv_rows)
+        assert {row[:5]: row.jsd for row in report.rows} == jsd_rows
+        assert {row[:4]: (row.cv_percent, row.degenerate) for row in report.cv_rows} == cv_rows
+        assert len(report.summary["pipelines"]) == len(RANKERS) * (1 + len(EXPANDERS))
+        assert {
+            (pipeline["ranker"], pipeline["expander"], category): (
+                score["mean_jsd"], {name: test["t"] for name, test in score["significance"].items()}
+            )
+            for pipeline in report.summary["pipelines"]
+            for category, score in pipeline["categories"].items()
+        } == scores
