@@ -83,9 +83,11 @@ def _split_ints(value: str) -> list[int]:
         ) from None
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
+def _load_inputs(args) -> tuple[CollectionIndex, list[Query]]:
+    """The index and queries of ``--index`` and ``--queries``, once ``--k`` is checked."""
+    if args.k < 1:
         raise ValueError("k must be >= 1")
+    return CollectionIndex.load(args.index), load_queries_tsv(args.queries)
 
 
 def _per_query(queries: list[Query], fn) -> list:
@@ -116,9 +118,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _check_k(args.k)
-    index = CollectionIndex.load(args.index)
-    queries = load_queries_tsv(args.queries)
+    index, queries = _load_inputs(args)
     rankings = _per_query(queries, lambda q: rank(index, q, args.model, args.k))
     write_run_file(args.out, rankings, tag=args.model)
     print(f"wrote {sum(len(r.entries) for r in rankings)} lines to {args.out}")
@@ -126,10 +126,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    _check_k(args.k)
     expander = QueryExpander(args.method)
-    index = CollectionIndex.load(args.index)
-    queries = load_queries_tsv(args.queries)
+    index, queries = _load_inputs(args)
 
     def expand(query):
         first = rank(index, query, args.model, args.k)
@@ -144,8 +142,7 @@ def cmd_expand(args) -> int:
 def cmd_predict(args) -> int:
     reject_repeats("--category-names", args.category_names or [])
     predictors = make_predictors(args.predictors, args.k)
-    index = CollectionIndex.load(args.index)
-    queries = load_queries_tsv(args.queries)
+    index, queries = _load_inputs(args)
     if args.category_names:
         categories = [index.category(name).name for name in args.category_names]
     else:
@@ -173,8 +170,7 @@ def cmd_run(args) -> int:
     rankers += [RunFileRanker(path) for path in args.run_files]
     check_experiment(args.category_names, rankers, expanders, predictors, args.k)
 
-    index = CollectionIndex.load(args.index)
-    queries = load_queries_tsv(args.queries)
+    index, queries = _load_inputs(args)
     report = run_experiment(
         index, queries, args.category_names, rankers, expanders, predictors, args.k
     )
@@ -299,7 +295,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (CorpusError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # a CorpusError is a ValueError
         print(f"error: {error_message(exc)}", file=sys.stderr)
         return 1
 

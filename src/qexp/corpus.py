@@ -340,6 +340,15 @@ def _check_doc_id(doc_id) -> None:
         raise CorpusError(f"doc_id {doc_id!r} is not a string")
     if doc_id.split() != [doc_id]:
         raise CorpusError(f"doc_id {doc_id!r} is empty or contains whitespace")
+    _check_utf8("doc_id", doc_id)
+
+
+def _check_utf8(what: str, value: str) -> None:
+    # a JSON "\ud800" escape decodes to a lone surrogate, which no output file can hold
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusError(f"{what} {value!r} cannot be written as UTF-8") from None
 
 
 def build_index(
@@ -506,6 +515,9 @@ def _categories_from_json(objs) -> list[Category]:
             raise CorpusError(f"category name {name!r} is not a JSON string")
         if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
             raise CorpusError(f"category {name!r}: groups must be a JSON list of strings")
+        _check_utf8("category name", name)
+        for group in groups:
+            _check_utf8(f"category {name!r}: group", group)
         cats.append(Category(name, tuple(groups)))  # rejects no groups or a repeated one
     return cats
 

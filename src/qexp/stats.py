@@ -31,25 +31,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # one even and one odd step; convergence is tested after the odd one only
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        for aa in (even, -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")

@@ -260,6 +260,13 @@ class TestIndexCommand:
              "corpus.jsonl: line 11: a JSON object repeats the key 'doc_id'"),
             (None, '{"name": "c", "groups": ["A"], "groups": ["A", "B"]}',
              "categories.json: a JSON object repeats the key 'groups'"),
+            # a lone surrogate escape decodes, but no output file can hold it
+            ('{"doc_id": "d\\ud800", "text": "t000", "labels": {"c": "A"}}', None,
+             "corpus.jsonl: doc_id 'd\\ud800' cannot be written as UTF-8"),
+            (None, '{"name": "c\\ud800", "groups": ["A", "B"]}',
+             "categories.json: category name 'c\\ud800' cannot be written as UTF-8"),
+            (None, '{"name": "c", "groups": ["A", "B\\udc00"]}',
+             "categories.json: category 'c': group 'B\\udc00' cannot be written as UTF-8"),
         ],
     )
     def test_malformed_input_exits_1_naming_the_file(
@@ -288,6 +295,26 @@ class TestIndexCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err == f"error: {corpus}: empty corpus\n"
+
+    def test_escaped_surrogate_pairs_index_rank_and_run(self, workspace):
+        # "\\ud83d\\ude00" decodes to the one code point U+1F600, which UTF-8 holds
+        corpus, categories = workspace / "corpus.jsonl", workspace / "categories.json"
+        corpus.write_text(corpus.read_text() + (
+            '{"doc_id": "d\\ud83d\\ude00", "text": "t000 t001",'
+            ' "labels": {"c": "A", "e\\ud83d\\ude00": "g\\ud83d\\ude00"}}\n'
+        ))
+        categories.write_text(
+            '[{"name": "c", "groups": ["A", "B"]},'
+            ' {"name": "e\\ud83d\\ude00", "groups": ["g\\ud83d\\ude00", "Unknown"]}]'
+        )
+        index, run_file = workspace / "emoji.qx", workspace / "run.trec"
+        source = ["--index", str(index), "--queries", str(workspace / "queries.tsv")]
+        assert main(["index", "--corpus", str(corpus), "--categories", str(categories),
+                     "--out", str(index)]) == 0
+        assert main(["rank", *source, "--k", "5", "--out", str(run_file)]) == 0
+        assert "d\U0001f600" in run_file.read_text(encoding="utf-8").split()
+        assert main(["run", *source, "--k", "5", "--out-dir", str(workspace / "out")]) == 0
+        assert ",e\U0001f600," in (workspace / "out" / "jsd.csv").read_text(encoding="utf-8")
 
     def test_relabeling_changes_only_group_stats(self, workspace):
         relabeled = workspace / "relabel.jsonl"

@@ -437,6 +437,8 @@ class TestPersistence:
                  f"doc_id {doc_id!r} is empty or contains whitespace")
                 for doc_id in ("a b", "", " ", "d1\t")
             ],
+            ({"id": "d\ud800"}, {"postings": {"t000": {"d\ud800": 1}}},
+             "doc_id 'd\\ud800' cannot be written as UTF-8"),
             *[
                 ({"id": doc_id}, {"postings": {}}, f"doc_id {doc_id!r} is not a string")
                 for doc_id in (5, None, True)

@@ -156,6 +156,49 @@ class TestPairedT:
         with pytest.raises(ValueError):
             paired_t_test([1.0], [1.0, 2.0])
 
+    # exact bits as computed by the continued fraction, so a rewrite of it
+    # that reorders one operation fails here; the comment names the branch
+    @pytest.mark.parametrize("a,b,x,expected", [
+        (0.5, 0.5, 0.3, 0.36901011956554497),  # lower
+        (0.5, 0.5, 0.7, 0.6309898804344553),  # upper
+        (1.0, 1.0, 0.25, 0.25),  # lower
+        (2.0, 3.0, 0.1, 0.052300000000000006),  # lower
+        (2.0, 3.0, 0.9, 0.9963),  # upper
+        (5.0, 0.5, 0.2, 8.630216153154269e-05),  # lower
+        (5.0, 0.5, 0.95, 0.48479121309839646),  # upper
+        (0.5, 5.0, 0.05, 0.5152087869016032),  # lower
+        (0.5, 5.0, 0.6, 0.9969059133137891),  # upper
+        (10.0, 10.0, 0.5, 0.4999999999999979),  # upper
+        (10.0, 10.0, 0.51, 0.5351971636766578),  # upper
+        (30.0, 2.0, 0.8, 0.008665580274997716),  # lower
+        (2.0, 30.0, 0.2, 0.9913344197250022),  # upper
+        (250.0, 0.5, 0.999, 0.47960989887181193),  # upper
+        (0.25, 0.5, 1e-06, 0.024120584014030166),  # lower
+        (100.0, 100.0, 0.45, 0.0783879327122233),  # lower
+    ])
+    def test_betainc_bits(self, a, b, x, expected):
+        assert betainc(a, b, x) == expected
+
+    @pytest.mark.parametrize("t,df,expected", [
+        (0.0, 5.0, 1.0),
+        (1.0, 0.5, 0.6022432216826438),
+        (0.5, 0.5, 0.7573180729294369),
+        (2.0, 1.0, 0.29516723530086636),
+        (-2.0, 1.0, 0.29516723530086636),
+        (2.262, 9.0, 0.05001284550245452),
+        (0.1, 29.0, 0.9210324444873697),
+        (0.0001, 3.0, 0.9999264894812827),
+        (0.01, 499.0, 0.9920252839845064),
+        (3.5, 14.0, 0.003535208105858952),
+        (1.96, 1e6, 0.04999606754949321),
+        (7.0, 1e6, 2.561224109463659e-12),
+        (50.0, 10.0, 2.4743103293026855e-13),
+        (-50.0, 2.0, 0.0003997601598880801),
+        (50.0, 500.0, 1.131991288954176e-196),
+    ])
+    def test_p_bits(self, t, df, expected):
+        assert student_t_two_sided_p(t, df) == expected
+
     def test_betainc_bounds(self):
         assert betainc(2.0, 3.0, 0.0) == 0.0
         assert betainc(2.0, 3.0, 1.0) == 1.0
