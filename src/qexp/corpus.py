@@ -296,28 +296,8 @@ def _index_fields(payload) -> tuple:
         raise ValueError("docs must be a JSON list of objects")
     if not isinstance(postings, dict):
         raise ValueError("postings must be a JSON object of objects")
-    if not docs:
-        raise ValueError("no documents")
-    check_categories(categories)
-    doc_groups = {cat.name: {} for cat in categories}
-    tokens = {}
-    for d in docs:
-        doc_id, labels = d["id"], d["labels"]
-        _check_doc_id(doc_id)  # before it is hashed as a key
-        if doc_id in tokens:
-            raise ValueError("duplicate document ids")
-        tokens[doc_id] = 0
-        if not isinstance(labels, dict):
-            raise ValueError(f"document {doc_id!r}: labels must be a JSON object")
-        for cat in categories:
-            group = labels.get(cat.name)
-            if group not in cat.groups:
-                raise ValueError(f"document {doc_id!r} has no group of category {cat.name!r}")
-            doc_groups[cat.name][doc_id] = group
-        if len(labels) > len(categories):  # every category has its label: the rest are unknown
-            known = {cat.name for cat in categories}
-            unknown = next(name for name in labels if name not in known)
-            raise ValueError(f"document {doc_id!r} has a label of unknown category {unknown!r}")
+    doc_groups = _doc_groups([(d["id"], d["labels"]) for d in docs], categories)
+    tokens = dict.fromkeys(doc_groups[categories[0].name], 0)
     for term, plist in postings.items():
         if not isinstance(plist, dict):
             raise ValueError(f"term {term!r}: postings must be a JSON object")
@@ -331,7 +311,41 @@ def _index_fields(payload) -> tuple:
                     f"term {term!r} has tf {tf!r} for document {doc_id!r}, not an int >= 1"
                 )
             tokens[doc_id] += tf
+    for doc_id, n in tokens.items():  # below it every count is an exact float: no score overflows
+        if n > 2**53:
+            raise ValueError(f"document {doc_id!r} has {n} tokens, more than 2**53")
     return categories, doc_groups, tokens, postings
+
+
+def _doc_groups(records: Sequence[tuple], categories: Sequence[Category]) -> dict[str, dict[str, str]]:
+    """category -> {doc_id: group} from (doc_id, labels) pairs, in category and document order.
+
+    The one check of a document record, built or loaded: an id a run file can
+    carry that does not repeat, and a labels dict naming one group of each
+    category and nothing else.
+    """
+    if not records:
+        raise CorpusError("no documents")
+    check_categories(categories)
+    doc_groups = {cat.name: {} for cat in categories}
+    checked = doc_groups[categories[0].name]  # every checked id is in each table
+    for doc_id, labels in records:
+        _check_doc_id(doc_id)  # before it is hashed as a key
+        if doc_id in checked:
+            raise CorpusError(f"duplicate doc_id {doc_id!r}")
+        if not isinstance(labels, dict):
+            raise CorpusError(f"doc {doc_id!r}: labels must be a JSON object")
+        for cat in categories:
+            group = labels.get(cat.name)
+            if group is None:
+                raise CorpusError(f"doc {doc_id!r} has no label for category {cat.name!r}")
+            if group not in cat.groups:
+                raise CorpusError(f"doc {doc_id!r}: unknown group {group!r} for category {cat.name!r}")
+            doc_groups[cat.name][doc_id] = group
+        if len(labels) > len(categories):  # every category has its label: the rest are unknown
+            unknown = next(name for name in labels if name not in doc_groups)
+            raise CorpusError(f"doc {doc_id!r} has a label of unknown category {unknown!r}")
+    return doc_groups
 
 
 def _check_doc_id(doc_id) -> None:
@@ -359,50 +373,28 @@ def build_index(
     """Tokenize and index a corpus; deterministic for a given input order.
 
     Every document must carry a label for every category, and that label
-    must name one of the category's groups. A missing label is tolerated
-    only when the category itself defines an Unknown/Unk group, which
-    then absorbs the document.
+    must name one of the category's groups. A missing or None label is
+    tolerated only when the category itself defines an Unknown/Unk group,
+    which then absorbs the document. Every record is checked before any text
+    is tokenized.
     """
-    if not docs:
-        raise CorpusError("empty corpus")
-    check_categories(categories)
-
-    doc_groups: dict[str, dict[str, str]] = {cat.name: {} for cat in categories}
+    fallback = {  # category -> its Unknown/Unk group, or None
+        cat.name: next((g for g in cat.groups if g.lower() in _UNKNOWN_GROUP_NAMES), None)
+        for cat in categories
+    }
+    doc_groups = _doc_groups([
+        (doc.doc_id, {c: f if (g := doc.labels.get(c)) is None else g for c, f in fallback.items()})
+        for doc in docs
+    ], categories)
     doc_lengths: dict[str, int] = {}
     postings: dict[str, dict[str, int]] = {}
-
     with stem_memo():  # one memo per build: each distinct word is stemmed once
         for doc in docs:
-            _check_doc_id(doc.doc_id)
-            if doc.doc_id in doc_lengths:
-                raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
-            for cat in categories:
-                group = doc.labels.get(cat.name)
-                if group is None:
-                    group = _unknown_group(cat)
-                    if group is None:
-                        raise CorpusError(
-                            f"doc {doc.doc_id!r} has no label for category {cat.name!r}"
-                        )
-                elif group not in cat.groups:
-                    raise CorpusError(
-                        f"doc {doc.doc_id!r}: unknown group {group!r} "
-                        f"for category {cat.name!r}"
-                    )
-                doc_groups[cat.name][doc.doc_id] = group
             terms = tokenizer(doc.text)
             doc_lengths[doc.doc_id] = len(terms)
             for t, tf in Counter(terms).items():
                 postings.setdefault(t, {})[doc.doc_id] = tf
-
     return CollectionIndex(list(categories), doc_groups, doc_lengths, postings)
-
-
-def _unknown_group(cat: Category) -> str | None:
-    for g in cat.groups:
-        if g.lower() in _UNKNOWN_GROUP_NAMES:
-            return g
-    return None
 
 
 # ------------------------------- file loading ------------------------------

@@ -294,7 +294,7 @@ class TestIndexCommand:
             "--out", str(workspace / "x.qx"),
         ])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {corpus}: empty corpus\n"
+        assert capsys.readouterr().err == f"error: {corpus}: no documents\n"
 
     def test_escaped_surrogate_pairs_index_rank_and_run(self, workspace):
         # "\\ud83d\\ude00" decodes to the one code point U+1F600, which UTF-8 holds
@@ -386,7 +386,7 @@ INPUT_KINDS = {
                  "--queries", "{ws}/queries.tsv", "--rankers", "", "--run-file", "{mutated}",
                  "--out-dir", "{ws}/out"]),
 }
-WRONG_TYPES = [None, True, 0, 1.5, "x", [], {}, [0], {"x": 0}]
+WRONG_TYPES = [None, True, 0, 1.5, "x", [], {}, [0], {"x": 0}, 10**400]
 NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]
 
 

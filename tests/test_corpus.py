@@ -127,7 +127,7 @@ class TestBuildIndex:
             tiny_index.group_postings("t000", "nope")
 
     def test_empty_corpus(self):
-        with pytest.raises(CorpusError, match="empty corpus"):
+        with pytest.raises(CorpusError, match="no documents"):
             build_index([], [Category("c", ("g",))])
 
     @pytest.mark.parametrize(
@@ -167,10 +167,30 @@ class TestBuildIndex:
         idx = build_index(docs, [Category("c", ("Unknown", "g"))])
         assert idx.doc_groups("c")["d9"] == "Unknown"
 
+    def test_none_label_falls_into_unknown_group(self):
+        # a label of a category the build is not given is ignored
+        docs = [Document("d9", "t000", {"c": None, "other": "x"})]
+        idx = build_index(docs, [Category("c", ("g", "unk"))])
+        assert idx.doc_groups("c")["d9"] == "unk"
+
     def test_unknown_group_label(self):
         docs = [Document("d9", "t000", {"c": "atlantis"})]
         with pytest.raises(CorpusError, match="atlantis"):
             build_index(docs, [Category("c", ("g",))])
+
+    def test_every_record_is_checked_before_any_text_is_tokenized(self):
+        docs = [Document(f"d{i}", "t000", {"c": "g"}) for i in range(3)]
+        docs.append(Document("d3", "t000", {"c": "z"}))
+        tokenized = []
+
+        def tokenizer(text):
+            tokenized.append(text)
+            return text.split()
+
+        with pytest.raises(CorpusError) as raised:
+            build_index(docs, [Category("c", ("g",))], tokenizer=tokenizer)
+        assert str(raised.value) == "doc 'd3': unknown group 'z' for category 'c'"
+        assert tokenized == []
 
     def test_group_sizes(self, tiny_index):
         assert tiny_index.group_doc_counts("geo") == {"east": 2, "west": 2}
@@ -423,8 +443,8 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "doc, changes, message",
         [
-            ({"labels": {"geo": "north"}}, {}, "'d1' has no group of category 'geo'"),
-            ({"labels": {}}, {}, "'d1' has no group of category 'geo'"),
+            ({"labels": {"geo": "north"}}, {}, "doc 'd1': unknown group 'north' for category 'geo'"),
+            ({"labels": {}}, {}, "doc 'd1' has no label for category 'geo'"),
             ({}, {"postings": {"t000": {"d9": 1}}}, "unknown document 'd9'"),
             *[
                 ({}, {"postings": {"t000": {"d1": tf}}},
@@ -456,9 +476,16 @@ class TestPersistence:
              "category 'geo': groups must be a JSON list of strings"),
             ({"labels": {"7": "east"}}, {"categories": [{"name": 7, "groups": ["east", "west"]}]},
              "category name 7 is not a JSON string"),
-            ({"labels": [["geo", "east"]]}, {}, "document 'd1': labels must be a JSON object"),
+            ({"labels": [["geo", "east"]]}, {}, "doc 'd1': labels must be a JSON object"),
             ({"labels": {"geo": "east", "extra": "zzz"}}, {},
-             "document 'd1' has a label of unknown category 'extra'"),
+             "doc 'd1' has a label of unknown category 'extra'"),
+            ({}, {"docs": [{"id": "d1", "labels": {"geo": "east"}}] * 2}, "duplicate doc_id 'd1'"),
+            # a document of more than 2**53 tokens, whose length is no exact float
+            pytest.param({}, {"postings": {"t000": {"d1": 10**400}}},
+                         f"document 'd1' has {10**400} tokens, more than 2**53", id="tf-10**400"),
+            pytest.param({}, {"postings": {"t000": {"d1": 2**52 + 1}, "t001": {"d1": 2**52 + 1}}},
+                         f"document 'd1' has {2**53 + 2} tokens, more than 2**53",
+                         id="length-2**53+2"),
             # fields of the wrong JSON type; changes that are no object replace the payload
             ({}, [], "the payload must be a JSON object"),
             ({}, None, "the payload must be a JSON object"),
@@ -486,6 +513,41 @@ class TestPersistence:
         with pytest.raises(CorpusError, match=re.escape(message)) as raised:
             CollectionIndex.load(path)
         assert str(raised.value).startswith(f"{path}: corrupt index (")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.sampled_from(["repeated id", "id with whitespace", "missing label", "no such group"]))
+    def test_build_and_load_reject_a_bad_record_alike(self, tmp_path_factory, seed, fault):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(rng, num_categories=rng.randint(1, 3))
+        path = tmp_path_factory.mktemp("fault") / "index.qx"
+        build_index(docs, cats).save(path)
+        payload = json.loads(gzip.decompress(path.read_bytes()[len(INDEX_MAGIC) + 1 :]))
+        # the same fault in the i-th document and in the i-th record of the saved index
+        i, cat = rng.randrange(1, len(docs)), rng.choice(cats).name
+        doc_id, labels = docs[i].doc_id, dict(docs[i].labels)
+        if fault == "repeated id":
+            doc_id = docs[rng.randrange(i)].doc_id
+            message = f"duplicate doc_id {doc_id!r}"
+        elif fault == "id with whitespace":
+            doc_id = doc_id[:1] + rng.choice(" \t\n") + doc_id[1:]
+            message = f"doc_id {doc_id!r} is empty or contains whitespace"
+        elif fault == "missing label":
+            del labels[cat]
+            message = f"doc {doc_id!r} has no label for category {cat!r}"
+        else:
+            labels[cat] = "nowhere"
+            message = f"doc {doc_id!r}: unknown group 'nowhere' for category {cat!r}"
+        docs[i] = docs[i]._replace(doc_id=doc_id, labels=labels)
+        payload["docs"][i] = {"id": doc_id, "labels": labels}
+        with pytest.raises(CorpusError) as raised:
+            build_index(docs, cats)
+        assert str(raised.value) == message
+        path.write_bytes(INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION])
+                         + gzip.compress(json.dumps(payload).encode()))
+        with pytest.raises(CorpusError) as raised:
+            CollectionIndex.load(path)
+        assert str(raised.value) == f"{path}: corrupt index ({message})"
 
     def test_build_order_level_1_file_loads_like_a_sorted_level_6_one(self, tmp_path):
         rng = random.Random(7)
