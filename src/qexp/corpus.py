@@ -156,20 +156,16 @@ class CollectionIndex:
             raise KeyError(f"unknown document {doc_id!r}") from None
 
     def doc_terms(self, doc_id: str) -> Mapping[str, int]:
-        """The document's term -> tf, terms in sorted order.
+        """The document's term -> tf, terms in index (vocabulary) order.
 
         The forward index behind it is built from the postings on the
-        first call, since only expansion reads it. Its terms are sorted
-        rather than in vocabulary order, which is the order the terms were
-        first indexed in (save and load keep it), so RM3's float sums over
-        them, and so the final ranking's near-ties, do not depend on the
-        order the documents were indexed in.
+        first call, since only expansion reads it.
         """
         doc_terms = self._doc_terms
         if doc_terms is None:
             doc_terms = {d: {} for d in self._doc_lengths}
-            for term in sorted(self._postings):
-                for d, tf in self._postings[term].items():
+            for term, postings in self._postings.items():
+                for d, tf in postings.items():
                     doc_terms[d][term] = tf
             self._doc_terms = doc_terms  # assigned once, complete
         try:

@@ -112,16 +112,17 @@ class RunFileRanker:
     def __init__(self, path):
         self.path = path
         self.name = f"runfile:{path}"
-        self._entries, self._repeated_ranks = read_run_file(path)
+        self._rows = read_run_file(path)
 
     def rank(self, index: CollectionIndex, query: Query, k: int) -> Ranking:
-        entries = self._entries.get(query.query_id)
-        if entries is None:
+        rows = self._rows.get(query.query_id)
+        if rows is None:
             raise KeyError(f"run file has no ranking for query {query.query_id!r}")
         try:
-            if query.query_id in self._repeated_ranks:
-                raise ValueError(f"rank {self._repeated_ranks[query.query_id]} is repeated")
-            return Ranking(query.query_id, entries).top(k)
+            for (a, _, _), (b, _, _) in zip(rows, rows[1:]):
+                if a == b:  # no rank order between the two
+                    raise ValueError(f"rank {a} is repeated")
+            return Ranking(query.query_id, tuple((d, s) for _, d, s in rows)).top(k)
         except ValueError as exc:
             raise ValueError(f"{self.path}: query {query.query_id!r}: {exc}") from None
 

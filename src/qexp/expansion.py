@@ -29,12 +29,11 @@ class ExpansionResult(NamedTuple):
 
 
 def _feedback_docs(index: CollectionIndex, ranking: Ranking):
-    """Top feedback entries as (doc_id, score, term->tf, length)."""
-    out = []
-    for doc_id, score in ranking.entries[:FB_DOCS]:
-        terms = index.doc_terms(doc_id)
-        out.append((doc_id, score, terms, index.doc_length(doc_id)))
-    return out
+    """Top feedback entries as (score, term->tf, length)."""
+    return [
+        (score, index.doc_terms(doc_id), index.doc_length(doc_id))
+        for doc_id, score in ranking.entries[:FB_DOCS]
+    ]
 
 
 def _ml_query_model(query: Query) -> dict[str, float]:
@@ -63,7 +62,7 @@ def expand_rm3(
     if not feedback:
         return ExpansionResult(query, expanded=False)
 
-    scores = [s for _, s, _, _ in feedback]
+    scores = [s for s, _, _ in feedback]
     s_min, s_max = min(scores), max(scores)
     if s_max > s_min:
         priors = [(s - s_min) / (s_max - s_min) for s in scores]
@@ -71,10 +70,10 @@ def expand_rm3(
         priors = [1.0] * len(scores)
 
     rm: dict[str, float] = {}
-    for (_, _, terms, length), prior in zip(feedback, priors):
+    for (_, terms, length), prior in zip(feedback, priors):
         if length == 0 or prior == 0.0:
             continue
-        for term, tf in terms.items():
+        for term, tf in sorted(terms.items()):  # so mass's bits do not depend on index order
             rm[term] = rm.get(term, 0.0) + prior * tf / length
     mass = float_sum(rm.values())
     if mass == 0.0:
@@ -125,11 +124,11 @@ def expand_klq(
     if not feedback:
         return ExpansionResult(query, expanded=False)
 
-    fb_tokens = sum(length for _, _, _, length in feedback)
+    fb_tokens = sum(length for _, _, length in feedback)
     if fb_tokens == 0:
         return ExpansionResult(query, expanded=False)
     fb_cf: dict[str, int] = {}
-    for _, _, terms, _ in feedback:
+    for _, terms, _ in feedback:
         for term, tf in terms.items():
             fb_cf[term] = fb_cf.get(term, 0) + tf
 

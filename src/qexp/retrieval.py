@@ -161,15 +161,13 @@ def write_run_file(path, rankings: Iterable[Ranking], tag: str = "qexp") -> None
     ))
 
 
-def read_run_file(path) -> tuple[dict[str, tuple[tuple[str, float], ...]], dict[str, int]]:
-    """Parse a TREC run file into (doc_id, score) entries per query id.
+def read_run_file(path) -> dict[str, list[tuple[int, str, float]]]:
+    """Parse a TREC run file into (rank, doc_id, score) rows per query id.
 
-    Entries are in rank order. Only the line format is checked here; a
+    Rows are in rank order. Only the line format is checked here; a
     malformed line, a rank below 1 or a non-finite score included, fails
-    the whole file. Also returned: query id -> its first repeated rank,
-    for each query whose ranks repeat and so give no rank order. Whether
-    a query's entries form a valid :class:`Ranking` is left to the
-    caller, so one bad query need not fail the others.
+    the whole file. Whether a query's rows form a valid :class:`Ranking`
+    is left to the caller, so one bad query need not fail the others.
     """
     per_query: dict[str, list[tuple[int, str, float]]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -186,13 +184,6 @@ def read_run_file(path) -> tuple[dict[str, tuple[tuple[str, float], ...]], dict[
         if position < 1 or not math.isfinite(value):
             raise ValueError(f"{path}: line {lineno}: bad rank or score")
         per_query.setdefault(qid, []).append((position, doc_id, value))
-    entries: dict[str, tuple[tuple[str, float], ...]] = {}
-    repeated: dict[str, int] = {}
-    for qid, rows in per_query.items():
+    for rows in per_query.values():
         rows.sort()  # by rank
-        entries[qid] = tuple((doc_id, score) for _, doc_id, score in rows)
-        ranks = [position for position, _, _ in rows]
-        repeats = [a for a, b in zip(ranks, ranks[1:]) if a == b]
-        if repeats:
-            repeated[qid] = repeats[0]
-    return entries, repeated
+    return per_query

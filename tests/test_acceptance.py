@@ -220,13 +220,13 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
 
     corpus = tmp_path / "corpus.jsonl"
     docs, cats, queries = make_planted_skew_corpus(docs_per_group=40, num_queries=8)
-    with open(corpus, "w") as fh:
+    with open(corpus, "w", encoding="utf-8") as fh:
         for d in docs:
             fh.write(json.dumps({"doc_id": d.doc_id, "text": d.text, "labels": dict(d.labels)}) + "\n")
     categories = tmp_path / "categories.json"
-    categories.write_text(json.dumps([{"name": c.name, "groups": list(c.groups)} for c in cats]))
+    categories.write_text(json.dumps([{"name": c.name, "groups": list(c.groups)} for c in cats]), encoding="utf-8")
     qfile = tmp_path / "queries.tsv"
-    qfile.write_text("".join(f"{q.query_id}\t{' '.join(q.terms)}\n" for q in queries))
+    qfile.write_text("".join(f"{q.query_id}\t{' '.join(q.terms)}\n" for q in queries), encoding="utf-8")
 
     index = tmp_path / "index.qx"
     assert main(["index", "--corpus", str(corpus), "--categories", str(categories),

@@ -63,13 +63,13 @@ def make_workspace(tmp_path: Path) -> Path:
     ]
     for doc_id, text, group in rows:
         lines.append(json.dumps({"doc_id": doc_id, "text": text, "labels": {"c": group}}))
-    corpus.write_text("\n".join(lines) + "\n")
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     categories = tmp_path / "categories.json"
-    categories.write_text('[{"name": "c", "groups": ["A", "B"]}]')
+    categories.write_text('[{"name": "c", "groups": ["A", "B"]}]', encoding="utf-8")
 
     queries = tmp_path / "queries.tsv"
-    queries.write_text("q1\tt000 t001\nq2\tt004 t005\nq3\tt000 t005\n")
+    queries.write_text("q1\tt000 t001\nq2\tt004 t005\nq3\tt000 t005\n", encoding="utf-8")
     build_index(load_corpus_jsonl(corpus), load_categories_json(categories)).save(
         tmp_path / "index.qx"
     )
@@ -154,7 +154,7 @@ class TestOptionSurface:
             "run", "--index", str(workspace / "index.qx"),
             "--queries", str(workspace / "queries.tsv"), "--k", "5", "--out-dir", str(out_dir),
         ]) == 0
-        config = json.loads((out_dir / "config.json").read_text())
+        config = json.loads((out_dir / "config.json").read_text(encoding="utf-8"))
         assert sorted(config) == [
             "category_names", "expanders", "index", "k",
             "out_dir", "predictors", "queries", "rankers", "run_files",
@@ -204,7 +204,7 @@ class TestIndexCommand:
 
     def test_malformed_jsonl_names_line(self, workspace, capsys):
         bad = workspace / "bad.jsonl"
-        bad.write_text('{"doc_id": "d1", "text": "t000", "labels": {"c": "A"}}\n{broken\n')
+        bad.write_text('{"doc_id": "d1", "text": "t000", "labels": {"c": "A"}}\n{broken\n', encoding="utf-8")
         code = main([
             "index", "--corpus", str(bad),
             "--categories", str(workspace / "categories.json"),
@@ -274,9 +274,9 @@ class TestIndexCommand:
     ):
         corpus, categories_file = workspace / "corpus.jsonl", workspace / "categories.json"
         if corpus_line is not None:
-            corpus.write_text(corpus.read_text() + corpus_line + "\n")
+            corpus.write_text(corpus.read_text(encoding="utf-8") + corpus_line + "\n", encoding="utf-8")
         if categories is not None:
-            categories_file.write_text(categories)
+            categories_file.write_text(categories, encoding="utf-8")
         code = main([
             "index", "--corpus", str(corpus), "--categories", str(categories_file),
             "--out", str(workspace / "x.qx"),
@@ -288,7 +288,7 @@ class TestIndexCommand:
 
     def test_empty_corpus_exits_1_naming_the_file(self, workspace, capsys):
         corpus = workspace / "corpus.jsonl"
-        corpus.write_text("\n")
+        corpus.write_text("\n", encoding="utf-8")
         code = main([
             "index", "--corpus", str(corpus), "--categories", str(workspace / "categories.json"),
             "--out", str(workspace / "x.qx"),
@@ -299,13 +299,14 @@ class TestIndexCommand:
     def test_escaped_surrogate_pairs_index_rank_and_run(self, workspace):
         # "\\ud83d\\ude00" decodes to the one code point U+1F600, which UTF-8 holds
         corpus, categories = workspace / "corpus.jsonl", workspace / "categories.json"
-        corpus.write_text(corpus.read_text() + (
+        corpus.write_text(corpus.read_text(encoding="utf-8") + (
             '{"doc_id": "d\\ud83d\\ude00", "text": "t000 t001",'
             ' "labels": {"c": "A", "e\\ud83d\\ude00": "g\\ud83d\\ude00"}}\n'
-        ))
+        ), encoding="utf-8")
         categories.write_text(
             '[{"name": "c", "groups": ["A", "B"]},'
-            ' {"name": "e\\ud83d\\ude00", "groups": ["g\\ud83d\\ude00", "Unknown"]}]'
+            ' {"name": "e\\ud83d\\ude00", "groups": ["g\\ud83d\\ude00", "Unknown"]}]',
+            encoding="utf-8",
         )
         index, run_file = workspace / "emoji.qx", workspace / "run.trec"
         source = ["--index", str(index), "--queries", str(workspace / "queries.tsv")]
@@ -319,11 +320,11 @@ class TestIndexCommand:
     def test_relabeling_changes_only_group_stats(self, workspace):
         relabeled = workspace / "relabel.jsonl"
         out_lines = []
-        for line in (workspace / "corpus.jsonl").read_text().splitlines():
+        for line in (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
             obj = json.loads(line)
             obj["labels"]["c"] = "B" if obj["labels"]["c"] == "A" else "A"
             out_lines.append(json.dumps(obj))
-        relabeled.write_text("\n".join(out_lines) + "\n")
+        relabeled.write_text("\n".join(out_lines) + "\n", encoding="utf-8")
 
         p1, p2 = workspace / "a.qx", workspace / "b.qx"
         assert main(["index", "--corpus", str(workspace / "corpus.jsonl"),
@@ -461,7 +462,7 @@ class TestMalformedInputFiles:
     def test_every_reader_names_the_line_of_a_non_utf8_byte(self, workspace, name, read):
         path = workspace / name
         if name == "run.trec":
-            path.write_text("q1 Q0 d00 1 2.5 bm25\n")
+            path.write_text("q1 Q0 d00 1 2.5 bm25\n", encoding="utf-8")
         data = path.read_bytes().rstrip(b"\n") + b"\n"
         path.write_bytes(data + b"\xff\n")
         with pytest.raises(CorpusError) as raised:
@@ -473,7 +474,8 @@ class TestMalformedInputFiles:
     def test_a_leading_byte_order_mark_is_skipped(self, workspace, monkeypatch, name):
         monkeypatch.chdir(workspace)
         Path("run.trec").write_text(
-            "q1 Q0 d00 1 2.5 ext\nq1 Q0 d05 2 1.5 ext\nq2 Q0 d05 1 2.0 ext\nq3 Q0 d09 1 1.0 ext\n"
+            "q1 Q0 d00 1 2.5 ext\nq1 Q0 d05 2 1.5 ext\nq2 Q0 d05 1 2.0 ext\nq3 Q0 d09 1 1.0 ext\n",
+            encoding="utf-8",
         )
 
         def outputs():
@@ -562,12 +564,47 @@ class TestMalformedInputFiles:
                 kind == "queries" and err.startswith("error: query '")), err
 
 
+# one path per field shape of the boundary workspace's index payload
+INDEX_FIELDS = [
+    (), ("categories",), ("categories", 0), ("categories", 0, "name"),
+    ("categories", 0, "groups"), ("categories", 0, "groups", 0),
+    ("docs",), ("docs", 0), ("docs", 0, "id"), ("docs", 0, "labels"), ("docs", 0, "labels", "c"),
+    ("postings",), ("postings", "t000"), ("postings", "t000", "d00"),
+]
+
+
+class TestRetypedIndexFields:
+    """Every WRONG_TYPES value in every field shape of an index, each case
+    run, which the mutation property above reaches only by chance."""
+
+    @pytest.mark.parametrize("new", WRONG_TYPES, ids=lambda v: "10**400" if v == 10**400 else repr(v))
+    @pytest.mark.parametrize("path", INDEX_FIELDS, ids=lambda p: "/".join(map(str, p)) or "root")
+    def test_exit_0_or_one_error_line_naming_the_file(self, boundary_workspace, tmp_path, capsys,
+                                                      path, new):
+        ws = boundary_workspace
+        blob = (ws / "index.qx").read_bytes()
+        payload = json.loads(gzip.decompress(blob[len(INDEX_MAGIC) + 1:]))
+        reduce(operator.getitem, path, payload)  # the field exists
+        mutated = tmp_path / "index.qx"
+        mutated.write_bytes(INDEX_MAGIC + bytes([INDEX_FORMAT_VERSION])
+                            + gzip.compress(json.dumps(replaced(payload, path, new)).encode()))
+        code = main(["rank", "--index", str(mutated), "--queries", str(ws / "queries.tsv"),
+                     "--out", str(tmp_path / "out.trec")])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1, (code, err)
+            assert err.startswith(f"error: {mutated}") and err.count("\n") == 1, err
+
+
 def test_queries_file_stems_each_distinct_word_once(tmp_path, monkeypatch):
     lines = [
         ("q1", "Libraries of museums"), ("q2", "museum libraries"), ("q3", "Rational museums"),
     ]
     path = tmp_path / "queries.tsv"
-    path.write_text("".join(f"{qid}\t{text}\n" for qid, text in lines))
+    path.write_text("".join(f"{qid}\t{text}\n" for qid, text in lines), encoding="utf-8")
     # the queries tokenized one by one, each with its own memo
     expected = [Query.from_text(text, query_id=qid) for qid, text in lines]
     stemmed = []
@@ -593,7 +630,7 @@ class TestRankAndExpand:
             "--model", model, "--k", "5", "--out", str(out),
         ])
         assert code == 0
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines
         for line in lines:
             fields = line.split()
@@ -602,7 +639,7 @@ class TestRankAndExpand:
     @pytest.mark.parametrize("line, qid", [("q 2\tt004", "q 2"), ("\tt004", ""), (" \tt004", "")])
     def test_query_id_a_run_file_cannot_carry_exits_1(self, workspace, capsys, line, qid):
         queries = workspace / "queries.tsv"
-        queries.write_text(f"q1\tt000\n{line}\n")
+        queries.write_text(f"q1\tt000\n{line}\n", encoding="utf-8")
         out = workspace / "run.trec"
         code = main([
             "rank", "--index", str(workspace / "index.qx"),
@@ -625,7 +662,7 @@ class TestRankAndExpand:
         for rankers in (["--rankers", "bm25"], ["--rankers", "", "--run-file", str(run)]):
             out_dir = workspace / "out"
             assert main(["run", *source, *rankers, "--k", "5", "--out-dir", str(out_dir)]) == 0
-            with open(out_dir / "jsd.csv") as fh:
+            with open(out_dir / "jsd.csv", encoding="utf-8") as fh:
                 jsds.append({
                     (r["query_id"], r["category"], r["predictor"]): r["jsd"]
                     for r in csv.DictReader(fh)
@@ -636,7 +673,7 @@ class TestRankAndExpand:
     @pytest.mark.parametrize("command", ["rank", "expand"])
     def test_failing_query_is_named_and_nothing_written(self, workspace, capsys, command):
         queries = workspace / "queries.tsv"
-        queries.write_text("q1\tt000 t001\nq2\tthe of and\n")
+        queries.write_text("q1\tt000 t001\nq2\tthe of and\n", encoding="utf-8")
         out = workspace / "out"
         argv = [
             command, "--index", str(workspace / "index.qx"),
@@ -678,7 +715,7 @@ class TestRankAndExpand:
             "--method", "rm3", "--k", "5", "--out", str(out),
         ])
         assert code == 0
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert {r["query_id"] for r in rows} == {"q1", "q2", "q3"}
         for r in rows:
             assert set(r) == {"query_id", "terms", "weights", "expanded"}
@@ -694,7 +731,7 @@ class TestPredictCommand:
             "--predictors", "gep,avidf", "--k", "5", "--out", str(out),
         ])
         assert code == 0
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert len(rows) == 3 * 1 * 2
         for r in rows:
             assert r["groups"] == ["A", "B"]
@@ -748,7 +785,7 @@ class TestPredictCommand:
 
     def test_failing_query_is_named_and_nothing_written(self, workspace, capsys):
         queries = workspace / "queries.tsv"
-        queries.write_text("q1\tt000 t001\nq2\tthe of and\n")
+        queries.write_text("q1\tt000 t001\nq2\tthe of and\n", encoding="utf-8")
         out = workspace / "pred.jsonl"
         code = main([
             "predict", "--index", str(workspace / "index.qx"),
@@ -772,11 +809,11 @@ class TestRunCommand:
     def test_row_count_contract(self, workspace):
         out_dir = workspace / "out"
         assert self._run(workspace, out_dir) == 0
-        with open(out_dir / "jsd.csv") as fh:
+        with open(out_dir / "jsd.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 1 * 6  # queries x categories x predictors
         assert (out_dir / "config.json").exists()
-        summary = json.loads((out_dir / "summary.json").read_text())
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
         assert summary["pipelines"][0]["categories"]["c"]["mean_jsd"]["gep"] >= 0
 
     def test_determinism_byte_identical(self, workspace):
@@ -792,10 +829,10 @@ class TestRunCommand:
 
     def test_partial_failure_exit_code(self, workspace):
         queries = workspace / "queries.tsv"
-        queries.write_text(queries.read_text() + "qbad\tthe of and\n")
+        queries.write_text(queries.read_text(encoding="utf-8") + "qbad\tthe of and\n", encoding="utf-8")
         out_dir = workspace / "out"
         assert self._run(workspace, out_dir) == 2
-        summary = json.loads((out_dir / "summary.json").read_text())
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
         assert summary["failures"][0]["query_id"] == "qbad"
 
     @pytest.mark.parametrize("missing", ["--index", "--queries", "--run-file"])
@@ -813,7 +850,7 @@ class TestRunCommand:
     def test_duplicate_query_id_exits_1(self, workspace, capsys):
         # predictions are cached per query id, so a repeat must not reach the run
         queries = workspace / "queries.tsv"
-        queries.write_text("q1\tt000\nq1\tt002\n")
+        queries.write_text("q1\tt000\nq1\tt002\n", encoding="utf-8")
         out_dir = workspace / "out"
         assert self._run(workspace, out_dir) == 1
         err = capsys.readouterr().err
@@ -838,7 +875,7 @@ class TestRunCommand:
         self, workspace, capsys, monkeypatch, extra, message
     ):
         run = workspace / "run.trec"
-        run.write_text("q1 Q0 d00 1 1.0 ext\n")
+        run.write_text("q1 Q0 d00 1 1.0 ext\n", encoding="utf-8")
 
         def no_load(path):
             raise AssertionError("the index was loaded")
@@ -868,7 +905,7 @@ class TestRunCommand:
     def test_bad_run_file_ranking_fails_only_its_query(self, workspace):
         # q1's ranks disagree with its scores, q2 repeats a doc, q3 is valid,
         # q4 repeats a rank (its scores would pass in either order)
-        with open(workspace / "queries.tsv", "a") as fh:
+        with open(workspace / "queries.tsv", "a", encoding="utf-8") as fh:
             fh.write("q4\tt000 t003\n")
         run = workspace / "ext.trec"
         run.write_text(
@@ -880,18 +917,19 @@ class TestRunCommand:
             "q3 Q0 d05 2 1.0 ext\n"
             "q4 Q0 d00 1 6.0 ext\n"
             "q4 Q0 d01 2 5.0 ext\n"
-            "q4 Q0 d03 2 5.0 ext\n"
+            "q4 Q0 d03 2 5.0 ext\n",
+            encoding="utf-8",
         )
         out_dir = workspace / "out"
         assert self._run_file_run(workspace, run, out_dir) == 2
-        summary = json.loads((out_dir / "summary.json").read_text())
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
         failures = {f["query_id"]: f for f in summary["failures"]}
         assert set(failures) == {"q1", "q2", "q4"}
         for qid, failure in failures.items():
             assert failure["stage"] == "ranking"
             assert failure["error"].startswith(f"{run}: query {qid!r}: ")
         assert failures["q4"]["error"] == f"{run}: query 'q4': rank 2 is repeated"
-        with open(out_dir / "jsd.csv") as fh:
+        with open(out_dir / "jsd.csv", encoding="utf-8") as fh:
             assert {r["query_id"] for r in csv.DictReader(fh)} == {"q3"}
 
     def test_run_file_failure_errors_are_plain_messages(self, workspace):
@@ -900,11 +938,12 @@ class TestRunCommand:
         run.write_text(
             "q1 Q0 d00 1 2.0 ext\n"
             "q1 Q0 nodoc 2 1.0 ext\n"
-            "q3 Q0 d00 1 2.0 ext\n"
+            "q3 Q0 d00 1 2.0 ext\n",
+            encoding="utf-8",
         )
         out_dir = workspace / "out"
         assert self._run_file_run(workspace, run, out_dir) == 2
-        summary = json.loads((out_dir / "summary.json").read_text())
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
         assert [(f["query_id"], f["stage"], f["error"]) for f in summary["failures"]] == [
             ("q1", "exposure", "unknown document 'nodoc'"),
             ("q2", "ranking", "run file has no ranking for query 'q2'"),
@@ -925,7 +964,7 @@ class TestRunCommand:
     )
     def test_malformed_run_file_line_exits_1(self, workspace, capsys, line, message):
         run = workspace / "ext.trec"
-        run.write_text("q1 Q0 d01 1 6.0 ext\n" + line)
+        run.write_text("q1 Q0 d01 1 6.0 ext\n" + line, encoding="utf-8")
         assert self._run_file_run(workspace, run, workspace / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {run}: line 2: ") and message in err
@@ -938,10 +977,11 @@ class TestRunCommand:
             "q1 Q0 d05 2 4.0 ext\n"
             "q1 Q0 d01 3 3.0 ext\n"
             "q1 Q0 d06 4 2.0 ext\n"
-            "q1 Q0 d02 5 1.0 ext\n"
+            "q1 Q0 d02 5 1.0 ext\n",
+            encoding="utf-8",
         )
         queries = workspace / "one.tsv"
-        queries.write_text("q1\tt000 t001\n")
+        queries.write_text("q1\tt000 t001\n", encoding="utf-8")
         out_dir = workspace / "out"
         code = main([
             "run", "--index", str(workspace / "index.qx"),
@@ -956,7 +996,7 @@ class TestRunCommand:
         share_a = a / (a + b)
         mu = 0.5
         sigma = math.sqrt(((share_a - mu) ** 2 + ((1 - share_a) - mu) ** 2) / 2)
-        with open(out_dir / "cv.csv") as fh:
+        with open(out_dir / "cv.csv", encoding="utf-8") as fh:
             row = next(csv.DictReader(fh))
         assert float(row["cv_percent"]) == pytest.approx(sigma / mu * 100, abs=1e-9)
 
@@ -968,7 +1008,8 @@ class TestRunCommand:
         docs, categories, queries = make_planted_skew_corpus(docs_per_group=20, num_queries=12)
         build_index(docs, categories).save(tmp_path / "index.qx")
         (tmp_path / "queries.tsv").write_text(
-            "".join(f"{q.query_id}\t{' '.join(q.terms)}\n" for q in queries)
+            "".join(f"{q.query_id}\t{' '.join(q.terms)}\n" for q in queries),
+            encoding="utf-8",
         )
         source = [
             "--index", str(tmp_path / "index.qx"),
@@ -1001,9 +1042,9 @@ class TestStopwordOnlyCorpus:
         (tmp_path / "corpus.jsonl").write_text("".join(
             json.dumps({"doc_id": d, "text": text, "labels": {"c": g}}) + "\n"
             for d, text, g in rows
-        ))
-        (tmp_path / "categories.json").write_text('[{"name": "c", "groups": ["A", "B"]}]')
-        (tmp_path / "queries.tsv").write_text("q1\tt000\n")
+        ), encoding="utf-8")
+        (tmp_path / "categories.json").write_text('[{"name": "c", "groups": ["A", "B"]}]', encoding="utf-8")
+        (tmp_path / "queries.tsv").write_text("q1\tt000\n", encoding="utf-8")
         assert main([
             "index", "--corpus", str(tmp_path / "corpus.jsonl"),
             "--categories", str(tmp_path / "categories.json"), "--out", str(tmp_path / "index.qx"),
@@ -1020,7 +1061,7 @@ class TestStopwordOnlyCorpus:
             "--queries", str(stopword_workspace / "queries.tsv"),
             "--model", model, "--out", str(out),
         ]) == 0
-        assert out.read_text() == ""
+        assert out.read_text(encoding="utf-8") == ""
         assert "Traceback" not in capsys.readouterr().err
 
     def test_run_records_no_failures(self, stopword_workspace):
@@ -1030,7 +1071,7 @@ class TestStopwordOnlyCorpus:
             "run", "--index", str(stopword_workspace / "index.qx"),
             "--queries", str(stopword_workspace / "queries.tsv"), "--out-dir", str(out_dir),
         ]) == 0
-        assert json.loads((out_dir / "summary.json").read_text())["failures"] == []
+        assert json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))["failures"] == []
 
 
 class TestSyntheticScript:
@@ -1053,7 +1094,7 @@ class TestSyntheticScript:
         assert exit_info.value.code == 0
         assert commands == ["index", "run"]
 
-        summary = json.loads((out_dir / "summary.json").read_text())
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
         out = capsys.readouterr().out
         printed = re.findall(r"^ +(bm25(?:\+\w+)?)  ((?: +\S+)+)$", out, re.MULTILINE)
         predictors = re.search(r"^ +pipeline((?: +\w+)+)$", out, re.MULTILINE).group(1).split()
@@ -1072,19 +1113,19 @@ class TestAnalyzeExposure:
             "--out-dir", str(out_dir),
         ])
         assert code == 0
-        with open(out_dir / "histogram.csv") as fh:
+        with open(out_dir / "histogram.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         values = sorted(float(r["bin_low"]) for r in rows)
         assert values == pytest.approx([0.5, 1 / math.log2(3), 1.0])
-        with open(out_dir / "orderings.csv") as fh:
+        with open(out_dir / "orderings.csv", encoding="utf-8") as fh:
             orders = list(csv.DictReader(fh))
         assert orders[2]["exact_orderings"] == "6"
 
     def test_m0_single_zero_row(self, workspace):
         out_dir = workspace / "exp0"
         assert main(["analyze-exposure", "--k", "4", "--m", "0", "--out-dir", str(out_dir)]) == 0
-        with open(out_dir / "histogram.csv") as fh:
+        with open(out_dir / "histogram.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert float(rows[0]["bin_low"]) == 0.0
@@ -1117,7 +1158,7 @@ class TestAnalyzeExposure:
         m_values = [int(v) for v in argv[3].split(",")]
         assert calls == [(m, mode) for m in m_values]  # one histogram per m
 
-        with open(out_dir / "histogram.csv") as fh:
+        with open(out_dir / "histogram.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         out = capsys.readouterr().out
         assert f"k={argv[1]} [{mode}]\n" in out
@@ -1150,7 +1191,7 @@ class TestAnalyzeExposure:
     def test_default_m_is_0_to_4(self, workspace):
         out_dir = workspace / "exp"
         assert main(["analyze-exposure", "--k", "8", "--out-dir", str(out_dir)]) == 0
-        with open(out_dir / "histogram.csv") as fh:
+        with open(out_dir / "histogram.csv", encoding="utf-8") as fh:
             assert sorted({int(r["m"]) for r in csv.DictReader(fh)}) == [0, 1, 2, 3, 4]
 
     def test_defaults_fit_the_subset_budget(self):
@@ -1289,9 +1330,9 @@ class TestOutputBytes:
             runpy.run_path(str(script), run_name="__main__")
         assert exit_info.value.code == 0
         # a query of unseen words retrieves nothing, and a stopword-only one fails
-        queries = Path("syn/queries.tsv").read_text() + "qoov\tzzz999\n"
-        Path("oov.tsv").write_text(queries)
-        Path("grid.tsv").write_text(queries + "qbad\tthe of and\n")
+        queries = Path("syn/queries.tsv").read_text(encoding="utf-8") + "qoov\tzzz999\n"
+        Path("oov.tsv").write_text(queries, encoding="utf-8")
+        Path("grid.tsv").write_text(queries + "qbad\tthe of and\n", encoding="utf-8")
         inputs = {"syn/index.qx", "oov.tsv", "grid.tsv"}
         source = ["--index", "syn/index.qx", "--queries", "oov.tsv", "--k", "20"]
         commands = [

@@ -354,7 +354,7 @@ class TestForwardIndex:
             for d in idx.doc_ids:
                 expected = [
                     (t, idx.term_stats(t).postings[d])
-                    for t in sorted(idx.vocabulary) if d in idx.term_stats(t).postings
+                    for t in idx.vocabulary if d in idx.term_stats(t).postings
                 ]
                 assert list(idx.doc_terms(d).items()) == expected
             with pytest.raises(KeyError, match="unknown document 'nope'"):
@@ -682,21 +682,22 @@ class TestFileLoading:
         path = tmp_path / "corpus.jsonl"
         path.write_text(
             '{"doc_id": "d1", "text": "t000", "labels": {"c": "g"}}\n'
-            '{"doc_id": "d2", "text": "t001 t002", "labels": {"c": "g"}}\n'
+            '{"doc_id": "d2", "text": "t001 t002", "labels": {"c": "g"}}\n',
+            encoding="utf-8",
         )
         docs = load_corpus_jsonl(path)
         assert [d.doc_id for d in docs] == ["d1", "d2"]
 
     def test_malformed_line_number_reported(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        path.write_text('{"doc_id": "d1", "text": "x", "labels": {}}\n{oops\n')
+        path.write_text('{"doc_id": "d1", "text": "x", "labels": {}}\n{oops\n', encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus_jsonl(path)
 
     def test_categories_object_or_list(self, tmp_path):
         single = tmp_path / "one.json"
-        single.write_text('{"name": "c", "groups": ["a", "b"]}')
+        single.write_text('{"name": "c", "groups": ["a", "b"]}', encoding="utf-8")
         assert load_categories_json(single)[0].groups == ("a", "b")
         many = tmp_path / "many.json"
-        many.write_text('[{"name": "c", "groups": ["a"]}, {"name": "d", "groups": ["x"]}]')
+        many.write_text('[{"name": "c", "groups": ["a"]}, {"name": "d", "groups": ["x"]}]', encoding="utf-8")
         assert [c.name for c in load_categories_json(many)] == ["c", "d"]

@@ -294,3 +294,33 @@ class TestExpansionOracle:
             res = EXPANDERS[method](wide_index, query, _ranking(entries))
             got = (res.query.terms, res.query.weights, res.expanded)
             assert got == oracle_expand(method, doc_tokens, query[:2], entries)
+
+
+class TestFeedbackTermOrder:
+    """Expansion reads a feedback document's terms as a mapping: the order
+    the forward index lists them in (index order) must not move a bit of
+    the expanded query. RM3's relevance-model mass is a float sum over
+    them, so it sums each document's terms in sorted order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["bm25", "tfidf"]),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_permuted_doc_terms_give_identical_queries(self, seed, model, weights, shuffler):
+        rng = random.Random(seed)
+        docs, cats = random_labeled_corpus(rng, num_docs=15, vocab_size=40, max_len=30)
+        idx = build_index(docs, cats)
+        query = Query(tuple(rng.choice(stable_vocab(40)) for _ in weights), tuple(weights), "q")
+        ranking = rank(idx, query, model, k=10)
+        expected = {method: expand(idx, query, ranking) for method, expand in EXPANDERS.items()}
+        permuted = {}
+        for d in idx.doc_ids:
+            items = list(idx.doc_terms(d).items())
+            shuffler.shuffle(items)
+            permuted[d] = dict(items)
+        idx.doc_terms = permuted.__getitem__  # shadows the method on this instance only
+        for method, expand in EXPANDERS.items():
+            assert expand(idx, query, ranking) == expected[method], method

@@ -458,7 +458,7 @@ class TestSharedTable:
             f"q{i}\t{' '.join(rng.choices(stable_vocab(10), k=rng.randint(1, 4)))}\n"
             for i in range(num_queries)
         ]
-        (tmp_path / "queries.tsv").write_text("".join(lines))
+        (tmp_path / "queries.tsv").write_text("".join(lines), encoding="utf-8")
         builds = _CountBuilds()
         monkeypatch.setattr(qexp.predictors, "query_group_stats", builds)
 
@@ -469,7 +469,7 @@ class TestSharedTable:
             "--predictors", ",".join(PREDICTORS),
         ])
         assert code == 0
-        assert len(out.read_text().splitlines()) == num_queries * 2 * len(PREDICTORS)
+        assert len(out.read_text(encoding="utf-8").splitlines()) == num_queries * 2 * len(PREDICTORS)
         assert builds.calls == num_queries * 2
 
         builds.calls = 0

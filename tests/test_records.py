@@ -64,7 +64,7 @@ def test_importing_qexp_does_not_import_dataclasses():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, qexp, qexp.cli; print('dataclasses' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True, text=True,
-        timeout=120,
+        timeout=120, encoding="utf-8",
     )
     assert out.stdout.strip() == "False"
 
@@ -76,6 +76,6 @@ def test_importing_qexp_loads_no_submodule():
         [sys.executable, "-c",
          "import sys, qexp; print(sorted(m for m in sys.modules if m.startswith('qexp.')))"],
         env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True, text=True,
-        timeout=120,
+        timeout=120, encoding="utf-8",
     )
     assert out.stdout.strip() == "[]"

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexp.corpus import Category, Document, build_index
+from qexp.evaluation import RunFileRanker
 from qexp.retrieval import RANKERS, Query, Ranking, rank, read_run_file, top_k, write_run_file
 from qexp.text import tokenize
 
@@ -287,30 +289,37 @@ class TestRunFiles:
         r2 = rank(tiny_index, Query.from_terms(["t003"], query_id="q2"), "tfidf", k=10)
         path = tmp_path / "run.trec"
         write_run_file(path, [r1, r2], tag="test")
-        loaded, repeated = read_run_file(path)
-        assert set(loaded) == {"q1", "q2"} and repeated == {}
-        assert tuple(d for d, _ in loaded["q1"]) == r1.doc_ids
-        line = path.read_text().splitlines()[0].split()
+        loaded = read_run_file(path)
+        assert set(loaded) == {"q1", "q2"}
+        assert [(pos, d) for pos, d, _ in loaded["q1"]] == list(enumerate(r1.doc_ids, start=1))
+        served = RunFileRanker(path).rank(tiny_index, Query.from_terms(["t000"], query_id="q1"), 10)
+        assert served.doc_ids == r1.doc_ids
+        line = path.read_text(encoding="utf-8").splitlines()[0].split()
         assert len(line) == 6 and line[1] == "Q0"
 
-    def test_repeated_rank_is_reported_per_query(self, tmp_path):
+    def test_repeated_rank_is_reported_per_query(self, tmp_path, tiny_index):
         path = tmp_path / "run.trec"
         path.write_text(
-            "q1 Q0 dB 2 5.0 x\nq1 Q0 dA 1 6.0 x\nq1 Q0 dC 2 5.0 x\nq2 Q0 dA 2 1.0 x\n"
+            "q1 Q0 dB 2 5.0 x\nq1 Q0 dA 1 6.0 x\nq1 Q0 dC 2 5.0 x\nq2 Q0 dA 2 1.0 x\n",
+            encoding="utf-8",
         )
-        loaded, repeated = read_run_file(path)
-        assert repeated == {"q1": 2}
-        assert loaded == {"q1": (("dA", 6.0), ("dB", 5.0), ("dC", 5.0)), "q2": (("dA", 1.0),)}
+        loaded = read_run_file(path)
+        assert loaded == {"q1": [(1, "dA", 6.0), (2, "dB", 5.0), (2, "dC", 5.0)], "q2": [(2, "dA", 1.0)]}
+        ranker = RunFileRanker(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: query 'q1': rank 2 is repeated$"):
+            ranker.rank(tiny_index, Query.from_terms(["t000"], query_id="q1"), 10)
+        q2 = ranker.rank(tiny_index, Query.from_terms(["t000"], query_id="q2"), 10)
+        assert q2 == Ranking("q2", (("dA", 1.0),))
 
     @pytest.mark.parametrize("pos", ["0", "-2"])
     def test_rank_below_1_fails_the_file(self, tmp_path, pos):
         path = tmp_path / "run.trec"
-        path.write_text(f"q1 Q0 dA 1 6.0 x\nq1 Q0 dB {pos} 7.0 x\n")
+        path.write_text(f"q1 Q0 dA 1 6.0 x\nq1 Q0 dB {pos} 7.0 x\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: bad rank or score"):
             read_run_file(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.trec"
-        path.write_text("q1 Q0 d1 1 2.0\n")
+        path.write_text("q1 Q0 d1 1 2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="6"):
             read_run_file(path)
