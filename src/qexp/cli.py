@@ -217,74 +217,68 @@ def cmd_analyze_exposure(args) -> int:
 
 # --------------------------------- parser -----------------------------------
 
+#: every option's add_argument keywords, declared once for all the commands that take it
+OPTIONS = {
+    "--corpus": dict(required=True, help="JSONL corpus (doc_id, text, labels)"),
+    "--categories": dict(dest="categories_file", required=True, help="JSON category definitions"),
+    "--index": dict(required=True, help="an index written by qexp index"),
+    "--queries": dict(required=True, help="TSV: qid<TAB>query text"),
+    "--method": dict(required=True, choices=tuple(EXPANDERS)),
+    "--model": dict(default="bm25", choices=sorted(RANKERS)),
+    "--rankers": dict(type=_split_names, default="bm25", help="comma-separated retrieval models"),
+    # argparse appends to a copy of this list, so no parse sees another's run files
+    "--run-file": dict(dest="run_files", action="append", default=[],
+                       help="external TREC run file ranker"),
+    "--expanders": dict(type=_split_names, default="none",
+                        help="comma-separated: none," + ",".join(EXPANDERS)),
+    "--predictors": dict(type=_split_names, default="gep"),
+    "--category-names": dict(type=_category_names, default=None,
+                             help="comma-separated; default all"),
+    "--k": dict(type=int, default=100),
+    # C(100, 4) = 3.9M subsets fits the subset budget; C(100, 5) would not
+    "--m": dict(type=_split_ints, default="0,1,2,3,4", help="comma-separated group document counts"),
+    "--mode": dict(default="exact", choices=("exact", "sampled")),
+    "--samples": dict(type=int, default=100_000),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(required=True),
+    "--out-dir": dict(default="out"),
+}
+
+#: each command's help line, its options in usage order, and its set_defaults keywords
+COMMANDS = {
+    "index": ("build and persist a collection index", ("--corpus", "--categories", "--out"),
+              dict(func=cmd_index)),
+    "rank": ("rank queries and write a TREC run file",
+             ("--index", "--queries", "--model", "--k", "--out"), dict(func=cmd_rank)),
+    "expand": ("apply PRF expansion and dump the queries",
+               ("--index", "--queries", "--method", "--model", "--k", "--out"),
+               dict(func=cmd_expand)),
+    "predict": ("emit per-group exposure predictions",
+                ("--index", "--queries", "--predictors", "--category-names", "--k", "--out"),
+                dict(func=cmd_predict)),
+    "run": ("full experiment: rank, predict, evaluate",
+            ("--index", "--queries", "--rankers", "--run-file", "--expanders", "--predictors",
+             "--category-names", "--k", "--out-dir"),
+            # a run compares every predictor but the uniform baseline by default
+            dict(func=cmd_run,
+                 predictors=",".join(name for name in PREDICTORS if name != "uniform"))),
+    "analyze-exposure": ("achievable exposure and orderings data",
+                         ("--k", "--m", "--mode", "--samples", "--seed", "--out-dir"),
+                         dict(func=cmd_analyze_exposure)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qexp",
         description="Predict and evaluate group exposure distributions in rankings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("index", help="build and persist a collection index")
-    p.add_argument("--corpus", required=True, help="JSONL corpus (doc_id, text, labels)")
-    p.add_argument("--categories", dest="categories_file", required=True,
-                   help="JSON category definitions")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("rank", help="rank queries and write a TREC run file")
-    p.add_argument("--index", required=True, help="an index written by qexp index")
-    p.add_argument("--queries", required=True, help="TSV: qid<TAB>query text")
-    p.add_argument("--model", default="bm25", choices=sorted(RANKERS))
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("expand", help="apply PRF expansion and dump the queries")
-    p.add_argument("--index", required=True, help="an index written by qexp index")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--method", required=True, choices=tuple(EXPANDERS))
-    p.add_argument("--model", default="bm25", choices=sorted(RANKERS))
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("predict", help="emit per-group exposure predictions")
-    p.add_argument("--index", required=True, help="an index written by qexp index")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--predictors", type=_split_names, default="gep")
-    p.add_argument("--category-names", type=_category_names, default=None,
-                   help="comma-separated; default all")
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("run", help="full experiment: rank, predict, evaluate")
-    p.add_argument("--index", required=True, help="an index written by qexp index")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--rankers", type=_split_names, default="bm25",
-                   help="comma-separated retrieval models")
-    p.add_argument("--run-file", dest="run_files", action="append", default=[],
-                   help="external TREC run file ranker")
-    p.add_argument("--expanders", type=_split_names, default="none",
-                   help="comma-separated: none," + ",".join(EXPANDERS))
-    p.add_argument("--predictors", type=_split_names,
-                   default=",".join(name for name in PREDICTORS if name != "uniform"))
-    p.add_argument("--category-names", type=_category_names, default=None)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("analyze-exposure", help="achievable exposure and orderings data")
-    p.add_argument("--k", type=int, default=100)
-    # C(100, 4) = 3.9M subsets fits the subset budget; C(100, 5) would not
-    p.add_argument("--m", type=_split_ints, default="0,1,2,3,4",
-                   help="comma-separated group document counts")
-    p.add_argument("--mode", default="exact", choices=("exact", "sampled"))
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_analyze_exposure)
-
+    for name, (help_line, flags, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
+        p.set_defaults(**defaults)  # a default set here replaces the option's own
     return parser
 
 

@@ -13,7 +13,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import partial, reduce
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -340,13 +340,16 @@ def _exact_bin_counts(weights: list[float], m: int, thresholds: list[float]) -> 
     its last position d, so it is added as in _subset_sums. For each d the
     prefix sums that end before d are kept sorted, and s + w is
     non-decreasing in s, so one bisection per threshold counts the sums
-    below it: about C(k, m-1) Python steps in place of C(k, m). At most
-    PREFIX_BLOCK prefix sums are held at once; counts add over the blocks.
+    below it: about C(k, m-1) Python steps in place of C(k, m). The
+    thresholds above all of a d's sums take their count through one entry
+    of a difference array, summed once at the end. At most PREFIX_BLOCK
+    prefix sums are held at once; counts add over the blocks.
     """
     k = len(weights)
     if 2 * (k - m) < m:  # the branch _subset_sums takes on the positions left out
         return _bin_counts(_subset_sums(weights, m), thresholds)
-    below = [0] * len(thresholds)  # per threshold, the sums below it
+    below = [0] * len(thresholds)  # per threshold, the sums below it that a bisection counts
+    full = [0] * (len(thresholds) + 1)  # full[j]: sums below threshold j and every later one
     prefixes = _prefix_sums(weights, m - 1)
     while True:
         ending = [[] for _ in range(k)]  # ending[d]: the block's prefix sums with d next
@@ -364,8 +367,8 @@ def _exact_bin_counts(weights: list[float], m: int, thresholds: list[float]) -> 
                 j = bisect_right(thresholds, sums[-1] + w)
                 count = partial(bisect_left, sums, key=w.__add__)
                 below[i:j] = map(add, below[i:j], map(count, thresholds[i:j]))
-                below[j:] = map(add, below[j:], repeat(len(sums)))
-    edges = [0, *below, math.comb(k, m)]
+                full[j] += len(sums)
+    edges = [0, *map(add, below, accumulate(full)), math.comb(k, m)]
     return list(map(sub, edges[1:], edges))
 
 

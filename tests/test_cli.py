@@ -161,6 +161,28 @@ class TestOptionSurface:
         ]
 
 
+class TestOptionTable:
+    @pytest.mark.parametrize("command", list(TestOptionSurface.OPTIONS))
+    def test_command_help_exits_0_and_its_usage_names_its_options(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert usage.startswith(f"usage: qexp {command} [-h]")
+        named = re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", usage)
+        assert named == TestOptionSurface.OPTIONS[command]
+
+    def test_every_declared_option_is_taken_by_some_command(self):
+        taken = {flag for flags in TestOptionSurface.parser_options().values() for flag in flags}
+        assert set(qexp.cli.OPTIONS) == taken
+        assert len(qexp.cli.OPTIONS) == 18  # for the 35 options of TestOptionSurface
+
+    def test_run_files_of_one_parse_are_not_seen_by_the_next(self):
+        source = ["run", "--index", "index.qx", "--queries", "q.tsv"]
+        first = qexp.cli.build_parser().parse_args([*source, "--run-file", "a.trec"])
+        second = qexp.cli.build_parser().parse_args(source)
+        assert (first.run_files, second.run_files) == (["a.trec"], [])
+        assert qexp.cli.OPTIONS["--run-file"]["default"] == []
+
+
 @pytest.mark.parametrize("command", ["rank", "expand", "predict", "run"])
 @pytest.mark.parametrize(
     "source", [[], ["--corpus"], ["--categories"], ["--corpus", "--categories"]]
